@@ -560,10 +560,7 @@ def free_lie(generators, truncation):
             pos = {w: i for i, w in enumerate(words)}
             span = EchelonSpan(len(words))
             for e in elems:
-                vec = [QZERO] * len(words)
-                for w, c in e.items():
-                    vec[pos[w]] = c
-                if span.add(vec):
+                if span.add({pos[w]: c for w, c in e.items()}):
                     kept.append((d, e))
         return kept
 
@@ -599,10 +596,7 @@ def free_lie(generators, truncation):
         span = EchelonSpan(len(words))
         pos = {w: i for i, w in enumerate(words)}
         for k, e in candidates:
-            vec = [QZERO] * len(words)
-            for w, c in e.items():
-                vec[pos[w]] = c
-            if span.add(vec):
+            if span.add({pos[w]: c for w, c in e.items()}):
                 if k == 1:
                     word = next(iter(e))
                     name = gens[word[0]][0]

@@ -522,10 +522,7 @@ def bigraded_model(H, N):
             npos = {m: i for i, m in enumerate(basis_n)}
             for m in prev:
                 img = cur.d(Poly({m: QONE}))
-                vec = [QZERO] * len(basis_n)
-                for mm, c in img.items():
-                    vec[npos[mm]] = c
-                span.add(vec)
+                span.add({npos[mm]: c for mm, c in img.items()})
             reps = [v for v in ker if span.add(v)]
             return reps, basis_n
 

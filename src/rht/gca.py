@@ -10,7 +10,7 @@ and matrix in this module deterministic.
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, EchelonSpan, rank as mat_rank, kernel_basis, solve
+from .linalg import RatMatrix, EchelonSpan, rank as mat_rank, kernel_basis
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -31,7 +31,8 @@ class Poly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[m] = c
 
@@ -428,6 +429,7 @@ class Cdga(FreeGCA):
         # degree violations are reported by check(), not raised here
         self.differential = Derivation(self, 1, imgs, check_degrees=False)
         self._cohomology_cache = {}
+        self._class_basis_cache = {}
         self._dmat_cache = {}
 
     def d(self, p):
@@ -502,32 +504,31 @@ class Cdga(FreeGCA):
                 "cohomology in degree %d needs truncation >= %d" % (n, n + 1))
         if n in self._cohomology_cache:
             return self._cohomology_cache[n]
-        dn = self.d_matrix(n)
-        cocycles = kernel_basis(dn)
+        cocycles = kernel_basis(self.d_matrix(n))
         dim = self.dim(n)
-        span = EchelonSpan(dim)
+        # Column dim + k tags the k-th representative, which is added as
+        # v + e_{dim+k}; coboundaries carry no tag.  Every row of the span is
+        # then a cocycle followed by the combination of representatives it
+        # equals modulo coboundaries, so the tag columns of a residue give
+        # class coordinates (see class_coordinates).
+        span = EchelonSpan(dim + len(cocycles))
         if n >= 1:
-            dprev = self.d_matrix(n - 1)
-            for j in range(dprev.cols):
-                span.add(dprev.column(j))
+            cols = {}
+            for (i, j), c in self.d_matrix(n - 1).entries.items():
+                cols.setdefault(j, {})[i] = c
+            for j in sorted(cols):
+                span.add(cols[j])
         reps = []
-        rep_vecs = []
         for v in cocycles:
-            if span.add(v):
+            tagged = {i: c for i, c in enumerate(v) if c}
+            if min(span.residue(tagged), default=dim) < dim:
+                tagged[dim + len(reps)] = QONE
+                span.add(tagged)
                 reps.append(self.vector_to_poly(v, n))
-                rep_vecs.append(v)
         result = (len(reps), reps)
         self._cohomology_cache[n] = result
-        self._class_basis_cache = getattr(self, "_class_basis_cache", {})
-        self._class_basis_cache[n] = rep_vecs
+        self._class_basis_cache[n] = span
         return result
-
-    def coboundary_columns(self, n):
-        """Columns spanning the coboundaries inside C^n."""
-        if n == 0:
-            return []
-        dprev = self.d_matrix(n - 1)
-        return [dprev.column(j) for j in range(dprev.cols)]
 
     def class_coordinates(self, n, p):
         """Coordinates of the class [p] in the representative basis of H^n.
@@ -541,16 +542,15 @@ class Cdga(FreeGCA):
             raise ValueError("class_coordinates: wrong degree")
         if self.d(p):
             raise ValueError("class_coordinates: not a cocycle")
-        rep_vecs = self._class_basis_cache[n]
-        cob = self.coboundary_columns(n)
-        cols = rep_vecs + cob
-        if not cols:
+        if not rk:
             return []
-        mat = RatMatrix.from_columns(cols, rows=self.dim(n))
-        x = solve(mat, self.poly_to_vector(p, n))
-        if x is None:
+        dim = self.dim(n)
+        pos = {m: i for i, m in enumerate(self.degree_basis(n))}
+        res = self._class_basis_cache[n].residue(
+            {pos[m]: c for m, c in p.items()})
+        if min(res, default=dim) < dim:
             raise ValueError("class_coordinates: vector not in cocycle span")
-        return x[:rk]
+        return [-res.get(dim + k, QZERO) for k in range(rk)]
 
 
 class CdgaMorphism:

@@ -16,7 +16,7 @@ degree-n basis.
 from fractions import Fraction
 
 from .gca import FreeGCA, Poly
-from .linalg import reduce_against, row_echelon
+from .linalg import EchelonSpan
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -27,7 +27,8 @@ class RingElement:
 
     def __init__(self, degree, coords):
         self.degree = int(degree)
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coords)
 
     def is_zero(self):
         return not any(self.coords)
@@ -61,37 +62,27 @@ class QuotientRing:
             raise ValueError("degree %d above quotient truncation" % n)
         monos = self.algebra.degree_basis(n)
         pos = {m: i for i, m in enumerate(monos)}
-        rows = []
+        span = EchelonSpan(len(monos))
         for f in self.relations:
             df = self.algebra.poly_degree(f)
             if df > n:
                 continue
             for m in self.algebra.degree_basis(n - df):
                 prod = self.algebra.multiply(Poly({m: QONE}), f)
-                if not prod:
-                    continue
-                vec = [QZERO] * len(monos)
-                for mm, c in prod.items():
-                    vec[pos[mm]] = c
-                rows.append(vec)
-        if rows:
-            ech, pivots = row_echelon(rows, reduce=True)
-            ech = ech[:len(pivots)]
-        else:
-            ech, pivots = [], []
-        pivset = set(pivots)
-        basis = [m for i, m in enumerate(monos) if i not in pivset]
-        data = (ech, pivots, monos, pos, basis)
+                span.add({pos[mm]: c for mm, c in prod.items()})
+        pivots = set(span.pivots)
+        basis = [m for i, m in enumerate(monos) if i not in pivots]
+        data = (span, monos, pos, basis)
         self._data[n] = data
         return data
 
     def rank(self, n):
         if n < 0:
             return 0
-        return len(self._degree_data(n)[4])
+        return len(self._degree_data(n)[3])
 
     def basis_monomials(self, n):
-        return list(self._degree_data(n)[4])
+        return list(self._degree_data(n)[3])
 
     def basis_elements(self, n):
         r = self.rank(n)
@@ -110,12 +101,9 @@ class QuotientRing:
         if not p:
             return Poly()
         n = self.algebra.poly_degree(p)
-        ech, pivots, monos, pos, basis = self._degree_data(n)
-        vec = [QZERO] * len(monos)
-        for m, c in p.items():
-            vec[pos[m]] = c
-        res = reduce_against(ech, pivots, vec)
-        return Poly({m: res[pos[m]] for m in basis if res[pos[m]]})
+        span, monos, pos, _ = self._degree_data(n)
+        res = span.residue({pos[m]: c for m, c in p.items()})
+        return Poly({monos[i]: res[i] for i in sorted(res)})
 
     def poly_class(self, p):
         """Class of a homogeneous polynomial as a RingElement."""
@@ -123,14 +111,14 @@ class QuotientRing:
             raise ValueError("poly_class of 0 needs an explicit degree; use zero(n)")
         n = self.algebra.poly_degree(p)
         nf = self.reduce(p)
-        basis = self._degree_data(n)[4]
+        basis = self._degree_data(n)[3]
         return RingElement(n, [nf.coeff(m) for m in basis])
 
     def zero(self, n):
         return RingElement(n, [QZERO] * self.rank(n))
 
     def element_poly(self, e):
-        basis = self._degree_data(e.degree)[4]
+        basis = self._degree_data(e.degree)[3]
         return Poly({m: c for m, c in zip(basis, e.coords) if c})
 
     def multiply(self, e1, e2):
@@ -149,7 +137,7 @@ class QuotientRing:
         df = self.algebra.poly_degree(f)
         src = self.basis_monomials(n)
         tgt = self._degree_data(n + df)
-        tgt_basis = tgt[4]
+        tgt_basis = tgt[3]
         tpos = {m: i for i, m in enumerate(tgt_basis)}
         mat = RatMatrix(len(tgt_basis), len(src))
         for j, m in enumerate(src):

@@ -8,7 +8,7 @@ from .dgl import (Dgl, DglMorphism, FiniteCdga, free_lie,
 from .cefunctor import ce_cochains, ce_of_morphism
 from .mapmodel import (MapSpaceProblem, check_hypotheses, suspension_model,
                        split_odd_generator, reduce_to_odd_sphere)
-from .quotient import QuotientRing, CohomologyAlgebra, ModelCohomology
+from .quotient import QuotientRing, ModelCohomology
 from .formality import (formality_pipeline, free_cohomology_check,
                         regular_sequence_check, koszul_formality,
                         transfer_formality, bigraded_model,
@@ -23,7 +23,7 @@ __all__ = [
     "ce_cochains", "ce_of_morphism",
     "MapSpaceProblem", "check_hypotheses", "suspension_model",
     "split_odd_generator", "reduce_to_odd_sphere",
-    "QuotientRing", "CohomologyAlgebra", "ModelCohomology",
+    "QuotientRing", "ModelCohomology",
     "formality_pipeline", "free_cohomology_check", "regular_sequence_check",
     "koszul_formality", "transfer_formality", "bigraded_model",
     "barred_bigraded_model", "lemma36_scan", "bar_obstruction",

@@ -11,12 +11,12 @@ import os
 import sys
 
 from .gca import Cdga, TruncationError
-from .dgl import tensor_map_model, validate_dgl
-from .cefunctor import ce_cochains
-from .mapmodel import suspension_model, check_hypotheses
+from .dgl import validate_dgl
+from .mapmodel import check_hypotheses
 from .quotient import ModelCohomology
-from .formality import (formality_pipeline, regular_sequence_check,
-                        koszul_sequence, FORMAL, NONFORMAL)
+from .formality import (formality_pipeline, mapping_space_model,
+                        regular_sequence_check, koszul_sequence, FORMAL,
+                        NONFORMAL)
 from .workspace import (parse_path, parse_text, print_algebra, print_dgl,
                         WorkspaceError)
 from .certificates import serialize_verdict, replay_certificate_text, \
@@ -123,22 +123,6 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
-def build_model(ws, prob, route):
-    if route == "sullivan" or (route == "auto" and prob.y_cdga is not None):
-        if prob.y_cdga is None:
-            raise WorkspaceError(0, "sullivan route needs a Sullivan Y-model")
-        if set(prob.x_model.names) != {prob.x_model.unit, "t"}:
-            raise WorkspaceError(0, "sullivan route needs X to be a sphere")
-        susp = suspension_model(prob.y_cdga, prob.p)
-        return susp.cdga, ("suspension model with d(Sv) = (-1)^p S(dv), "
-                           "p = %d" % prob.p), None
-    if prob.y_dgl is None:
-        raise WorkspaceError(0, "lie route needs a Lie Y-model")
-    M = tensor_map_model(prob.x_model, prob.y_dgl)
-    res = ce_cochains(M, M.truncation + 1)
-    return res.cdga, "tensor model cochains", M
-
-
 def cmd_map_model(args):
     ws = parse_path(args.file)
     if args.problem not in ws.problems:
@@ -150,7 +134,12 @@ def cmd_map_model(args):
         print("hypotheses violated: %s" % "; ".join(hyp.messages),
               file=sys.stderr)
         return EXIT_VALIDATION
-    model, note, lie = build_model(ws, prob, args.route)
+    model, _, lie = mapping_space_model(prob)
+    if lie is None:
+        note = ("suspension model with d(Sv) = (-1)^p S(dv), p = %d"
+                % prob.p)
+    else:
+        note = "tensor model cochains"
     report = model.check()
     if not report:
         print("model failed validation: %s" % report, file=sys.stderr)
@@ -218,8 +207,7 @@ def cmd_reproduce_section4(args):
     prob = ws.resolve_problem("section4")
     N = args.max_degree
     prob.y_cdga = raise_truncation(prob.y_cdga, max(N, 20) + 1)
-    susp = suspension_model(prob.y_cdga, prob.p)
-    model = susp.cdga
+    model, _, _ = mapping_space_model(prob, N)
     print("# the mapping-space model (barred degrees 2, 2, 5):")
     sys.stdout.write(print_algebra(model, "F_S2_Y"))
     H = ModelCohomology(prob.y_cdga, min(N, 24))
@@ -268,8 +256,6 @@ def make_parser():
     p = sub.add_parser("map-model", help="print the model of F(X, Y)")
     p.add_argument("file")
     p.add_argument("problem")
-    p.add_argument("--route", choices=("auto", "sullivan", "lie"),
-                   default="auto")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=cmd_map_model)
 
@@ -297,10 +283,13 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_degree", None) is None and \
-            hasattr(args, "max_degree"):
+    if hasattr(args, "max_degree"):
         try:
-            args.max_degree = default_max_degree()
+            if args.max_degree is None:
+                args.max_degree = default_max_degree()
+            elif args.max_degree < 1:
+                raise WorkspaceError(
+                    0, "--max-degree must be a positive integer")
         except WorkspaceError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_VALIDATION

@@ -218,8 +218,8 @@ def validate_dgl(L):
     return L.validate()
 
 
-class DglMorphism:
-    """Degree-0 map of DGLs given by images on basis elements."""
+class BasisMorphism:
+    """Linear map given by images (lc combinations) of basis elements."""
 
     def __init__(self, source, target, images):
         self.source = source
@@ -233,17 +233,23 @@ class DglMorphism:
         return out
 
     def compose(self, inner):
+        """self o inner (inner applied first), of the same kind as self."""
         if inner.target is not self.source:
             raise ValueError("composition mismatch")
-        return DglMorphism(inner.source, self.target,
-                           {x: self.apply(inner.images[x]) for x in inner.source.names})
+        return type(self)(inner.source, self.target,
+                          {x: self.apply(inner.images[x])
+                           for x in inner.source.names})
+
+    def is_identity(self):
+        return all(self.images[x] == {x: QONE} for x in self.source.names)
+
+
+class DglMorphism(BasisMorphism):
+    """Degree-0 map of DGLs given by images on basis elements."""
 
     @classmethod
     def identity(cls, L):
         return cls(L, L, {x: {x: QONE} for x in L.names})
-
-    def is_identity(self):
-        return all(self.images[x] == {x: QONE} for x in self.source.names)
 
     def check(self):
         """Degree 0, d phi = phi d, phi[x,y] = [phi x, phi y], up to truncation."""
@@ -438,19 +444,8 @@ class FiniteCdga:
         return cls(basis, "1", mult, diff)
 
 
-class FiniteCdgaMorphism:
+class FiniteCdgaMorphism(BasisMorphism):
     """Map of finite-dimensional models given on basis elements."""
-
-    def __init__(self, source, target, images):
-        self.source = source
-        self.target = target
-        self.images = {a: lc(images.get(a, {})) for a in source.names}
-
-    def apply(self, combo):
-        out = {}
-        for a, v in combo.items():
-            out = lc_add(out, lc_scale(self.images[a], v))
-        return out
 
     def check(self):
         deg_s, deg_t = self.source.degree_of, self.target.degree_of
@@ -475,16 +470,6 @@ class FiniteCdgaMorphism:
             if lhs != rhs:
                 return CheckReport.violation("cochain", "fails at %s" % a)
         return CheckReport.good()
-
-    def compose(self, inner):
-        if inner.target is not self.source:
-            raise ValueError("composition mismatch")
-        return FiniteCdgaMorphism(
-            inner.source, self.target,
-            {a: self.apply(inner.images[a]) for a in inner.source.names})
-
-    def is_identity(self):
-        return all(self.images[a] == {a: QONE} for a in self.source.names)
 
 
 # -- free graded Lie algebras inside the tensor algebra -------------------

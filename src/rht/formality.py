@@ -18,9 +18,8 @@ search into a verdict.
 
 from fractions import Fraction
 
-from .gca import Cdga, Poly, CheckReport, FreeGCA
-from .quotient import (QuotientRing, CohomologyAlgebra, ModelCohomology,
-                       RingElement, free_gca_ranks)
+from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
+from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
 from .linalg import RatMatrix, EchelonSpan, rank as mat_rank, kernel_basis, solve
 from .mapmodel import (suspension_model, bar_name, check_hypotheses,
                        reduce_to_odd_sphere, SplitError)
@@ -68,38 +67,30 @@ class RhoMorphism:
     """Multiplicative map from a Cdga to a degreewise ring, zero target d.
 
     images maps generator names to RingElements (missing/None means zero).
+    The map is computed through its lift, the CdgaMorphism into the ring's
+    ambient algebra that sends each generator to the polynomial of its image:
+    a polynomial is substituted first and its class read off once.  A lift
+    can also be given directly; H(phi) of a CdgaMorphism phi is the rho with
+    lift phi into ModelCohomology(phi.target).
     """
 
-    def __init__(self, cdga, ring, images):
+    def __init__(self, cdga, ring, images=None, lift=None):
         self.cdga = cdga
         self.ring = ring
-        self.images = {}
-        for name, img in images.items():
-            if img is not None and not img.is_zero():
-                self.images[name] = img
+        if lift is None:
+            lift = CdgaMorphism(cdga, ring.ambient,
+                                {name: ring.element_poly(img)
+                                 for name, img in (images or {}).items()
+                                 if img is not None})
+        self.lift = lift
 
     def apply_poly(self, p, degree=None):
-        if not p:
-            if degree is None:
-                raise ValueError("rho of 0 needs an explicit degree")
-            return self.ring.zero(degree)
-        n = self.cdga.poly_degree(p)
-        out = self.ring.zero(n)
-        for m, c in p.items():
-            term = self.ring.unit()
-            dead = False
-            for i, e in m:
-                img = self.images.get(self.cdga.names[i])
-                if img is None:
-                    dead = True
-                    break
-                for _ in range(e):
-                    term = self.ring.multiply(term, img)
-            if dead or term.is_zero():
-                continue
-            coords = [c * x for x in term.coords]
-            out = RingElement(n, [a + b for a, b in zip(out.coords, coords)])
-        return out
+        if p:
+            degree = self.cdga.poly_degree(p)
+        elif degree is None:
+            raise ValueError("rho of 0 needs an explicit degree")
+        img = self.lift.apply(p)
+        return self.ring.poly_class(img) if img else self.ring.zero(degree)
 
     def is_cochain_map(self):
         for name in self.cdga.names:
@@ -119,6 +110,9 @@ class RhoMorphism:
         return mat
 
     def is_quasi_iso(self, upto):
+        """(True, None) if the induced map H^n(cdga) -> ring_n is an
+        isomorphism for all n <= upto, else (False, first bad degree).
+        Truncation-relative."""
         for n in range(0, upto + 1):
             rk = self.cdga.cohomology(n)[0]
             if rk != self.ring.rank(n):
@@ -422,9 +416,6 @@ class BigradedModel:
     def lower_weight(self, monomial):
         return sum(self.lower[self.cdga.names[i]] * e for i, e in monomial)
 
-    def generators_of_lower(self, k):
-        return [n for n in self.cdga.names if self.lower[n] == k]
-
     def w_plus(self):
         return [n for n in self.cdga.names if self.lower[n] >= 1]
 
@@ -476,10 +467,12 @@ class BigradedModel:
 def bigraded_model(H, N):
     """Degree-by-degree Halperin-Stasheff construction over the ring H.
 
-    H is a CohomologyAlgebra or any degreewise ring (rank, basis_elements,
-    multiply, zero, unit).  Lower-degree-0 generators surject onto H's
-    algebra generators; each further stage kills the kernel of
-    H(current model) -> H, slot by slot in the resolution grading.
+    H is a quotient.DegreewiseRing: a presented ring
+    QuotientRing(FreeGCA(gens), relations, N) or a ModelCohomology.  It must
+    have H^0 = Q and H^1 = 0 (ValueError otherwise).  Lower-degree-0
+    generators surject onto H's algebra generators; each further stage kills
+    the kernel of H(current model) -> H, slot by slot in the resolution
+    grading.
     """
     if H.rank(0) != 1:
         raise ValueError("H^0 must be Q")
@@ -779,11 +772,13 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
 
 # -- the pipeline ------------------------------------------------------------
 
-def mapping_space_model(prob, N):
-    """The Sullivan model of F(X, Y) used by the pipeline, plus notes.
+def mapping_space_model(prob, N=None):
+    """(Sullivan model of F(X, Y), notes, Lie model or None).
 
     Sphere X with a minimal Sullivan Y-model takes the suspension route;
-    a Lie model of Y takes the tensor route through the cochain functor.
+    a Lie model of Y takes the tensor route through the cochain functor, and
+    the tensor Lie model is returned with it.  With N, the model must support
+    checks up to degree N (ValueError otherwise).
     """
     notes = []
     if prob.y_cdga is not None:
@@ -791,19 +786,19 @@ def mapping_space_model(prob, N):
             raise ValueError(
                 "the Sullivan route needs X to be a sphere model; "
                 "give Y as a Lie model instead")
-        if prob.y_cdga.truncation < N + 1:
+        if N is not None and prob.y_cdga.truncation < N + 1:
             raise ValueError("Y-model truncation must be at least N + 1")
         susp = suspension_model(prob.y_cdga, prob.p)
         notes.append("suspension route: %d generators" % len(susp.cdga.names))
-        return susp.cdga, notes
+        return susp.cdga, notes, None
     M = tensor_map_model(prob.x_model, prob.y_dgl)
     res = ce_cochains(M, M.truncation + 1)
-    if res.cdga.truncation < N + 1:
+    if N is not None and res.cdga.truncation < N + 1:
         raise ValueError(
             "Y Lie model truncation supports checks only up to degree %d"
             % (res.cdga.truncation - 1))
     notes.append("tensor route: %d generators" % len(res.cdga.names))
-    return res.cdga, notes
+    return res.cdga, notes, M
 
 
 def y_cohomology_ring(prob, N):
@@ -822,12 +817,15 @@ def formality_pipeline(prob, N):
     Order: free-cohomology rank match, Koszul route, then (odd p, via the
     sphere reduction if X is not itself a sphere) the bigraded bar
     obstruction.  All inconclusive -> Unknown(N).  A Formal and a NonFormal
-    certificate for the same input raises ConsistencyError.
+    certificate for the same input raises ConsistencyError.  N must be at
+    least 1.
     """
+    if N < 1:
+        raise ValueError("the degree bound N must be at least 1, got %d" % N)
     hyp = check_hypotheses(prob)
     if not hyp.ok:
         raise ValueError("hypotheses violated: %s" % "; ".join(hyp.messages))
-    model, notes = mapping_space_model(prob, N)
+    model, notes, _ = mapping_space_model(prob, N)
     formal_verdict = None
     nonformal_verdict = None
 

@@ -10,7 +10,7 @@ and matrix in this module deterministic.
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, EchelonSpan, rank as mat_rank, kernel_basis
+from .linalg import RatMatrix, EchelonSpan, kernel_basis
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -146,13 +146,6 @@ class FreeGCA:
         if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous: degrees %s" % sorted(degs))
         return degs.pop()
-
-    def is_homogeneous(self, p, degree=None):
-        try:
-            d = self.poly_degree(p)
-        except ValueError:
-            return False
-        return True if degree is None else (d is None or d == degree)
 
     # -- monomial arithmetic -------------------------------------------
 
@@ -622,26 +615,17 @@ class CdgaMorphism:
             return False
         return all(self.images[n] == self.target.gen(n) for n in self.source.names)
 
+    def _on_cohomology(self):
+        from .quotient import ModelCohomology
+        from .formality import RhoMorphism
+        return RhoMorphism(self.source, ModelCohomology(self.target),
+                           lift=self)
+
     def induced_on_cohomology(self, n):
         """Matrix of H^n(phi): H^n(source) -> H^n(target) in representative bases."""
-        rk_s, reps_s = self.source.cohomology(n)
-        rk_t, _ = self.target.cohomology(n)
-        mat = RatMatrix(rk_t, rk_s)
-        for j, rep in enumerate(reps_s):
-            img = self.apply(rep)
-            coords = self.target.class_coordinates(n, img)
-            for i, c in enumerate(coords):
-                mat.set(i, j, c)
-        return mat
+        return self._on_cohomology().induced_matrix(n)
 
     def is_quasi_iso(self, upto):
         """(True, None) if H^n(phi) is an isomorphism for all n <= upto,
         else (False, first bad degree).  Truncation-relative."""
-        for n in range(0, upto + 1):
-            rk_s, _ = self.source.cohomology(n)
-            rk_t, _ = self.target.cohomology(n)
-            if rk_s != rk_t:
-                return False, n
-            if rk_s and mat_rank(self.induced_on_cohomology(n)) != rk_s:
-                return False, n
-        return True, None
+        return self._on_cohomology().is_quasi_iso(upto)

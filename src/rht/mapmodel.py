@@ -142,10 +142,6 @@ class SuspensionModel:
         self.p = int(p)
         self.origin = origin
         self.bar_of = bar_of
-        self.unbar_of = {v: k for k, v in bar_of.items()}
-
-    def barred_generators(self):
-        return [self.bar_of[n] for n in self.origin.names]
 
 
 def suspension_model(Y, p, truncation=None):

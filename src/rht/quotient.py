@@ -1,21 +1,22 @@
-"""Degreewise quotient rings and cohomology rings.
+"""Degreewise rings: presented quotient rings and cohomology rings.
 
-Two implementations of the same informal interface (rank, basis elements,
-multiplication of classes) back the bigraded-model construction and the
-quasi-isomorphism checks:
+The bigraded-model construction and every quasi-isomorphism check talk to a
+ring through one interface, DegreewiseRing.  An element is a RingElement, a
+(degree, coordinate tuple) pair relative to the ring's own degree-n basis.
+Each ring also names an ambient free algebra: element_poly lifts an element
+to a polynomial there, and poly_class reads the class of a polynomial back.
+Products are taken on lifts, so the two rings differ only in those two maps
+and in their ranks:
 
   * QuotientRing: Lambda(gens)/(relations), degreewise bases computed by
     exact elimination over the monomial basis -- no Groebner machinery.
   * ModelCohomology: H^*(A, d) of a free CDGA, classes handled through the
     deterministic representative bases of gca.Cdga.cohomology.
-
-Elements are (degree, coordinate tuple) pairs relative to the ring's own
-degree-n basis.
 """
 
 from fractions import Fraction
 
-from .gca import FreeGCA, Poly
+from .gca import Poly
 from .linalg import EchelonSpan
 
 QZERO = Fraction(0)
@@ -41,11 +42,43 @@ class RingElement:
         return "RingElement(%d, %s)" % (self.degree, self.coords)
 
 
-class QuotientRing:
+class DegreewiseRing:
+    """A graded ring handled degree by degree through an ambient algebra.
+
+    Subclasses set ``ambient`` and ``truncation`` and provide rank(n),
+    element_poly(e) (a lift of e to ``ambient``) and poly_class(p) (the class
+    of a nonzero homogeneous polynomial of ``ambient``).
+    """
+
+    def ranks(self, upto=None):
+        upto = self.truncation if upto is None else upto
+        return [self.rank(n) for n in range(0, upto + 1)]
+
+    def basis_elements(self, n):
+        r = self.rank(n)
+        out = []
+        for i in range(r):
+            coords = [QZERO] * r
+            coords[i] = QONE
+            out.append(RingElement(n, coords))
+        return out
+
+    def zero(self, n):
+        return RingElement(n, [QZERO] * self.rank(n))
+
+    def multiply(self, e1, e2):
+        prod = self.ambient.multiply(self.element_poly(e1),
+                                     self.element_poly(e2))
+        if not prod:
+            return self.zero(e1.degree + e2.degree)
+        return self.poly_class(prod)
+
+
+class QuotientRing(DegreewiseRing):
     """Lambda(generators) / (relations), truncated at degree N."""
 
     def __init__(self, algebra, relations, truncation):
-        self.algebra = algebra
+        self.algebra = self.ambient = algebra
         self.truncation = int(truncation)
         self.relations = []
         for f in relations:
@@ -84,18 +117,6 @@ class QuotientRing:
     def basis_monomials(self, n):
         return list(self._degree_data(n)[3])
 
-    def basis_elements(self, n):
-        r = self.rank(n)
-        out = []
-        for i in range(r):
-            coords = [QZERO] * r
-            coords[i] = QONE
-            out.append(RingElement(n, coords))
-        return out
-
-    def unit(self):
-        return self.poly_class(Poly.unit())
-
     def reduce(self, p):
         """Normal form of a homogeneous polynomial: a poly on non-pivot monomials."""
         if not p:
@@ -114,22 +135,9 @@ class QuotientRing:
         basis = self._degree_data(n)[3]
         return RingElement(n, [nf.coeff(m) for m in basis])
 
-    def zero(self, n):
-        return RingElement(n, [QZERO] * self.rank(n))
-
     def element_poly(self, e):
         basis = self._degree_data(e.degree)[3]
         return Poly({m: c for m, c in zip(basis, e.coords) if c})
-
-    def multiply(self, e1, e2):
-        n = e1.degree + e2.degree
-        prod = self.algebra.multiply(self.element_poly(e1), self.element_poly(e2))
-        if not prod:
-            return self.zero(n)
-        return self.poly_class(prod)
-
-    def element_str(self, e):
-        return self.algebra.poly_str(self.element_poly(e))
 
     def multiplication_matrix(self, f, n):
         """Matrix of (multiplication by f): Q_n -> Q_{n+|f|} in quotient bases."""
@@ -148,55 +156,11 @@ class QuotientRing:
         return mat
 
 
-class CohomologyAlgebra:
-    """A cohomology algebra presented by generators and relations.
-
-    Degreewise ranks and products come from the underlying QuotientRing;
-    construction enforces H^0 = Q and H^1 = 0.
-    """
-
-    def __init__(self, generators, relations, truncation):
-        self.algebra = FreeGCA(generators)
-        if any(d == 1 for d in self.algebra.degrees):
-            raise ValueError("H^1 must vanish: no degree-1 generators")
-        self.ring = QuotientRing(self.algebra, relations, truncation)
-        self.truncation = int(truncation)
-        if self.ring.rank(0) != 1:
-            raise ValueError("H^0 must be Q")
-        if self.ring.rank(1) != 0:
-            raise ValueError("H^1 must vanish")
-
-    def rank(self, n):
-        return self.ring.rank(n)
-
-    def ranks(self, upto=None):
-        upto = self.truncation if upto is None else upto
-        return [self.rank(n) for n in range(0, upto + 1)]
-
-    def basis_elements(self, n):
-        return self.ring.basis_elements(n)
-
-    def unit(self):
-        return self.ring.unit()
-
-    def multiply(self, e1, e2):
-        return self.ring.multiply(e1, e2)
-
-    def zero(self, n):
-        return self.ring.zero(n)
-
-    def element_str(self, e):
-        return self.ring.element_str(e)
-
-    def generator_class(self, name):
-        return self.ring.poly_class(self.algebra.gen(name))
-
-
-class ModelCohomology:
+class ModelCohomology(DegreewiseRing):
     """H^*(A, d) of a Cdga, as a degreewise ring on representative classes."""
 
     def __init__(self, cdga, truncation=None):
-        self.cdga = cdga
+        self.cdga = self.ambient = cdga
         self.truncation = (cdga.truncation - 1 if truncation is None
                            else int(truncation))
         if self.truncation + 1 > cdga.truncation:
@@ -208,27 +172,8 @@ class ModelCohomology:
             return 0
         return self.cdga.cohomology(n)[0]
 
-    def ranks(self, upto=None):
-        upto = self.truncation if upto is None else upto
-        return [self.rank(n) for n in range(0, upto + 1)]
-
     def representatives(self, n):
         return self.cdga.cohomology(n)[1]
-
-    def basis_elements(self, n):
-        r = self.rank(n)
-        out = []
-        for i in range(r):
-            coords = [QZERO] * r
-            coords[i] = QONE
-            out.append(RingElement(n, coords))
-        return out
-
-    def unit(self):
-        return RingElement(0, [QONE])
-
-    def zero(self, n):
-        return RingElement(n, [QZERO] * self.rank(n))
 
     def element_poly(self, e):
         reps = self.representatives(e.degree)
@@ -238,21 +183,12 @@ class ModelCohomology:
                 out = out + rep.scale(c)
         return out
 
-    def poly_class(self, p, degree=None):
+    def poly_class(self, p):
+        """Class of a nonzero homogeneous cocycle as a RingElement."""
         if not p:
-            if degree is None:
-                raise ValueError("class of 0 needs an explicit degree")
-            return self.zero(degree)
+            raise ValueError("class of 0 needs an explicit degree; use zero(n)")
         n = self.cdga.poly_degree(p)
         return RingElement(n, self.cdga.class_coordinates(n, p))
-
-    def multiply(self, e1, e2):
-        n = e1.degree + e2.degree
-        prod = self.cdga.multiply(self.element_poly(e1), self.element_poly(e2))
-        return self.poly_class(prod, degree=n)
-
-    def element_str(self, e):
-        return "[%s]" % self.cdga.poly_str(self.element_poly(e))
 
 
 def free_gca_ranks(degrees, upto):

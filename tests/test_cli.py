@@ -168,6 +168,30 @@ def test_env_var_default_degree(capsys, ws_file, tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_non_positive_max_degree_rejected(capsys, ws_file, tmp_path,
+                                          monkeypatch, bound):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for argv in (["formality", ws_file, "thom"],
+                 ["cohomology", ws_file, "Yodd"],
+                 ["reproduce-section4"]):
+        code, out, err = run_cli(capsys, *argv, "--max-degree", bound)
+        assert code == 1, argv
+        assert "--max-degree must be a positive integer" in err
+        assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_pipeline_rejects_non_positive_bound():
+    from rht.formality import formality_pipeline
+    from rht.workspace import parse_text
+    prob = parse_text(NONFORMAL_WS).resolve_problem("thom")
+    for N in (0, -2):
+        with pytest.raises(ValueError):
+            formality_pipeline(prob, N)
+
+
 def test_corrupted_certificates_fail_replay(capsys, ws_file, tmp_path):
     cert = tmp_path / "nf.cert"
     run_cli(capsys, "formality", ws_file, "nonformal", "--max-degree", "20",

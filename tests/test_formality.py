@@ -5,7 +5,7 @@ import pytest
 
 from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
 from rht.dgl import Dgl, FiniteCdga
-from rht.quotient import CohomologyAlgebra, ModelCohomology, free_gca_ranks
+from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
 from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, transfer_formality,
@@ -33,7 +33,7 @@ def odd_wedge_y(truncation=24):
 def section4_h():
     alg = FreeGCA([("x1", 4), ("x2", 4)])
     rel = alg.multiply(alg.gen("x1"), alg.gen("x2"))
-    return CohomologyAlgebra([("x1", 4), ("x2", 4)], [rel], 20)
+    return QuotientRing(alg, [rel], 20)
 
 
 # -- free cohomology ---------------------------------------------------------
@@ -171,7 +171,7 @@ def test_transfer_rejects_failed_retraction():
 # -- bigraded models ---------------------------------------------------------
 
 def test_bigraded_model_free_polynomial():
-    H = CohomologyAlgebra([("v", 4)], [], 16)
+    H = QuotientRing(FreeGCA([("v", 4)]), [], 16)
     B = bigraded_model(H, 16)
     assert [(n, B.cdga.gen_degree(n), B.lower[n]) for n in B.cdga.names] == \
         [("z4_0", 4, 0)]
@@ -191,7 +191,7 @@ def test_bigraded_model_section4_h():
 
 def test_bigraded_model_truncated_polynomial():
     alg = FreeGCA([("x", 2)])
-    H = CohomologyAlgebra([("x", 2)], [alg.power(alg.gen("x"), 3)], 10)
+    H = QuotientRing(alg, [alg.power(alg.gen("x"), 3)], 10)
     B = bigraded_model(H, 10)
     info = [(B.cdga.gen_degree(n), B.lower[n]) for n in B.cdga.names]
     assert info == [(2, 0), (5, 1)]
@@ -235,7 +235,7 @@ def test_barred_bigraded_model_section4():
 
 
 def test_barred_model_free_case_zero_differential():
-    H = CohomologyAlgebra([("v", 6)], [], 14)
+    H = QuotientRing(FreeGCA([("v", 6)]), [], 14)
     B = bigraded_model(H, 14)
     barred = barred_bigraded_model(B, 3)
     assert not barred.cdga.differential.images
@@ -285,7 +285,7 @@ def test_lemma36_scan_missing_everywhere_on_nonformal_case():
 def test_lemma36_scan_vacuous_on_odd_only_wplus():
     # Q[x]/(x^3): W_+ = one odd generator only -> vacuous pass
     alg = FreeGCA([("x", 2)])
-    H = CohomologyAlgebra([("x", 2)], [alg.power(alg.gen("x"), 3)], 10)
+    H = QuotientRing(alg, [alg.power(alg.gen("x"), 3)], 10)
     B = bigraded_model(H, 10)
     assert lemma36_scan(B, 10) == []
 

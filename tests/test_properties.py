@@ -6,18 +6,21 @@ Generators of random valid inputs:
     closed earlier ones, so d^2 = 0 holds by construction);
   * DGLs as free Lie algebras on random generators with random minimal
     differentials into brackets of closed generators;
-  * minimal Sullivan algebras with random decomposable differentials.
+  * minimal Sullivan algebras with random decomposable differentials;
+  * random homogeneous polynomials, mapped by rho into a presented quotient
+    ring and into the cohomology ring of a model.
 """
 
 from fractions import Fraction
 from random import Random
 
-from rht.gca import Cdga, Poly
+from rht.gca import Cdga, FreeGCA, Poly
 from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, validate_dgl, Dgl)
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import suspension_model, split_odd_generator
-from rht.formality import koszul_formality, replay_verdict
+from rht.formality import koszul_formality, replay_verdict, RhoMorphism
+from rht.quotient import QuotientRing, ModelCohomology
 
 F = Fraction
 CASES = 200
@@ -228,3 +231,70 @@ def test_formal_certificates_replay():
         assert replay_verdict(verdict)
         replayed += 1
     assert replayed == CASES
+
+
+def random_homogeneous(rng, alg, degree):
+    """A random nonzero polynomial of the given degree, or None if the
+    degree has no monomials."""
+    basis = alg.degree_basis(degree)
+    if not basis:
+        return None
+    p = Poly()
+    while not p:
+        p = Poly({m: F(rng.randint(-3, 3), rng.randint(1, 3))
+                  for m in rng.sample(basis, min(len(basis), 3))})
+    return p
+
+
+def check_rho_multiplicative(rng, rho, bound):
+    """rho(p*q) == rho(p) * rho(q) on random homogeneous p, q."""
+    src = rho.cdga
+    degrees = sorted({src.monomial_degree(m) for n in range(1, bound + 1)
+                      for m in src.degree_basis(n)})
+    checked = 0
+    while checked < CASES:
+        dp, dq = rng.choice(degrees), rng.choice(degrees)
+        if dp + dq > bound:
+            continue
+        p = random_homogeneous(rng, src, dp)
+        q = random_homogeneous(rng, src, dq)
+        pq = src.multiply(p, q)
+        assert rho.apply_poly(pq, degree=dp + dq) == \
+            rho.ring.multiply(rho.apply_poly(p), rho.apply_poly(q))
+        checked += 1
+
+
+def test_rho_multiplicative_into_quotient_ring():
+    rng = Random(2718)
+    # two odd generators, so that u*v = -v*u is visible to the check
+    target = FreeGCA([("a", 2), ("b", 2), ("u", 3), ("v", 3)])
+    a, b = target.gen("a"), target.gen("b")
+    u, v = target.gen("u"), target.gen("v")
+    rels = [target.multiply(a, b),
+            target.power(a, 3) - target.power(b, 3).scale(2),
+            target.multiply(b, u)]
+    ring = QuotientRing(target, rels, 14)
+    src = Cdga([("s", 2), ("t", 2), ("w", 3), ("w2", 3), ("z", 4)], {}, 15)
+    images = {"s": a + b.scale(2), "t": a - b.scale(F(1, 3)),
+              "w": u.scale(F(5, 2)), "w2": u - v,
+              "z": target.power(a, 2) + target.multiply(a, b)
+              - target.power(b, 2)}
+    rho = RhoMorphism(src, ring, {g: ring.poly_class(img)
+                                  for g, img in images.items()})
+    check_rho_multiplicative(rng, rho, 14)
+
+
+def test_rho_multiplicative_into_model_cohomology():
+    # H*(Y) of Y = (Lambda(x1, x2, y), dy = x1 x2): classes [x1^k], [x2^k]
+    rng = Random(1618)
+    gens = [("x1", 4), ("x2", 4), ("y", 7)]
+    carrier = Cdga(gens, {}, 21)
+    x1, x2 = carrier.gen("x1"), carrier.gen("x2")
+    Y = Cdga(gens, {"y": carrier.multiply(x1, x2)}, 21)
+    H = ModelCohomology(Y, 20)
+    src = Cdga([("s", 4), ("t", 4), ("r", 8)], {}, 21)
+    images = {"s": x1 + x2, "t": x1.scale(2) - x2,
+              "r": Y.power(x1, 2) + Y.power(x2, 2).scale(3)}
+    rho = RhoMorphism(src, H, {g: H.poly_class(img)
+                               for g, img in images.items()})
+    check_rho_multiplicative(rng, rho, 20)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from rht.gca import Cdga, FreeGCA, Poly
-from rht.quotient import (QuotientRing, CohomologyAlgebra, ModelCohomology,
-                          free_gca_ranks)
+from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
+from rht.formality import bigraded_model
 
 F = Fraction
 
@@ -13,7 +13,7 @@ def section4_h():
     """H = Q[x1,x2]/(x1 x2), |xi| = 4."""
     alg = FreeGCA([("x1", 4), ("x2", 4)])
     rel = alg.multiply(alg.gen("x1"), alg.gen("x2"))
-    return CohomologyAlgebra([("x1", 4), ("x2", 4)], [rel], 24)
+    return QuotientRing(alg, [rel], 24)
 
 
 def test_quotient_ranks_match_paper():
@@ -25,11 +25,10 @@ def test_quotient_ranks_match_paper():
 
 
 def test_quotient_reduce_and_multiply():
-    H = section4_h()
-    ring = H.ring
-    alg = H.algebra
-    x1 = H.generator_class("x1")
-    x2 = H.generator_class("x2")
+    ring = section4_h()
+    alg = ring.algebra
+    x1 = ring.poly_class(alg.gen("x1"))
+    x2 = ring.poly_class(alg.gen("x2"))
     prod = ring.multiply(x1, x2)
     assert prod.is_zero()
     sq = ring.multiply(x1, x1)
@@ -61,13 +60,14 @@ def test_quotient_multiplication_matrix_regularity_witness():
     assert m.rows == 0 or m.is_zero()
 
 
-def test_cohomology_algebra_invariants():
+def test_presented_ring_invariants():
+    # bigraded_model enforces H^0 = Q and H^1 = 0 on a presented ring
     with pytest.raises(ValueError):
-        CohomologyAlgebra([("x", 1)], [], 10)
+        bigraded_model(QuotientRing(FreeGCA([("x", 1)]), [], 10), 10)
     alg = FreeGCA([("x", 2)])
     with pytest.raises(ValueError):
         # relation 1 = 0 destroys H^0
-        CohomologyAlgebra([("x", 2)], [Poly.unit()], 10)
+        bigraded_model(QuotientRing(alg, [Poly.unit()], 10), 10)
 
 
 def test_model_cohomology_ring_of_section4_model():

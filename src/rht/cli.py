@@ -51,7 +51,7 @@ def default_max_degree():
                 raise ValueError
             return value
         except ValueError:
-            raise WorkspaceError(0, "RHT_MAX_DEGREE must be a positive integer")
+            raise ValueError("RHT_MAX_DEGREE must be a positive integer")
     return DEFAULT_MAX_DEGREE
 
 
@@ -60,9 +60,9 @@ def raise_truncation(cdga, needed):
     if cdga.truncation >= needed:
         return cdga
     if cdga.truncated_gens:
-        raise WorkspaceError(
-            0, "algebra truncation %d is below %d and the differential is "
-               "incomplete; raise 'truncation' in the file"
+        raise ValueError(
+            "algebra truncation %d is below %d and the differential is "
+            "incomplete; raise 'truncation' in the file"
             % (cdga.truncation, needed))
     return Cdga(cdga.generators, cdga.differential.images, needed)
 
@@ -283,22 +283,15 @@ def make_parser():
 def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "max_degree"):
-        try:
+    try:
+        if hasattr(args, "max_degree"):
             if args.max_degree is None:
                 args.max_degree = default_max_degree()
             elif args.max_degree < 1:
-                raise WorkspaceError(
-                    0, "--max-degree must be a positive integer")
-        except WorkspaceError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_VALIDATION
-    try:
+                raise ValueError("--max-degree must be a positive integer")
         return args.func(args)
-    except WorkspaceError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, TruncationError, CertificateError, KeyError) as exc:
+    except (WorkspaceError, ValueError, TruncationError, CertificateError,
+            KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

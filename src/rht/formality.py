@@ -305,9 +305,7 @@ def koszul_shape(A):
 def _restrict_poly(p, src, dst):
     out = Poly()
     for m, c in p.items():
-        word = []
-        for i, e in m:
-            word.extend([src.names[i]] * e)
+        word = [(src.names[i], e) for i, e in m]
         out = out + dst.monomial_of_word(word).scale(c)
     return out
 
@@ -720,8 +718,7 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
             if not target:
                 results.append((n, False))
                 continue
-            lead = sorted(target.monomials(),
-                          key=alg.degree_basis_position)[0]
+            lead = min(target.monomials(), key=alg.monomial_key)
             lead_coeff = target.coeff(lead)
             cands = [g for g in odd_wplus
                      if alg.gen_degree(g) == n * degw - 1]

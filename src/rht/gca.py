@@ -3,9 +3,10 @@
 Conventions: generators live in positive (cohomological) degrees; a monomial
 is a sorted tuple of (generator index, exponent) pairs with odd generators
 carrying exponent at most 1; swapping two odd letters costs a Koszul sign -1.
-Monomials of a fixed degree are ordered lexicographically by descending
-exponent vector in declaration order, which makes every basis, representative
-and matrix in this module deterministic.
+Monomials are ordered by ``FreeGCA.monomial_key``: by degree, then
+lexicographically by descending exponent vector in declaration order.  Every
+basis, representative, matrix and printed polynomial in this module follows
+that one order, which makes them deterministic.
 """
 
 from fractions import Fraction
@@ -138,6 +139,12 @@ class FreeGCA:
     def monomial_degree(self, m):
         return sum(self.degrees[i] * e for i, e in m)
 
+    def monomial_key(self, m):
+        """Sort key of the monomial order: degree, then descending exponent
+        vector in declaration order.  Within one degree no exponent-pair
+        list is a prefix of another, so the key orders each degree_basis."""
+        return (self.monomial_degree(m), tuple((i, -e) for i, e in m))
+
     def poly_degree(self, p):
         """Degree of a homogeneous polynomial; None for 0; ValueError if mixed."""
         degs = {self.monomial_degree(m) for m in p.monomials()}
@@ -150,23 +157,26 @@ class FreeGCA:
     # -- monomial arithmetic -------------------------------------------
 
     def normalize_word(self, word):
-        """Sort a word of generator refs; returns (sign, monomial) or (0, None).
+        """Sort a written product; returns (sign, monomial) or (0, None).
 
-        The Koszul sign is -1 per transposition of two odd letters; a repeated
-        odd letter kills the word.
+        A factor is a generator ref (name or index) or a (ref, exponent)
+        pair.  The Koszul sign is -1 per transposition of two odd letters; a
+        repeated odd letter kills the word.
         """
-        idxs = []
+        factors = []
         for w in word:
-            if isinstance(w, str):
-                if w not in self.index:
-                    raise KeyError("unknown generator %r" % w)
-                idxs.append(self.index[w])
-            else:
-                if not 0 <= w < len(self.names):
-                    raise KeyError("generator index %d out of range" % w)
-                idxs.append(w)
-        odd_seq = [i for i in idxs if self.is_odd(i)]
-        if len(set(odd_seq)) != len(odd_seq):
+            ref, e = w if isinstance(w, tuple) else (w, 1)
+            if isinstance(ref, str):
+                if ref not in self.index:
+                    raise KeyError("unknown generator %r" % ref)
+                ref = self.index[ref]
+            elif not 0 <= ref < len(self.names):
+                raise KeyError("generator index %d out of range" % ref)
+            if e:
+                factors.append((ref, e))
+        odd_seq = [i for i, e in factors if self.is_odd(i)]
+        if any(e > 1 for i, e in factors if self.is_odd(i)) or \
+                len(set(odd_seq)) != len(odd_seq):
             return 0, None
         inversions = 0
         for a in range(len(odd_seq)):
@@ -175,8 +185,8 @@ class FreeGCA:
                     inversions += 1
         sign = -1 if inversions % 2 else 1
         exps = {}
-        for i in idxs:
-            exps[i] = exps.get(i, 0) + 1
+        for i, e in factors:
+            exps[i] = exps.get(i, 0) + e
         mono = tuple(sorted(exps.items()))
         return sign, mono
 
@@ -219,17 +229,10 @@ class FreeGCA:
             return Poly()
         return Poly({m: Fraction(sign)})
 
-    def expand_monomial(self, m):
-        """Monomial as an explicit letter list (generator indices, sorted)."""
-        letters = []
-        for i, e in m:
-            letters.extend([i] * e)
-        return letters
-
     # -- degreewise bases ----------------------------------------------
 
     def degree_basis(self, n):
-        """All monomials of total degree n, in descending exponent-lex order."""
+        """All monomials of total degree n, in monomial_key order."""
         if n < 0:
             return []
         if n in self._basis_cache:
@@ -261,16 +264,6 @@ class FreeGCA:
     def dim(self, n):
         return len(self.degree_basis(n))
 
-    def poly_to_vector(self, p, n):
-        basis = self.degree_basis(n)
-        pos = {m: i for i, m in enumerate(basis)}
-        v = [QZERO] * len(basis)
-        for m, c in p.items():
-            if m not in pos:
-                raise ValueError("monomial of wrong degree in poly_to_vector")
-            v[pos[m]] = c
-        return v
-
     def vector_to_poly(self, vec, n):
         basis = self.degree_basis(n)
         return Poly({m: c for m, c in zip(basis, vec) if c})
@@ -280,34 +273,33 @@ class FreeGCA:
     def apply_derivation(self, deriv, p, truncation=None):
         """Graded Leibniz extension of a generator-level derivation.
 
-        D(uv) = D(u)v + (-1)^{|D||u|} u D(v).  If truncation is given, any
-        output term above it raises TruncationError instead of being dropped.
+        D(uv) = D(u)v + (-1)^{|D||u|} u D(v).  On a monomial this is one term
+        per exponent pair (i, e): e * sign * m[:k] * D(x_i) * x_i^{e-1} *
+        m[k+1:], since the e positions of an even letter give equal terms and
+        an odd letter has e = 1.  If truncation is given, any output term
+        above it raises TruncationError instead of being dropped.
         """
-        out = Poly()
+        out = {}
         ddeg = deriv.degree
         for m, c in p.items():
-            letters = self.expand_monomial(m)
             prefix_deg = 0
-            for i, li in enumerate(letters):
-                img = deriv.images.get(self.names[li])
+            for k, (i, e) in enumerate(m):
+                img = deriv.images.get(self.names[i])
                 if img:
                     sign = -1 if (ddeg % 2) and (prefix_deg % 2) else 1
-                    left = Poly({tuple(sorted({j: letters[:i].count(j)
-                                               for j in set(letters[:i])}.items())): QONE}) \
-                        if i else Poly.unit()
-                    right_letters = letters[i + 1:]
-                    right = Poly({tuple(sorted({j: right_letters.count(j)
-                                                for j in set(right_letters)}.items())): QONE}) \
-                        if right_letters else Poly.unit()
-                    term = self.multiply(self.multiply(left, img), right)
-                    out = out + term.scale(c * sign)
-                prefix_deg += self.degrees[li]
+                    rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
+                    term = self.multiply(Poly({m[:k]: c * e * sign}), img)
+                    for mm, cc in self.multiply(term, Poly({rest: QONE})).items():
+                        add_term(out, mm, cc)
+                prefix_deg += e * self.degrees[i]
         if truncation is not None:
-            for m in out.monomials():
+            for m in out:
                 if self.monomial_degree(m) > truncation:
                     raise TruncationError(
                         "derivation output exceeds truncation %d" % truncation)
-        return out
+        res = Poly()
+        res.terms = out
+        return res
 
     # -- printing --------------------------------------------------------
 
@@ -322,8 +314,7 @@ class FreeGCA:
     def poly_str(self, p):
         if not p:
             return "0"
-        items = sorted(p.items(), key=lambda mc: (self.monomial_degree(mc[0]),
-                                                  self.degree_basis_position(mc[0])))
+        items = sorted(p.items(), key=lambda mc: self.monomial_key(mc[0]))
         chunks = []
         for m, c in items:
             mag = abs(c)
@@ -338,10 +329,6 @@ class FreeGCA:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + body)
         return " ".join(chunks)
-
-    def degree_basis_position(self, m):
-        n = self.monomial_degree(m)
-        return self.degree_basis(n).index(m)
 
 
 class Derivation:

@@ -124,7 +124,7 @@ def parse_polynomial(text, algebra, line):
                 raise WorkspaceError(line, "bad generator reference %r" % base)
             if base not in algebra.index:
                 raise WorkspaceError(line, "unknown generator %r" % base)
-            word.extend([base] * e)
+            word.append((base, e))
         out = out + algebra.monomial_of_word(word).scale(coeff)
     return out
 

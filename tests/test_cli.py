@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -181,6 +183,38 @@ def test_non_positive_max_degree_rejected(capsys, ws_file, tmp_path,
         assert "--max-degree must be a positive integer" in err
         assert out == ""
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("argv, env", [(["--max-degree", "0"], None),
+                                       ([], "0")],
+                         ids=["option", "environment"])
+def test_non_positive_bound_error_names_no_line(capsys, ws_file, monkeypatch,
+                                                argv, env):
+    # neither the option nor the environment variable is a line of a file
+    if env is None:
+        monkeypatch.delenv("RHT_MAX_DEGREE", raising=False)
+        want = "--max-degree"
+    else:
+        monkeypatch.setenv("RHT_MAX_DEGREE", env)
+        want = "RHT_MAX_DEGREE"
+    code, out, err = run_cli(capsys, "formality", ws_file, "thom", *argv)
+    assert code == 1 and out == ""
+    assert err == "error: %s must be a positive integer\n" % want
+
+
+def test_large_exponent_fails_fast(tmp_path):
+    # d y = x1^100000 has the wrong degree; it must be rejected without
+    # expanding the power into 100000 letters
+    path = tmp_path / "big.rht"
+    path.write_text(cli.SECTION4_WORKSPACE.replace("d y = x1*x2",
+                                                   "d y = x1^100000"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rht.cli", "formality", str(path), "section4"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_pipeline_rejects_non_positive_bound():

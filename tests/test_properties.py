@@ -1,6 +1,7 @@
 """Randomized structural suites, seeded, 200+ cases each.
 
 Generators of random valid inputs:
+  * free graded-commutative algebras on random mixed odd/even generators;
   * finite CDGA models from free algebras on odd generators with random
     two-layer differentials (d of a later generator is a polynomial in
     closed earlier ones, so d^2 = 0 holds by construction);
@@ -298,3 +299,20 @@ def test_rho_multiplicative_into_model_cohomology():
     rho = RhoMorphism(src, H, {g: H.poly_class(img)
                                for g, img in images.items()})
     check_rho_multiplicative(rng, rho, 20)
+
+
+def test_degree_basis_follows_monomial_key():
+    # one statement of the monomial order: sorting by monomial_key reproduces
+    # each degree basis, and the bases of consecutive degrees in turn
+    rng = Random(1414)
+    for _ in range(40):
+        alg = FreeGCA([("g%d" % k, rng.randint(1, 7))
+                       for k in range(rng.randint(1, 6))])
+        every = []
+        for n in range(0, 25):
+            basis = alg.degree_basis(n)
+            assert sorted(basis, key=alg.monomial_key) == basis
+            every += basis
+        shuffled = list(every)
+        rng.shuffle(shuffled)
+        assert sorted(shuffled, key=alg.monomial_key) == every

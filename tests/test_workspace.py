@@ -58,10 +58,14 @@ def test_parse_rejects_duplicates_and_unknowns():
 
 def test_parse_polynomial_forms():
     ws = parse_text("algebra A\ntruncation 30\ngenerator x degree 2\n"
-                    "generator y degree 3\n")
+                    "generator y degree 3\ngenerator z degree 5\n")
     A = ws.algebras["A"]
     assert parse_polynomial("0", A, 1) == Poly()
     assert parse_polynomial("x^2", A, 1) == A.power(A.gen("x"), 2)
+    assert parse_polynomial("y^2", A, 1) == Poly()
+    assert parse_polynomial("y^0*x", A, 1) == A.gen("x")
+    assert parse_polynomial("z*y", A, 1) == \
+        -A.multiply(A.gen("y"), A.gen("z"))
     assert parse_polynomial("3/2*x*x - y", A, 1) == \
         A.power(A.gen("x"), 2).scale(F(3, 2)) - A.gen("y")
     assert parse_polynomial("-x + 2*x", A, 1) == A.gen("x")

@@ -15,7 +15,7 @@ this one by rescaling generators.
 
 from fractions import Fraction
 
-from .gca import Cdga, Poly, FreeGCA
+from .gca import Cdga, Poly, FreeGCA, add_term
 
 QONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -24,7 +24,8 @@ HALF = Fraction(1, 2)
 class CeResult:
     """A Sullivan algebra with the dictionary back to the DGL basis."""
 
-    def __init__(self, cdga, gen_of, basis_of):
+    def __init__(self, dgl, cdga, gen_of, basis_of):
+        self.dgl = dgl            # the DGL whose cochains these are
         self.cdga = cdga
         self.gen_of = gen_of      # DGL basis name -> CDGA generator name
         self.basis_of = basis_of  # CDGA generator name -> DGL basis name
@@ -66,31 +67,35 @@ def ce_cochains(L, N, validate=True):
     carrier = FreeGCA(gens)
     deg = L.degree_of
 
+    # z -> [(x, y, <z,[x,y]>)] over the nonzero entries of the bracket
+    # table, (x, y) in basis order
+    quadratic = {}
+    for x in L.names:
+        for y, combo in L.table[x].items():
+            for z, c in combo.items():
+                quadratic.setdefault(z, []).append((x, y, c))
     images = {}
     for z in L.names:
         if z not in gen_of or deg[z] + 2 > N:
             continue
-        img = Poly()
+        terms = {}
         for x in L.names:
             c = L.differential.get(x, {}).get(z)
             if c and x in gen_of:
-                img = img + carrier.gen(gen_of[x]).scale(-c)
-        for x in L.names:
-            for y in L.names:
-                if deg[x] + deg[y] != deg[z]:
-                    continue
-                if x not in gen_of or y not in gen_of:
-                    continue
-                c = L.bracket(x, y).get(z)
-                if c:
-                    tau = (-1) ** (deg[x] + 1)
-                    term = carrier.multiply(carrier.gen(gen_of[x]),
-                                            carrier.gen(gen_of[y]))
-                    img = img + term.scale(HALF * tau * c)
-        if img:
-            images[gen_of[z]] = img
+                add_term(terms, ((carrier.index[gen_of[x]], 1),), -c)
+        for x, y, c in quadratic.get(z, ()):
+            # a term of another degree can only come from unvalidated input;
+            # deg[x], deg[y] < deg[z] <= N - 2 puts x and y in gen_of
+            if deg[x] + deg[y] != deg[z]:
+                continue
+            s, m = carrier.mul_monomials(((carrier.index[gen_of[x]], 1),),
+                                         ((carrier.index[gen_of[y]], 1),))
+            if s:
+                add_term(terms, m, HALF * (-1) ** (deg[x] + 1) * c * s)
+        if terms:
+            images[gen_of[z]] = Poly(terms)
     cdga = Cdga(gens, images, N)
-    return CeResult(cdga, gen_of, basis_of)
+    return CeResult(L, cdga, gen_of, basis_of)
 
 
 def ce_of_morphism(phi, ce_source, ce_target):

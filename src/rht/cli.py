@@ -134,8 +134,8 @@ def cmd_map_model(args):
         print("hypotheses violated: %s" % "; ".join(hyp.messages),
               file=sys.stderr)
         return EXIT_VALIDATION
-    model, _, lie = mapping_space_model(prob)
-    if lie is None:
+    model, _, ce = mapping_space_model(prob)
+    if ce is None:
         note = ("suspension model with d(Sv) = (-1)^p S(dv), p = %d"
                 % prob.p)
     else:
@@ -156,10 +156,10 @@ def cmd_map_model(args):
     lines = ["# model of F(X, Y) for problem %s (%s)" % (args.problem, note)]
     lines += warnings
     lines.append(print_algebra(model, "model_%s" % args.problem).rstrip("\n"))
-    if lie is not None:
+    if ce is not None:
         lines.append("")
         lines.append("# underlying Lie model")
-        lines.append(print_dgl(lie, "lie_%s" % args.problem).rstrip("\n"))
+        lines.append(print_dgl(ce.dgl, "lie_%s" % args.problem).rstrip("\n"))
     emit(payload, args.format, lines)
     return EXIT_OK
 
@@ -198,6 +198,9 @@ def cmd_formality(args):
     prob = ws.resolve_problem(args.problem)
     if prob.y_cdga is not None:
         prob.y_cdga = raise_truncation(prob.y_cdga, args.max_degree + 1)
+        report = prob.y_cdga.check()
+        if not report:
+            raise ValueError("invalid algebra: %s" % report)
     return run_formality(prob, args.max_degree, args.format,
                          args.certificate_out, args.problem)
 

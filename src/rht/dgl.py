@@ -16,12 +16,16 @@ a finite complex into the space modelled by L, with its fibration projection
 and section.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain
+from types import MappingProxyType
 
 from .gca import Cdga, CheckReport
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
+EMPTY = MappingProxyType({})
 
 
 class DglError(Exception):
@@ -46,22 +50,17 @@ def lc(pairs=None):
     return out
 
 
-def lc_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, QZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+def _accumulate(out, terms):
+    """Add c * combo into out for each (combo, c) pair; zeros stay in out."""
+    for combo, c in terms:
+        for k, v in combo.items():
+            out[k] = out.get(k, QZERO) + c * v
     return out
 
 
-def lc_scale(a, c):
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+def lc_combine(terms):
+    """sum of c * combo over the (combo, c) pairs, zeros dropped at the end."""
+    return {k: v for k, v in _accumulate({}, terms).items() if v}
 
 
 class Dgl:
@@ -98,6 +97,17 @@ class Dgl:
             combo = lc(combo)
             if combo:
                 self.differential[x] = combo
+        # two-sided bracket table name -> {name: combo}, each row in basis
+        # order: a stored entry as stored, and where its mirror is not stored
+        # the mirror given by antisymmetry
+        rows = {n: {} for n in self.names}
+        for (a, b), combo in self.brackets.items():
+            rows[a][b] = combo
+        for (a, b), combo in self.brackets.items():
+            if a not in rows[b]:
+                rows[b][a] = self._mirror(a, b, combo)
+        self.table = {n: {b: row[b] for b in sorted(row, key=self._order.get)}
+                      for n, row in rows.items()}
         # tensor-model bookkeeping, filled in by tensor_map_model
         self.factorization = None
 
@@ -106,36 +116,36 @@ class Dgl:
             if n not in self.degree_of:
                 raise KeyError("unknown basis element %r" % n)
 
+    def _mirror(self, a, b, combo):
+        """[b,a] = -(-1)^{|a||b|} [a,b], given combo = [a,b]."""
+        if (self.degree_of[a] * self.degree_of[b]) % 2:
+            return combo
+        return {z: -c for z, c in combo.items()}
+
     def basis_in_degree(self, n):
         return list(self.by_degree.get(n, []))
 
     def dims(self):
         return {n: len(v) for n, v in sorted(self.by_degree.items())}
 
-    def bracket(self, a, b):
-        """[a,b] as a linear combination; antisymmetry fills missing mirrors."""
+    def _entry(self, a, b):
+        """The table's [a,b] (not a copy), after the name and degree checks."""
         self._check_names(a, b)
         if self.degree_of[a] + self.degree_of[b] > self.truncation:
             raise DglError("bracket [%s,%s] lies above the truncation" % (a, b))
-        if (a, b) in self.brackets:
-            return dict(self.brackets[(a, b)])
-        if (b, a) in self.brackets:
-            sign = -1 if (self.degree_of[a] * self.degree_of[b]) % 2 == 0 else 1
-            return lc_scale(self.brackets[(b, a)], sign)
-        return {}
+        return self.table[a].get(b, EMPTY)
+
+    def bracket(self, a, b):
+        """[a,b] as a linear combination; antisymmetry fills missing mirrors."""
+        return dict(self._entry(a, b))
 
     def bracket_lin(self, ca, cb):
-        out = {}
-        for a, va in ca.items():
-            for b, vb in cb.items():
-                out = lc_add(out, lc_scale(self.bracket(a, b), va * vb))
-        return out
+        return lc_combine((self._entry(a, b), va * vb)
+                          for a, va in ca.items() for b, vb in cb.items())
 
     def d_lin(self, c):
-        out = {}
-        for x, v in c.items():
-            out = lc_add(out, lc_scale(self.differential.get(x, {}), v))
-        return out
+        return lc_combine((self.differential.get(x, EMPTY), v)
+                          for x, v in c.items())
 
     def combo_degree(self, c):
         degs = {self.degree_of[x] for x in c}
@@ -146,69 +156,95 @@ class Dgl:
     # -- validation -------------------------------------------------------
 
     def validate(self):
-        """Exhaustive check of all DGL axioms up to truncation."""
+        """Exhaustive check of all DGL axioms up to truncation.
+
+        Checks run in a fixed order over the basis order, so the violation
+        reported is the first one.  A case whose two sides are both sums over
+        zero brackets and zero differentials is 0 = 0 and is skipped.
+        """
         N = self.truncation
+        deg = self.degree_of
+        names = self.names
+        table = self.table
+        diff = self.differential
         for (a, b), combo in self.brackets.items():
-            want = self.degree_of[a] + self.degree_of[b]
+            want = deg[a] + deg[b]
             for z in combo:
-                if self.degree_of[z] != want:
+                if deg[z] != want:
                     return CheckReport.violation(
                         "bracket-degree",
                         "[%s,%s] has a term %s of degree %d, expected %d"
-                        % (a, b, z, self.degree_of[z], want))
-        for x, combo in self.differential.items():
-            want = self.degree_of[x] - 1
+                        % (a, b, z, deg[z], want))
+        for x, combo in diff.items():
+            want = deg[x] - 1
             if want < 1 and combo:
                 return CheckReport.violation(
                     "differential-degree", "d(%s) must vanish in degree %d" % (x, want))
             for z in combo:
-                if self.degree_of[z] != want:
+                if deg[z] != want:
                     return CheckReport.violation(
                         "differential-degree",
                         "d(%s) has a term %s of degree %d, expected %d"
-                        % (x, z, self.degree_of[z], want))
-        for a in self.names:
-            for b in self.names:
-                da, db = self.degree_of[a], self.degree_of[b]
-                if da + db > N:
-                    continue
-                sign = -1 if (da * db) % 2 == 0 else 1
-                mirror = lc_scale(self.bracket(b, a), sign)
-                if self.bracket(a, b) != mirror:
+                        % (x, z, deg[z], want))
+        # only a pair with both orientations stored can break antisymmetry
+        for a in names:
+            for b, combo in table[a].items():
+                if combo != self._mirror(b, a, table[b][a]):
                     return CheckReport.violation(
                         "antisymmetry", "[%s,%s] != -(-1)^(|%s||%s|) [%s,%s]"
                         % (a, b, a, b, b, a))
-        for x in self.names:
-            dx = self.differential.get(x, {})
-            if dx and self.d_lin(dx):
+        for x in names:
+            dx = diff.get(x)
+            if dx and any(_accumulate({}, ((diff.get(y, EMPTY), v)
+                                           for y, v in dx.items())).values()):
                 return CheckReport.violation("d-squared", "d^2(%s) != 0" % x)
-        for a in self.names:
-            for b in self.names:
-                da, db = self.degree_of[a], self.degree_of[b]
-                if da + db > N:
+        for a in names:
+            da, row_a, d_a = deg[a], table[a], diff.get(a, EMPTY)
+            s = 1 if da % 2 else -1
+            for b in names:
+                if da + deg[b] > N:
                     continue
-                lhs = self.d_lin(self.bracket(a, b))
-                rhs = lc_add(self.bracket_lin(self.differential.get(a, {}), {b: QONE}),
-                             lc_scale(self.bracket_lin({a: QONE},
-                                                       self.differential.get(b, {})),
-                                      (-1) ** da))
-                if lhs != rhs:
+                ab, d_b = row_a.get(b, EMPTY), diff.get(b, EMPTY)
+                if not (ab or d_a or d_b):
+                    continue
+                # d[a,b] - [da,b] - (-1)^|a| [a,db]
+                acc = _accumulate({}, chain(
+                    ((diff.get(u, EMPTY), c) for u, c in ab.items()),
+                    ((table[x].get(b, EMPTY), -v) for x, v in d_a.items()),
+                    ((row_a.get(y, EMPTY), s * v) for y, v in d_b.items())))
+                if any(acc.values()):
                     return CheckReport.violation(
                         "leibniz", "d[%s,%s] != [d%s,%s] + (-1)^|%s| [%s,d%s]"
                         % (a, b, a, b, a, a, b))
-        for a in self.names:
-            for b in self.names:
-                for c in self.names:
-                    da, db, dc = (self.degree_of[a], self.degree_of[b],
-                                  self.degree_of[c])
-                    if da + db + dc > N:
+        levels = sorted(set(deg.values()))
+        upto = [[c for c in names if deg[c] <= lv] for lv in levels]
+        for a in names:
+            da, row_a = deg[a], table[a]
+            for b in names:
+                db = deg[b]
+                k = bisect_right(levels, N - da - db)
+                if not k:
+                    continue
+                ab, row_b = row_a.get(b, EMPTY), table[b]
+                odd = (da * db) % 2
+                for c in upto[k - 1]:
+                    bc, ac = row_b.get(c, EMPTY), row_a.get(c, EMPTY)
+                    if not (ab or bc or ac):
                         continue
-                    lhs = self.bracket_lin({a: QONE}, self.bracket(b, c))
-                    rhs = lc_add(self.bracket_lin(self.bracket(a, b), {c: QONE}),
-                                 lc_scale(self.bracket_lin({b: QONE},
-                                                           self.bracket(a, c)),
-                                          (-1) ** (da * db)))
-                    if lhs != rhs:
+                    # [a,[b,c]] - [[a,b],c] - (-1)^(|a||b|) [b,[a,c]], with
+                    # the loops written out: this is the O(n^3) part
+                    acc = {}
+                    for w, v in bc.items():
+                        for z, x in row_a.get(w, EMPTY).items():
+                            acc[z] = acc.get(z, QZERO) + v * x
+                    for u, v in ab.items():
+                        for z, x in table[u].get(c, EMPTY).items():
+                            acc[z] = acc.get(z, QZERO) - v * x
+                    for w, v in ac.items():
+                        v = v if odd else -v
+                        for z, x in row_b.get(w, EMPTY).items():
+                            acc[z] = acc.get(z, QZERO) + v * x
+                    if any(acc.values()):
                         return CheckReport.violation(
                             "jacobi", "Jacobi fails on (%s,%s,%s)" % (a, b, c))
         return CheckReport.good()
@@ -227,10 +263,7 @@ class BasisMorphism:
         self.images = {x: lc(images.get(x, {})) for x in source.names}
 
     def apply(self, combo):
-        out = {}
-        for x, v in combo.items():
-            out = lc_add(out, lc_scale(self.images[x], v))
-        return out
+        return lc_combine((self.images[x], v) for x, v in combo.items())
 
     def compose(self, inner):
         """self o inner (inner applied first), of the same kind as self."""
@@ -324,20 +357,14 @@ class FiniteCdga:
         return dict(self.mult.get((a, b), {}))
 
     def product_lin(self, ca, cb):
-        out = {}
-        for a, va in ca.items():
-            for b, vb in cb.items():
-                out = lc_add(out, lc_scale(self.product(a, b), va * vb))
-        return out
+        return lc_combine((self.product(a, b), va * vb)
+                          for a, va in ca.items() for b, vb in cb.items())
 
     def d(self, a):
         return dict(self.diff.get(a, {}))
 
     def d_lin(self, c):
-        out = {}
-        for a, v in c.items():
-            out = lc_add(out, lc_scale(self.d(a), v))
-        return out
+        return lc_combine((self.diff.get(a, EMPTY), v) for a, v in c.items())
 
     def augmentation(self, a):
         return QONE if a == self.unit else QZERO
@@ -360,7 +387,7 @@ class FiniteCdga:
                             "top-degree", "%s*%s nonzero above top degree" % (a, b))
                     continue
                 sign = 1 if (deg[a] * deg[b]) % 2 == 0 else -1
-                if self.product(a, b) != lc_scale(self.product(b, a), sign):
+                if self.product(a, b) != lc_combine([(self.product(b, a), sign)]):
                     return CheckReport.violation(
                         "commutativity", "%s*%s != (-1)^(|%s||%s|) %s*%s"
                         % (a, b, a, b, b, a))
@@ -388,9 +415,9 @@ class FiniteCdga:
                 if deg[a] + deg[b] + 1 > self.top_degree:
                     continue
                 lhs = self.d_lin(self.product(a, b))
-                rhs = lc_add(self.product_lin(self.d(a), {b: QONE}),
-                             lc_scale(self.product_lin({a: QONE}, self.d(b)),
-                                      (-1) ** deg[a]))
+                rhs = lc_combine([(self.product_lin(self.d(a), {b: QONE}), 1),
+                                  (self.product_lin({a: QONE}, self.d(b)),
+                                   (-1) ** deg[a])])
                 if lhs != rhs:
                     return CheckReport.violation(
                         "leibniz", "d(%s*%s) fails Leibniz" % (a, b))
@@ -749,7 +776,7 @@ def tensor_map_model(A, L):
                 key = (a, x)
                 if key not in name_of:
                     raise DglError("tensor term %s(x)%s escaped the basis" % (a, x))
-                out = lc_add(out, {name_of[key]: va * vx})
+                out[name_of[key]] = va * vx
         return out
 
     deg_of = dict(basis)
@@ -768,20 +795,16 @@ def tensor_map_model(A, L):
             if not prod:
                 continue
             sign = (-1) ** (A.degree_of[a2] * L.degree_of[x])
-            combo = lc_scale(embed(prod, lie), sign)
+            combo = lc_combine([(embed(prod, lie), sign)])
             if combo:
                 brackets[(nm1, nm2)] = combo
 
     differential = {}
     for nm, d in basis:
         a, x = fact[nm]
-        img = {}
-        da = A.d(a)
-        if da:
-            img = lc_add(img, embed(da, {x: QONE}))
-        dx = L.differential.get(x, {})
-        if dx:
-            img = lc_add(img, lc_scale(embed({a: QONE}, dx), (-1) ** A.degree_of[a]))
+        img = lc_combine([(embed(A.d(a), {x: QONE}), 1),
+                          (embed({a: QONE}, L.differential.get(x, {})),
+                           (-1) ** A.degree_of[a])])
         if img:
             differential[nm] = img
 

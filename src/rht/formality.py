@@ -770,12 +770,13 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
 # -- the pipeline ------------------------------------------------------------
 
 def mapping_space_model(prob, N=None):
-    """(Sullivan model of F(X, Y), notes, Lie model or None).
+    """(Sullivan model of F(X, Y), notes, CeResult or None).
 
     Sphere X with a minimal Sullivan Y-model takes the suspension route;
     a Lie model of Y takes the tensor route through the cochain functor, and
-    the tensor Lie model is returned with it.  With N, the model must support
-    checks up to degree N (ValueError otherwise).
+    the CeResult is returned with it (its dgl is the tensor Lie model).
+    With N, the model must support checks up to degree N (ValueError
+    otherwise).
     """
     notes = []
     if prob.y_cdga is not None:
@@ -795,7 +796,7 @@ def mapping_space_model(prob, N=None):
             "Y Lie model truncation supports checks only up to degree %d"
             % (res.cdga.truncation - 1))
     notes.append("tensor route: %d generators" % len(res.cdga.names))
-    return res.cdga, notes, M
+    return res.cdga, notes, res
 
 
 def y_cohomology_ring(prob, N):
@@ -822,7 +823,7 @@ def formality_pipeline(prob, N):
     hyp = check_hypotheses(prob)
     if not hyp.ok:
         raise ValueError("hypotheses violated: %s" % "; ".join(hyp.messages))
-    model, notes, _ = mapping_space_model(prob, N)
+    model, notes, ce_model = mapping_space_model(prob, N)
     formal_verdict = None
     nonformal_verdict = None
 
@@ -851,7 +852,7 @@ def formality_pipeline(prob, N):
             p_eff = prob.p
     elif prob.y_dgl is not None and hyp.odd_closed:
         try:
-            red = reduce_to_odd_sphere(prob)
+            red = reduce_to_odd_sphere(prob, ce_X=ce_model)
             p_eff = red.sphere_degree
             reduction_note = ("reduced to the %d-sphere: Q o I = Id and "
                               "g o f = Id verified" % p_eff)

@@ -246,11 +246,14 @@ class Reduction:
         self.sphere_degree = sphere_degree
 
 
-def reduce_to_odd_sphere(prob, t=None):
+def reduce_to_odd_sphere(prob, t=None, ce_X=None):
     """Build I = i (x) Id and Q = q (x) Id, apply cochains, verify g o f = Id.
 
-    Needs Y as a Lie model.  Returns a Reduction whose f, g are the CDGA
-    morphisms feeding the formality transfer.
+    Needs Y as a Lie model.  ce_X, when given, is ce_cochains of
+    tensor_map_model(prob.x_model, prob.y_dgl) at its truncation + 1, as
+    formality.mapping_space_model builds it; it is then not built again.
+    Returns a Reduction whose f, g are the CDGA morphisms feeding the
+    formality transfer.
     """
     if prob.y_dgl is None:
         raise ValueError("reduction needs a Lie model of Y")
@@ -266,7 +269,15 @@ def reduce_to_odd_sphere(prob, t=None):
     L = prob.y_dgl
     i, q = split_odd_generator(A, t)
     T = i.source
-    M_A = tensor_map_model(A, L)
+    if ce_X is None:
+        M_A = tensor_map_model(A, L)
+    else:
+        M_A = ce_X.dgl
+        fact = M_A.factorization
+        if (fact is None or fact[0] is not A or fact[1] is not L
+                or ce_X.cdga.truncation != M_A.truncation + 1):
+            raise ValueError("ce_X is not the cochains of this problem's "
+                             "tensor model")
     M_T = restrict_dgl(tensor_map_model(T, L), M_A.truncation)
 
     def embed(model, B, a_combo, x):
@@ -302,7 +313,7 @@ def reduce_to_odd_sphere(prob, t=None):
     if not Q.compose(I).is_identity():
         raise SplitError(CheckReport.violation("retraction", "Q o I != Id"))
     N = M_A.truncation + 1
-    ce_A = ce_cochains(M_A, N)
+    ce_A = ce_X if ce_X is not None else ce_cochains(M_A, N)
     ce_T = ce_cochains(M_T, N)
     f = ce_of_morphism(Q, ce_A, ce_T)   # C*(M_T) -> C*(M_A)
     g = ce_of_morphism(I, ce_T, ce_A)   # C*(M_A) -> C*(M_T)

@@ -217,6 +217,25 @@ def test_large_exponent_fails_fast(tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+def test_formality_checks_the_y_model(capsys, tmp_path):
+    # d y = x1^3 has degree 12, not |y| + 1 = 8: formality must reject the
+    # Y model up front, as cohomology does, and write no certificate
+    path = tmp_path / "bad.rht"
+    path.write_text(cli.SECTION4_WORKSPACE.replace("d y = x1*x2",
+                                                   "d y = x1^3"))
+    cert = tmp_path / "bad.cert"
+    code, out, err = run_cli(capsys, "formality", str(path), "section4",
+                             "--certificate-out", str(cert))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: invalid algebra: ")
+    assert "d(y) is not homogeneous of degree |y|+1" in err
+    assert not cert.exists()
+    code, _, err = run_cli(capsys, "cohomology", str(path), "Y")
+    assert code == 1
+    assert "d(y) is not homogeneous of degree |y|+1" in err
+
+
 def test_pipeline_rejects_non_positive_bound():
     from rht.formality import formality_pipeline
     from rht.workspace import parse_text

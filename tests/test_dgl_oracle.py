@@ -1,0 +1,170 @@
+"""Dgl.validate and ce_cochains against the exhaustive oracle in dgl_oracle.
+
+validate skips cases that are identically 0 = 0 and reads brackets from the
+two-sided table; ce_cochains reads the quadratic part of d off that table.
+On valid algebras and on corrupted ones (a scaled bracket, an inconsistent
+stored mirror pair, a wrong differential, random sparse tables) both must
+give exactly what the oracle gives: the same brackets, the same
+(ok, kind, message) and the same cochain images.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import dgl_oracle as oracle
+from test_mapmodel import split_test_model
+from test_properties import random_dgl, random_odd_finite_model
+from rht.cefunctor import ce_cochains
+from rht.dgl import Dgl, free_lie, tensor_map_model
+from rht.gca import Cdga
+
+F = Fraction
+
+
+def basis_of(L):
+    return [(n, L.degree_of[n]) for n in L.names]
+
+
+def assert_matches_oracle(L):
+    """Same brackets, report and cochain images as the oracle; the kind."""
+    for a in L.names:
+        for b in L.names:
+            if L.degree_of[a] + L.degree_of[b] <= L.truncation:
+                assert L.bracket(a, b) == oracle.bracket(L, a, b)
+    got, want = L.validate(), oracle.validate(L)
+    assert (got.ok, got.kind, got.message) == \
+        (want.ok, want.kind, want.message), (basis_of(L), L.brackets)
+    N = L.truncation + 1
+    res = ce_cochains(L, N, validate=False)
+    ref = Cdga(res.cdga.generators, oracle.ce_images(L, N), N)
+    assert res.cdga.differential.images == ref.differential.images
+    return want.kind
+
+
+def random_combo(rng, names):
+    return {n: F(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 1, 2)))
+            for n in rng.sample(names, rng.randint(1, min(2, len(names))))}
+
+
+def scaled_bracket(rng, L):
+    key = rng.choice(sorted(L.brackets))
+    brackets = dict(L.brackets)
+    brackets[key] = {n: c * rng.choice((2, 3, -1)) for n, c in brackets[key].items()}
+    return Dgl(basis_of(L), brackets, L.differential, L.truncation)
+
+
+def stored_mirror(rng, L):
+    """Store the mirror of a bracket too, consistent or off by a factor."""
+    keys = sorted(k for k in L.brackets if k[0] != k[1])
+    if not keys:
+        return None
+    a, b = rng.choice(keys)
+    sign = -1 if (L.degree_of[a] * L.degree_of[b]) % 2 == 0 else 1
+    factor = rng.choice((1, 2, -1))
+    brackets = dict(L.brackets)
+    brackets[(b, a)] = {n: sign * factor * c for n, c in L.brackets[(a, b)].items()}
+    return Dgl(basis_of(L), brackets, L.differential, L.truncation)
+
+
+def bad_differential(rng, L):
+    """d on a basis element x replaced by a random combination, and half of
+    the time d on a term y of dx too, so that d^2(x) can fail."""
+    diff = dict(L.differential)
+    targets = [x for x in L.names if L.basis_in_degree(L.degree_of[x] - 1)]
+    if not targets:
+        return None
+    x = rng.choice(targets)
+    diff[x] = random_combo(rng, L.basis_in_degree(L.degree_of[x] - 1))
+    below = [y for y in diff[x] if y in targets]
+    if below and rng.random() < 0.5:
+        y = rng.choice(below)
+        diff[y] = random_combo(rng, L.basis_in_degree(L.degree_of[y] - 1))
+    return Dgl(basis_of(L), L.brackets, diff, L.truncation)
+
+
+def random_table_dgl(rng):
+    """Sparse random bracket table, mostly one orientation per pair, and
+    sometimes a random differential: most of these are not DGLs, and many
+    triples have exactly one nonzero bracket among [a,b], [b,c], [a,c]."""
+    N = rng.randint(6, 9)
+    basis = [("x%d" % i, rng.randint(1, 4)) for i in range(rng.randint(3, 7))]
+    deg = dict(basis)
+    names = [n for n, _ in basis]
+    brackets = {}
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            targets = [z for z in names if deg[z] == deg[a] + deg[b]]
+            if not targets or rng.random() < 0.4:
+                continue
+            if a == b and deg[a] % 2 == 0 and rng.random() < 0.8:
+                continue
+            key = (a, b) if rng.random() < 0.5 else (b, a)
+            brackets[key] = random_combo(rng, targets)
+            if a != b and rng.random() < 0.05:
+                brackets[key[::-1]] = random_combo(rng, targets)
+    diff = {}
+    if rng.random() < 0.3:
+        for x in names:
+            lower = [z for z in names if deg[z] == deg[x] - 1]
+            if lower and rng.random() < 0.3:
+                diff[x] = random_combo(rng, lower)
+    return Dgl(basis, brackets, diff, N)
+
+
+def test_valid_dgls_and_tensor_models_match_the_oracle():
+    rng = Random(505)
+    models = 0
+    for _ in range(40):
+        L = random_dgl(rng)
+        assert assert_matches_oracle(L) is None
+        A = random_odd_finite_model(rng)
+        L = random_dgl(rng, min_degree=A.top_degree + 1)
+        if L.truncation - 2 * A.top_degree >= 1:
+            assert assert_matches_oracle(tensor_map_model(A, L)) is None
+            models += 1
+    assert models >= 20
+
+
+def test_benchmark_shaped_tensor_model_matches_the_oracle():
+    # X = S^3 x S^2 and Y = S^7 v S^7 as in the lie_reduction benchmark, at
+    # a smaller truncation: 32 basis elements and 63 stored brackets
+    M = tensor_map_model(split_test_model(),
+                         free_lie([("a1", 6), ("a2", 6)], 34))
+    assert assert_matches_oracle(M) is None
+    rng = Random(508)
+    kinds = set()
+    for _ in range(3):
+        for corrupt in (scaled_bracket, stored_mirror, bad_differential):
+            kinds.add(assert_matches_oracle(corrupt(rng, M)))
+    assert {"jacobi", "antisymmetry"} <= kinds
+
+
+def test_corrupted_dgls_match_the_oracle():
+    rng = Random(506)
+    kinds = {}
+    for _ in range(60):
+        degs = [rng.choice([2, 3, 4, 5]) for _ in range(2)]
+        gens = [("g%d" % i, d) for i, d in enumerate(degs)]
+        bases = [free_lie(gens, 3 * max(degs) + 1), random_dgl(rng)]
+        A = random_odd_finite_model(rng)
+        L = random_dgl(rng, min_degree=A.top_degree + 1)
+        if L.truncation - 2 * A.top_degree >= 1:
+            bases.append(tensor_map_model(A, L))
+        for L in bases:
+            for corrupt in (scaled_bracket, stored_mirror, bad_differential):
+                bad = corrupt(rng, L) if L.brackets else None
+                if bad is not None:
+                    kind = assert_matches_oracle(bad)
+                    kinds[kind] = kinds.get(kind, 0) + 1
+    for kind in ("jacobi", "antisymmetry", "leibniz", "d-squared", None):
+        assert kinds.get(kind, 0) >= 5, kinds
+
+
+def test_random_tables_match_the_oracle():
+    rng = Random(507)
+    kinds = {}
+    for _ in range(400):
+        kind = assert_matches_oracle(random_table_dgl(rng))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    for kind in ("jacobi", "antisymmetry", "leibniz", "d-squared", None):
+        assert kinds.get(kind, 0) >= 5, kinds

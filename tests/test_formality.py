@@ -4,14 +4,15 @@ from random import Random
 import pytest
 
 from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
-from rht.dgl import Dgl, FiniteCdga
+from rht.dgl import Dgl, FiniteCdga, free_lie
 from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
 from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, transfer_formality,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
-                           FORMAL, UNKNOWN, bar_linearity_report)
+                           mapping_space_model, FORMAL, UNKNOWN,
+                           bar_linearity_report)
 
 F = Fraction
 
@@ -418,3 +419,32 @@ def test_no_conflicting_verdicts_on_fixtures():
     cert4, _ = bar_obstruction(barred_bigraded_model(B4, 2),
                                y_model=section4_y(18), bound=16)
     assert cert4 is None
+
+
+def s4_y(truncation):
+    gens = [("x", 4), ("y", 7)]
+    alg = Cdga(gens, {}, truncation)
+    return Cdga(gens, {"y": alg.multiply(alg.gen("x"), alg.gen("x"))},
+                truncation)
+
+
+@pytest.mark.parametrize("p, N, y_cdga, y_dgl, verdict, kind", [
+    # S^4 as Lambda(x4, y7), dy = x^2, and as the free Lie algebra on a3
+    (2, 12, s4_y(13), free_lie([("a", 3)], 16), UNKNOWN, None),
+    # K(Q,5) as Lambda(x5) and as the abelian DGL on a4
+    (2, 10, Cdga([("x", 5)], {}, 11), Dgl([("a", 4)], {}, {}, 14),
+     FORMAL, "free-cohomology"),
+    (3, 10, Cdga([("x", 5)], {}, 11), Dgl([("a", 4)], {}, {}, 16),
+     FORMAL, "free-cohomology"),
+])
+def test_sullivan_and_lie_routes_agree(p, N, y_cdga, y_dgl, verdict, kind):
+    X = FiniteCdga.sphere(p)
+    sullivan = MapSpaceProblem(X, p, y_cdga=y_cdga)
+    lie = MapSpaceProblem(X, p, y_dgl=y_dgl)
+    ranks = [ModelCohomology(mapping_space_model(prob, N)[0], N).ranks()
+             for prob in (sullivan, lie)]
+    assert ranks[0] == ranks[1]
+    for prob in (sullivan, lie):
+        v = formality_pipeline(prob, N)
+        assert v.verdict == verdict
+        assert getattr(v.certificate, "kind", None) == kind

@@ -234,3 +234,48 @@ def test_reduce_picks_lowest_odd_class_when_unspecified():
     prob = MapSpaceProblem(A, 5, y_dgl=L)
     red = reduce_to_odd_sphere(prob)
     assert red.sphere_degree == 3
+
+
+def test_pipeline_builds_the_tensor_model_once(monkeypatch):
+    # the Lie route builds A (x) L and its cochains in mapping_space_model
+    # and hands both to the reduction: tensor models of X and of the 3-sphere,
+    # cochains of those two and of L
+    import rht.formality
+    import rht.mapmodel
+    counts = {"tensor_map_model": 0, "ce_cochains": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (rht.formality, rht.mapmodel):
+        monkeypatch.setattr(module, "tensor_map_model",
+                            counted("tensor_map_model", tensor_map_model))
+        monkeypatch.setattr(module, "ce_cochains",
+                            counted("ce_cochains", ce_cochains))
+    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    prob = MapSpaceProblem(split_test_model(), 5, y_dgl=L, t="t")
+    verdict = rht.formality.formality_pipeline(prob, 14)
+    assert any("reduced to the 3-sphere" in n for n in verdict.notes)
+    assert counts == {"tensor_map_model": 2, "ce_cochains": 3}
+
+
+def test_reduce_with_the_callers_cochains_is_the_same_reduction():
+    A = split_test_model()
+    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    prob = MapSpaceProblem(A, 5, y_dgl=L, t="t")
+    M = tensor_map_model(A, L)
+    ce = ce_cochains(M, M.truncation + 1)
+    built = reduce_to_odd_sphere(prob)
+    passed = reduce_to_odd_sphere(prob, ce_X=ce)
+    assert passed.model_X is M and passed.ce_X is ce
+    assert passed.f.images == built.f.images
+    assert passed.g.images == built.g.images
+    # cochains of another problem's tensor model are refused
+    other = tensor_map_model(split_test_model(), L)
+    with pytest.raises(ValueError):
+        reduce_to_odd_sphere(prob, ce_X=ce_cochains(other, M.truncation + 1))
+    with pytest.raises(ValueError):
+        reduce_to_odd_sphere(prob, ce_X=ce_cochains(M, M.truncation))

@@ -1,7 +1,7 @@
 """Exact-arithmetic models of mapping spaces and formality certificates."""
 
 from .gca import Poly, FreeGCA, Derivation, Cdga, CdgaMorphism, TruncationError
-from .linalg import RatMatrix, rank, kernel_basis, solve, cokernel_rank
+from .linalg import EchelonSpan, kernel_basis
 from .dgl import (Dgl, DglMorphism, FiniteCdga, free_lie,
                   free_lie_differential, tensor_map_model, fibration_model,
                   validate_dgl)
@@ -17,7 +17,7 @@ from .formality import (formality_pipeline, free_cohomology_check,
 
 __all__ = [
     "Poly", "FreeGCA", "Derivation", "Cdga", "CdgaMorphism", "TruncationError",
-    "RatMatrix", "rank", "kernel_basis", "solve", "cokernel_rank",
+    "EchelonSpan", "kernel_basis",
     "Dgl", "DglMorphism", "FiniteCdga", "free_lie", "free_lie_differential",
     "tensor_map_model", "fibration_model", "validate_dgl",
     "ce_cochains", "ce_of_morphism",

@@ -105,14 +105,12 @@ def cmd_parse(args):
 def cmd_cohomology(args):
     ws = parse_path(args.file)
     if args.algebra not in ws.algebras:
-        print("unknown algebra %r" % args.algebra, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("unknown algebra %r" % args.algebra)
     N = args.max_degree
     alg = raise_truncation(ws.algebras[args.algebra], N + 1)
     report = alg.check()
     if not report:
-        print("invalid algebra: %s" % report, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("invalid algebra: %s" % report)
     ranks = [alg.cohomology(n)[0] for n in range(0, N + 1)]
     payload = {"command": "cohomology", "algebra": args.algebra,
                "max_degree": N, "ranks": ranks}
@@ -126,14 +124,11 @@ def cmd_cohomology(args):
 def cmd_map_model(args):
     ws = parse_path(args.file)
     if args.problem not in ws.problems:
-        print("unknown problem %r" % args.problem, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("unknown problem %r" % args.problem)
     prob = ws.resolve_problem(args.problem)
     hyp = check_hypotheses(prob)
     if not hyp.ok:
-        print("hypotheses violated: %s" % "; ".join(hyp.messages),
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("hypotheses violated: %s" % "; ".join(hyp.messages))
     model, _, ce = mapping_space_model(prob)
     if ce is None:
         note = ("suspension model with d(Sv) = (-1)^p S(dv), p = %d"
@@ -142,8 +137,7 @@ def cmd_map_model(args):
         note = "tensor model cochains"
     report = model.check()
     if not report:
-        print("model failed validation: %s" % report, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("model failed validation: %s" % report)
     warnings = [] if hyp.odd_closed else \
         ["warning: X carries no odd closed class (the even-p path)"]
     payload = {"command": "map-model", "problem": args.problem,
@@ -193,8 +187,7 @@ def run_formality(prob, N, fmt, cert_out, problem_label):
 def cmd_formality(args):
     ws = parse_path(args.file)
     if args.problem not in ws.problems:
-        print("unknown problem %r" % args.problem, file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("unknown problem %r" % args.problem)
     prob = ws.resolve_problem(args.problem)
     if prob.y_cdga is not None:
         prob.y_cdga = raise_truncation(prob.y_cdga, args.max_degree + 1)

@@ -22,6 +22,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from .gca import Cdga, CheckReport
+from .linalg import EchelonSpan
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -529,30 +530,46 @@ def tensor_commutator(e1, d1, e2, d2):
     return out
 
 
-def _express_in_span(span_vectors, words, target):
-    """Coordinates of target over span_vectors (dicts word->coeff), or None."""
-    from .linalg import RatMatrix, solve
-    pos = {w: i for i, w in enumerate(words)}
-    mat = RatMatrix(len(words), len(span_vectors))
-    for j, vec in enumerate(span_vectors):
-        for w, c in vec.items():
-            mat.set(pos[w], j, c)
-    b = [QZERO] * len(words)
-    for w, c in target.items():
-        b[pos[w]] = c
-    return solve(mat, b)
+def _tensor_coordinates(reps, names_by_degree):
+    """coords(deg, e): the combination {name: c} of the degree-deg basis
+    elements whose tensors reps[name] sum to the tensor e, or None if e is
+    outside their span.  One tagged span per degree, as in
+    gca.Cdga.class_coordinates: the k-th basis tensor is added with a 1 in
+    tag column k, and the tag entries of a residue are minus the
+    coordinates."""
+    spans = {}
+
+    def coords(deg, e):
+        if deg not in spans:
+            names = names_by_degree.get(deg, [])
+            words = sorted({w for nm in names for w in reps[nm]})
+            pos = {w: i for i, w in enumerate(words)}
+            span = EchelonSpan(len(words) + len(names))
+            for k, nm in enumerate(names):
+                col = {pos[w]: c for w, c in reps[nm].items()}
+                col[len(words) + k] = QONE
+                span.add(col)
+            spans[deg] = (names, pos, span)
+        names, pos, span = spans[deg]
+        if any(w not in pos for w in e):
+            return None
+        res = span.residue({pos[w]: c for w, c in e.items()})
+        dim = len(pos)
+        if min(res, default=dim) < dim:
+            return None
+        return {nm: -res[dim + k] for k, nm in enumerate(names)
+                if dim + k in res}
+    return coords
 
 
 def free_lie(generators, truncation):
     """The free graded Lie algebra L(V) realized inside the tensor algebra.
 
     Basis per degree is grown by spanning iterated commutators of generators
-    and eliminating linear dependence; the bracket table is read back through
-    exact solves.  Simple and provably correct at desk scale, no Lyndon-word
-    machinery.
+    and eliminating linear dependence; the bracket table is read back as
+    coordinates over the basis tensors.  Simple and provably correct at desk
+    scale, no Lyndon-word machinery.
     """
-    from .linalg import EchelonSpan
-
     N = int(truncation)
     gens = [(name, int(deg)) for name, deg in generators]
     if any(deg < 1 for _, deg in gens):
@@ -620,10 +637,11 @@ def free_lie(generators, truncation):
                 basis.append((name, deg))
                 reps[name] = {w: c / e[lead] for w, c in e.items()}
 
-    # bracket table via exact solves against the basis tensors
+    # bracket table as coordinates over the basis tensors
     names_by_degree = {}
     for name, deg in basis:
         names_by_degree.setdefault(deg, []).append(name)
+    coords = _tensor_coordinates(reps, names_by_degree)
     brackets = {}
     order = {name: i for i, (name, _) in enumerate(basis)}
     for a, da in basis:
@@ -631,16 +649,11 @@ def free_lie(generators, truncation):
             if order[b] < order[a] or da + db > N:
                 continue
             e = tensor_commutator(reps[a], da, reps[b], db)
-            target_names = names_by_degree.get(da + db, [])
             if not e:
                 continue
-            words = sorted({w for nm in target_names for w in reps[nm]} |
-                           set(e))
-            coords = _express_in_span([reps[nm] for nm in target_names],
-                                      words, e)
-            if coords is None:
+            combo = coords(da + db, e)
+            if combo is None:
                 raise DglError("free Lie bracket escaped the computed basis")
-            combo = {nm: c for nm, c in zip(target_names, coords) if c}
             if combo:
                 brackets[(a, b)] = combo
     L = Dgl(basis, brackets, {}, N)
@@ -703,19 +716,17 @@ def free_lie_differential(L, generator_images):
     names_by_degree = {}
     for n in L.names:
         names_by_degree.setdefault(L.degree_of[n], []).append(n)
+    coords = _tensor_coordinates(reps, names_by_degree)
     images = {}
     for name in L.names:
         deg = L.degree_of[name]
         de = d_tensor(reps[name])
         if not de:
             continue
-        targets = names_by_degree.get(deg - 1, [])
-        words = sorted({w for nm in targets for w in reps[nm]} | set(de))
-        coords = _express_in_span([reps[nm] for nm in targets], words, de)
-        if coords is None:
+        combo = coords(deg - 1, de)
+        if combo is None:
             raise DglError("differential escaped the free Lie basis at %s"
                            % name)
-        combo = {nm: c for nm, c in zip(targets, coords) if c}
         if combo:
             images[name] = combo
     return add_differential(L, images)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
-from .linalg import RatMatrix, EchelonSpan, rank as mat_rank, kernel_basis, solve
+from .linalg import EchelonSpan, kernel_basis
 from .mapmodel import (suspension_model, bar_name, check_hypotheses,
                        reduce_to_odd_sphere, SplitError)
 from .cefunctor import ce_cochains
@@ -101,13 +101,9 @@ class RhoMorphism:
         return CheckReport.good()
 
     def induced_matrix(self, n):
-        rk, reps = self.cdga.cohomology(n)
-        mat = RatMatrix(self.ring.rank(n), rk)
-        for j, rep in enumerate(reps):
-            e = self.apply_poly(rep, degree=n)
-            for i, c in enumerate(e.coords):
-                mat.set(i, j, c)
-        return mat
+        """H^n(cdga) -> ring_n, one sparse column per representative."""
+        return [self.apply_poly(rep, degree=n).coords
+                for rep in self.cdga.cohomology(n)[1]]
 
     def is_quasi_iso(self, upto):
         """(True, None) if the induced map H^n(cdga) -> ring_n is an
@@ -117,7 +113,8 @@ class RhoMorphism:
             rk = self.cdga.cohomology(n)[0]
             if rk != self.ring.rank(n):
                 return False, n
-            if rk and mat_rank(self.induced_matrix(n)) != rk:
+            span = EchelonSpan(rk)
+            if not all(span.add(col) for col in self.induced_matrix(n)):
                 return False, n
         return True, None
 
@@ -503,11 +500,9 @@ def bigraded_model(H, N):
                 return [], basis_n
             tgt = [m for m in cur.degree_basis(n_ + 1) if weight(m) == k - 1]
             tpos = {m: i for i, m in enumerate(tgt)}
-            dmat = RatMatrix(len(tgt), len(basis_n))
-            for j, m in enumerate(basis_n):
-                for mm, c in cur.d(Poly({m: QONE})).items():
-                    dmat.set(tpos[mm], j, c)
-            ker = kernel_basis(dmat)
+            ker = kernel_basis([{tpos[mm]: c for mm, c in
+                                 cur.d(Poly({m: QONE})).items()}
+                                for m in basis_n])
             span = EchelonSpan(len(basis_n))
             prev = [m for m in cur.degree_basis(n_ - 1) if weight(m) == k + 1]
             npos = {m: i for i, m in enumerate(basis_n)}
@@ -525,9 +520,9 @@ def bigraded_model(H, N):
         rho = RhoMorphism(cur, H, rho_images)
         span = EchelonSpan(H.rank(n))
         for v in reps0:
-            span.add(list(rho.apply_poly(slot_poly(v, basis0), degree=n).coords))
+            span.add(rho.apply_poly(slot_poly(v, basis0), degree=n).coords)
         for e in H.basis_elements(n):
-            if span.add(list(e.coords)):
+            if span.add(e.coords):
                 name = fresh(n)
                 gens.append((name, n))
                 lower[name] = 0
@@ -543,12 +538,9 @@ def bigraded_model(H, N):
             if not reps:
                 continue
             if k == 0:
-                mat = RatMatrix(H.rank(n), len(reps))
-                for j, v in enumerate(reps):
-                    img = rho.apply_poly(slot_poly(v, basis_n), degree=n)
-                    for i, c in enumerate(img.coords):
-                        mat.set(i, j, c)
-                combos = kernel_basis(mat)
+                combos = kernel_basis(
+                    [rho.apply_poly(slot_poly(v, basis_n), degree=n).coords
+                     for v in reps])
             else:
                 combos = [[QONE if i == j else QZERO for i in range(len(reps))]
                           for j in range(len(reps))]
@@ -722,17 +714,13 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
             lead_coeff = target.coeff(lead)
             cands = [g for g in odd_wplus
                      if alg.gen_degree(g) == n * degw - 1]
-            row = []
-            for g in cands:
-                img = alg.differential.images.get(g, Poly())
-                row.append(img.coeff(lead) / lead_coeff)
-            if any(row):
-                mat = RatMatrix.from_rows([row])
-                x = solve(mat, [QONE])
-                wprime = Poly()
-                for coeff, g in zip(x, cands):
-                    if coeff:
-                        wprime = wprime + alg.gen(g).scale(coeff)
+            row = [alg.differential.images.get(g, Poly()).coeff(lead)
+                   / lead_coeff for g in cands]
+            # row . x = 1 in closed form: x_j = 1 / row[j] at the first
+            # nonzero entry j, every other x_j = 0
+            j = next((j for j, r in enumerate(row) if r), None)
+            if j is not None:
+                wprime = alg.gen(cands[j]).scale(QONE / row[j])
                 omega = alg.d(wprime) - target.scale(QONE / lead_coeff)
                 witness = (wprime, n, omega)
                 results.append((n, True))

@@ -11,7 +11,7 @@ that one order, which makes them deterministic.
 
 from fractions import Fraction
 
-from .linalg import RatMatrix, EchelonSpan, kernel_basis
+from .linalg import EchelonSpan, kernel_basis
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -410,7 +410,7 @@ class Cdga(FreeGCA):
         self.differential = Derivation(self, 1, imgs, check_degrees=False)
         self._cohomology_cache = {}
         self._class_basis_cache = {}
-        self._dmat_cache = {}
+        self._dcol_cache = {}
 
     def d(self, p):
         return self.differential(p, truncation=self.truncation)
@@ -455,22 +455,18 @@ class Cdga(FreeGCA):
 
     # -- cohomology -----------------------------------------------------
 
-    def d_matrix(self, n):
-        """Matrix of d: C^n -> C^{n+1} in the deterministic monomial bases."""
-        if n in self._dmat_cache:
-            return self._dmat_cache[n]
+    def d_columns(self, n):
+        """d: C^n -> C^{n+1} as one sparse column per degree-n monomial,
+        indexed by the degree-(n+1) monomial basis."""
+        if n in self._dcol_cache:
+            return self._dcol_cache[n]
         if n + 1 > self.truncation:
             raise TruncationError("d out of degree %d exceeds truncation" % n)
-        src = self.degree_basis(n)
-        tgt = self.degree_basis(n + 1)
-        pos = {m: i for i, m in enumerate(tgt)}
-        mat = RatMatrix(len(tgt), len(src))
-        for j, m in enumerate(src):
-            img = self.d(Poly({m: QONE}))
-            for mm, c in img.items():
-                mat.set(pos[mm], j, c)
-        self._dmat_cache[n] = mat
-        return mat
+        pos = {m: i for i, m in enumerate(self.degree_basis(n + 1))}
+        cols = [{pos[mm]: c for mm, c in self.d(Poly({m: QONE})).items()}
+                for m in self.degree_basis(n)]
+        self._dcol_cache[n] = cols
+        return cols
 
     def cohomology(self, n):
         """(rank, representatives) of H^n; deterministic echelon-pivot reps.
@@ -484,7 +480,7 @@ class Cdga(FreeGCA):
                 "cohomology in degree %d needs truncation >= %d" % (n, n + 1))
         if n in self._cohomology_cache:
             return self._cohomology_cache[n]
-        cocycles = kernel_basis(self.d_matrix(n))
+        cocycles = kernel_basis(self.d_columns(n))
         dim = self.dim(n)
         # Column dim + k tags the k-th representative, which is added as
         # v + e_{dim+k}; coboundaries carry no tag.  Every row of the span is
@@ -493,11 +489,9 @@ class Cdga(FreeGCA):
         # class coordinates (see class_coordinates).
         span = EchelonSpan(dim + len(cocycles))
         if n >= 1:
-            cols = {}
-            for (i, j), c in self.d_matrix(n - 1).entries.items():
-                cols.setdefault(j, {})[i] = c
-            for j in sorted(cols):
-                span.add(cols[j])
+            for col in self.d_columns(n - 1):
+                if col:
+                    span.add(col)
         reps = []
         for v in cocycles:
             tagged = {i: c for i, c in enumerate(v) if c}
@@ -511,26 +505,27 @@ class Cdga(FreeGCA):
         return result
 
     def class_coordinates(self, n, p):
-        """Coordinates of the class [p] in the representative basis of H^n.
+        """Coordinates of the class [p] in the representative basis of H^n,
+        as a sparse column {k: Fraction}.
 
         p must be a cocycle of degree n (or zero); raises ValueError otherwise.
         """
         rk, reps = self.cohomology(n)
         if not p:
-            return [QZERO] * rk
+            return {}
         if self.poly_degree(p) != n:
             raise ValueError("class_coordinates: wrong degree")
         if self.d(p):
             raise ValueError("class_coordinates: not a cocycle")
         if not rk:
-            return []
+            return {}
         dim = self.dim(n)
         pos = {m: i for i, m in enumerate(self.degree_basis(n))}
         res = self._class_basis_cache[n].residue(
             {pos[m]: c for m, c in p.items()})
         if min(res, default=dim) < dim:
             raise ValueError("class_coordinates: vector not in cocycle span")
-        return [-res.get(dim + k, QZERO) for k in range(rk)]
+        return {k: -res[dim + k] for k in range(rk) if dim + k in res}
 
 
 class CdgaMorphism:
@@ -609,7 +604,8 @@ class CdgaMorphism:
                            lift=self)
 
     def induced_on_cohomology(self, n):
-        """Matrix of H^n(phi): H^n(source) -> H^n(target) in representative bases."""
+        """H^n(phi): H^n(source) -> H^n(target) in representative bases, one
+        sparse column per source representative."""
         return self._on_cohomology().induced_matrix(n)
 
     def is_quasi_iso(self, upto):

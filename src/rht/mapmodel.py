@@ -20,7 +20,7 @@ from .gca import Cdga, Derivation, Poly, CheckReport, TruncationError
 from .dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
                   tensor_map_model, tensor_name, restrict_dgl)
 from .cefunctor import ce_cochains, ce_of_morphism
-from .linalg import RatMatrix, rank as mat_rank
+from .linalg import EchelonSpan
 
 QONE = Fraction(1)
 
@@ -87,22 +87,15 @@ class HypothesisReport:
 
 
 def finite_cohomology_rank(A, n):
-    """H^n of a finite-dimensional model, straight from its tables."""
-    src = A.basis_in_degree(n)
-    tgt = A.basis_in_degree(n + 1)
-    prev = A.basis_in_degree(n - 1) if n >= 1 else []
-    tpos = {x: i for i, x in enumerate(tgt)}
-    dmat = RatMatrix(len(tgt), len(src))
-    for j, x in enumerate(src):
-        for z, c in A.d(x).items():
-            dmat.set(tpos[z], j, c)
-    zdim = len(src) - mat_rank(dmat)
-    spos = {x: i for i, x in enumerate(src)}
-    dprev = RatMatrix(len(src), len(prev))
-    for j, x in enumerate(prev):
-        for z, c in A.d(x).items():
-            dprev.set(spos[z], j, c)
-    return zdim - mat_rank(dprev)
+    """H^n of a finite-dimensional model, straight from its tables:
+    dim C^n - rank(d out of C^n) - rank(d into C^n)."""
+    def d_rank(k):
+        pos = {z: i for i, z in enumerate(A.basis_in_degree(k + 1))}
+        span = EchelonSpan(len(pos))
+        return sum(span.add({pos[z]: c for z, c in A.d(x).items()})
+                   for x in A.basis_in_degree(k))
+    prev = d_rank(n - 1) if n >= 1 else 0
+    return len(A.basis_in_degree(n)) - d_rank(n) - prev
 
 
 def check_hypotheses(prob):

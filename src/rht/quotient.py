@@ -2,7 +2,8 @@
 
 The bigraded-model construction and every quasi-isomorphism check talk to a
 ring through one interface, DegreewiseRing.  An element is a RingElement, a
-(degree, coordinate tuple) pair relative to the ring's own degree-n basis.
+degree and a sparse coordinate column {index: Fraction} relative to the
+ring's own degree-n basis, zeros never stored.
 Each ring also names an ambient free algebra: element_poly lifts an element
 to a polynomial there, and poly_class reads the class of a polynomial back.
 Products are taken on lifts, so the two rings differ only in those two maps
@@ -19,7 +20,6 @@ from fractions import Fraction
 from .gca import Poly
 from .linalg import EchelonSpan
 
-QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
@@ -28,11 +28,10 @@ class RingElement:
 
     def __init__(self, degree, coords):
         self.degree = int(degree)
-        self.coords = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coords)
+        self.coords = coords
 
     def is_zero(self):
-        return not any(self.coords)
+        return not self.coords
 
     def __eq__(self, other):
         return (isinstance(other, RingElement) and self.degree == other.degree
@@ -55,16 +54,10 @@ class DegreewiseRing:
         return [self.rank(n) for n in range(0, upto + 1)]
 
     def basis_elements(self, n):
-        r = self.rank(n)
-        out = []
-        for i in range(r):
-            coords = [QZERO] * r
-            coords[i] = QONE
-            out.append(RingElement(n, coords))
-        return out
+        return [RingElement(n, {i: QONE}) for i in range(self.rank(n))]
 
     def zero(self, n):
-        return RingElement(n, [QZERO] * self.rank(n))
+        return RingElement(n, {})
 
     def multiply(self, e1, e2):
         prod = self.ambient.multiply(self.element_poly(e1),
@@ -105,7 +98,7 @@ class QuotientRing(DegreewiseRing):
                 span.add({pos[mm]: c for mm, c in prod.items()})
         pivots = set(span.pivots)
         basis = [m for i, m in enumerate(monos) if i not in pivots]
-        data = (span, monos, pos, basis)
+        data = (span, monos, pos, basis, {m: k for k, m in enumerate(basis)})
         self._data[n] = data
         return data
 
@@ -122,7 +115,7 @@ class QuotientRing(DegreewiseRing):
         if not p:
             return Poly()
         n = self.algebra.poly_degree(p)
-        span, monos, pos, _ = self._degree_data(n)
+        span, monos, pos = self._degree_data(n)[:3]
         res = span.residue({pos[m]: c for m, c in p.items()})
         return Poly({monos[i]: res[i] for i in sorted(res)})
 
@@ -131,29 +124,20 @@ class QuotientRing(DegreewiseRing):
         if not p:
             raise ValueError("poly_class of 0 needs an explicit degree; use zero(n)")
         n = self.algebra.poly_degree(p)
-        nf = self.reduce(p)
-        basis = self._degree_data(n)[3]
-        return RingElement(n, [nf.coeff(m) for m in basis])
+        bpos = self._degree_data(n)[4]
+        return RingElement(n, {bpos[m]: c for m, c in self.reduce(p).items()})
 
     def element_poly(self, e):
         basis = self._degree_data(e.degree)[3]
-        return Poly({m: c for m, c in zip(basis, e.coords) if c})
+        return Poly({basis[k]: c for k, c in e.coords.items()})
 
     def multiplication_matrix(self, f, n):
-        """Matrix of (multiplication by f): Q_n -> Q_{n+|f|} in quotient bases."""
-        from .linalg import RatMatrix
-        df = self.algebra.poly_degree(f)
-        src = self.basis_monomials(n)
-        tgt = self._degree_data(n + df)
-        tgt_basis = tgt[3]
-        tpos = {m: i for i, m in enumerate(tgt_basis)}
-        mat = RatMatrix(len(tgt_basis), len(src))
-        for j, m in enumerate(src):
-            prod = self.algebra.multiply(Poly({m: QONE}), f)
-            nf = self.reduce(prod)
-            for mm, c in nf.items():
-                mat.set(tpos[mm], j, c)
-        return mat
+        """Multiplication by f: Q_n -> Q_{n+|f|} in quotient bases, one
+        sparse column per basis monomial of Q_n."""
+        bpos = self._degree_data(n + self.algebra.poly_degree(f))[4]
+        return [{bpos[mm]: c for mm, c in
+                 self.reduce(self.algebra.multiply(Poly({m: QONE}), f)).items()}
+                for m in self.basis_monomials(n)]
 
 
 class ModelCohomology(DegreewiseRing):
@@ -178,9 +162,8 @@ class ModelCohomology(DegreewiseRing):
     def element_poly(self, e):
         reps = self.representatives(e.degree)
         out = Poly()
-        for c, rep in zip(e.coords, reps):
-            if c:
-                out = out + rep.scale(c)
+        for k, c in e.coords.items():
+            out = out + reps[k].scale(c)
         return out
 
     def poly_class(self, p):

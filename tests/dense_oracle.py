@@ -3,7 +3,8 @@ fraction-free kernel, kept only as a test oracle.
 
 Rows are dense lists of ``Fraction``; pivots are taken column by column,
 left to right, first available row within a column.  Slow, but short
-enough to check by eye.
+enough to check by eye.  A matrix here is a list of dense rows;
+``columns`` transposes it into the sparse columns that ``rht`` takes.
 """
 
 from fractions import Fraction
@@ -52,19 +53,19 @@ def row_echelon(rowlists, reduce=True):
     return rows, pivots
 
 
-def rank(m):
-    return len(row_echelon(m.to_rows(), reduce=False)[1])
+def rank(rows):
+    return len(row_echelon(rows, reduce=False)[1])
 
 
-def kernel_basis(m):
-    """RREF basis of the kernel of a RatMatrix, as dense Fraction rows."""
-    if m.cols == 0:
+def kernel_basis(rows, ncols):
+    """RREF basis of the kernel of the dense rows (ncols columns)."""
+    if ncols == 0:
         return []
-    red, pivots = row_echelon(m.to_rows(), reduce=True)
+    red, pivots = row_echelon(rows, reduce=True)
     pivset = set(pivots)
     vecs = []
-    for f in (c for c in range(m.cols) if c not in pivset):
-        v = [QZERO] * m.cols
+    for f in (c for c in range(ncols) if c not in pivset):
+        v = [QZERO] * ncols
         v[f] = QONE
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][f]
@@ -75,15 +76,23 @@ def kernel_basis(m):
     return canon[:len(vecs)]
 
 
-def solve(m, b):
-    """x with m.x = b and free variables 0, or None if inconsistent."""
-    aug = m.to_rows()
-    for i, r in enumerate(aug):
-        r.append(Fraction(b[i]))
+def solve(rows, b, ncols):
+    """x with rows.x = b and free variables 0, or None if inconsistent."""
+    aug = [list(r) + [Fraction(b[i])] for i, r in enumerate(rows)]
     red, pivots = row_echelon(aug, reduce=True)
-    if m.cols in pivots:
+    if ncols in pivots:
         return None
-    x = [QZERO] * m.cols
+    x = [QZERO] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][m.cols]
+        x[pc] = red[r][ncols]
     return x
+
+
+def columns(rows, ncols):
+    """The sparse columns {row: value} of dense rows, as rht takes them."""
+    return [{i: r[j] for i, r in enumerate(rows) if r[j]}
+            for j in range(ncols)]
+
+
+def matvec(rows, x):
+    return [sum((a * b for a, b in zip(r, x)), QZERO) for r in rows]

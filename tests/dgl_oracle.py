@@ -7,10 +7,17 @@ call), every case up to the truncation is computed, and the quadratic part
 of the cochain differential runs over all ordered pairs of basis elements.
 They are slow and obviously exhaustive; the tests require the library to
 give the same report and the same cochain images.
+
+``free_lie_brackets`` and ``free_lie_differential_images`` read the bracket
+table and the differential of a ``free_lie`` output the way ``rht.dgl`` did
+before its tagged spans: one dense solve per bracket or image, against the
+basis tensors of the target degree.
 """
 
 from fractions import Fraction
 
+import dense_oracle
+from rht.dgl import lc, tensor_commutator
 from rht.gca import CheckReport, FreeGCA, Poly
 
 QZERO = Fraction(0)
@@ -166,4 +173,81 @@ def ce_images(L, N):
                     img = img + term.scale(HALF * tau * c)
         if img:
             images[gen_of[z]] = img
+    return images
+
+
+def express_in_span(span_vectors, words, target):
+    """Coordinates of target over span_vectors (dicts word->coeff), or None."""
+    pos = {w: i for i, w in enumerate(words)}
+    rows = [[QZERO] * len(span_vectors) for _ in words]
+    for j, vec in enumerate(span_vectors):
+        for w, c in vec.items():
+            rows[pos[w]][j] = c
+    b = [QZERO] * len(words)
+    for w, c in target.items():
+        b[pos[w]] = c
+    return dense_oracle.solve(rows, b, len(span_vectors))
+
+
+def _read_back(reps, targets, e):
+    words = sorted({w for nm in targets for w in reps[nm]} | set(e))
+    coords = express_in_span([reps[nm] for nm in targets], words, e)
+    assert coords is not None, "escaped the basis"
+    return {nm: c for nm, c in zip(targets, coords) if c}
+
+
+def _names_by_degree(L):
+    out = {}
+    for n in L.names:
+        out.setdefault(L.degree_of[n], []).append(n)
+    return out
+
+
+def free_lie_brackets(L):
+    """The stored bracket table of a free_lie output, recomputed."""
+    reps, deg = L.tensor_reps, L.degree_of
+    by_degree = _names_by_degree(L)
+    brackets = {}
+    for i, a in enumerate(L.names):
+        for b in L.names[i:]:
+            if deg[a] + deg[b] > L.truncation:
+                continue
+            e = tensor_commutator(reps[a], deg[a], reps[b], deg[b])
+            if e:
+                combo = _read_back(reps, by_degree.get(deg[a] + deg[b], []), e)
+                if combo:
+                    brackets[(a, b)] = combo
+    return brackets
+
+
+def free_lie_differential_images(L, generator_images):
+    """The differential images free_lie_differential(L, generator_images)
+    stores, recomputed through the tensor-algebra Leibniz rule."""
+    reps, deg = L.tensor_reps, L.degree_of
+    letter_image, gen_letter = {}, {}
+    for gname in L.names:
+        word = next(iter(reps[gname]))
+        if len(reps[gname]) == 1 and len(word) == 1:
+            gen_letter[word[0]] = gname
+    for gname, combo in generator_images.items():
+        word = next(iter(reps[gname]))
+        letter_image[word[0]] = {w: c * v for n2, v in lc(combo).items()
+                                 for w, c in reps[n2].items()}
+    images = {}
+    for name in L.names:
+        de = {}
+        for word, coeff in reps[name].items():
+            prefix_deg = 0
+            for i, letter in enumerate(word):
+                sign = -1 if prefix_deg % 2 else 1
+                for w, c in letter_image.get(letter, {}).items():
+                    key = word[:i] + w + word[i + 1:]
+                    de[key] = de.get(key, QZERO) + sign * coeff * c
+                prefix_deg += deg[gen_letter[letter]]
+        de = {w: c for w, c in de.items() if c}
+        if de:
+            combo = _read_back(reps, _names_by_degree(L).get(deg[name] - 1, []),
+                               de)
+            if combo:
+                images[name] = combo
     return images

@@ -80,6 +80,32 @@ def test_cohomology_unknown_algebra(capsys, ws_file):
     assert code == 1
 
 
+def test_cohomology_errors_go_through_main(capsys, ws_file, tmp_path):
+    code, out, err = run_cli(capsys, "cohomology", ws_file, "nope")
+    assert (code, out, err) == (1, "", "error: unknown algebra 'nope'\n")
+    path = tmp_path / "bad.rht"
+    path.write_text(cli.SECTION4_WORKSPACE.replace("d y = x1*x2",
+                                                   "d y = x1^3"))
+    code, out, err = run_cli(capsys, "cohomology", str(path), "Y")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid algebra: ")
+
+
+def test_map_model_errors_go_through_main(capsys, ws_file, tmp_path):
+    code, out, err = run_cli(capsys, "map-model", ws_file, "nope")
+    assert (code, out, err) == (1, "", "error: unknown problem 'nope'\n")
+    path = tmp_path / "lowconn.rht"
+    path.write_text(NONFORMAL_WS + "problem lowconn X=S3 Y=Yodd p=3 m=2\n")
+    code, out, err = run_cli(capsys, "map-model", str(path), "lowconn")
+    assert (code, out, err) == (
+        1, "", "error: hypotheses violated: connectivity m=2 < p+1=4\n")
+
+
+def test_formality_unknown_problem_goes_through_main(capsys, ws_file):
+    code, out, err = run_cli(capsys, "formality", ws_file, "nope")
+    assert (code, out, err) == (1, "", "error: unknown problem 'nope'\n")
+
+
 def test_cohomology_golden_values(capsys, tmp_path):
     path = tmp_path / "g.rht"
     path.write_text("algebra Y\ntruncation 26\n"

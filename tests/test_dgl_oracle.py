@@ -5,7 +5,10 @@ two-sided table; ce_cochains reads the quadratic part of d off that table.
 On valid algebras and on corrupted ones (a scaled bracket, an inconsistent
 stored mirror pair, a wrong differential, random sparse tables) both must
 give exactly what the oracle gives: the same brackets, the same
-(ok, kind, message) and the same cochain images.
+(ok, kind, message) and the same cochain images.  free_lie and
+free_lie_differential read coordinates from one tagged span per degree; they
+must store the bracket table and differential that one dense solve per
+bracket or image gives.
 """
 
 from fractions import Fraction
@@ -15,7 +18,7 @@ import dgl_oracle as oracle
 from test_mapmodel import split_test_model
 from test_properties import random_dgl, random_odd_finite_model
 from rht.cefunctor import ce_cochains
-from rht.dgl import Dgl, free_lie, tensor_map_model
+from rht.dgl import Dgl, free_lie, free_lie_differential, tensor_map_model
 from rht.gca import Cdga
 
 F = Fraction
@@ -168,3 +171,36 @@ def test_random_tables_match_the_oracle():
         kinds[kind] = kinds.get(kind, 0) + 1
     for kind in ("jacobi", "antisymmetry", "leibniz", "d-squared", None):
         assert kinds.get(kind, 0) >= 5, kinds
+
+
+def random_generator_images(rng, L, gens):
+    """Random d on some generators: a combination of the basis elements one
+    degree lower, or nothing where that degree is empty."""
+    images = {}
+    for g, d in gens:
+        below = [n for n in L.names if L.degree_of[n] == d - 1]
+        if below and rng.random() < 0.8:
+            images[g] = random_combo(rng, below)
+    return images
+
+
+def test_free_lie_coordinates_match_dense_solves():
+    rng = Random(508)
+    # Y = S^7 v S^7 as the lie_reduction benchmark workload presents it
+    inputs = [([("a1", 6), ("a2", 6)], 24)]
+    for _ in range(60):
+        degs = sorted(rng.randint(1, 5) for _ in range(rng.randint(1, 3)))
+        gens = [("g%d" % i, d) for i, d in enumerate(degs)]
+        # brackets of at most five letters keep the dense solves small
+        N = max(degs) + rng.randint(2, 6)
+        inputs.append((gens, max(max(degs), min(N, 5 * degs[0]))))
+    differentials = 0
+    for gens, N in inputs:
+        L = free_lie(gens, N)
+        assert L.brackets == oracle.free_lie_brackets(L), (gens, N)
+        images = random_generator_images(rng, L, gens)
+        Ld = free_lie_differential(L, images)
+        assert Ld.differential == \
+            oracle.free_lie_differential_images(L, images), (gens, N, images)
+        differentials += bool(Ld.differential)
+    assert differentials >= 20

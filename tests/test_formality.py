@@ -12,7 +12,7 @@ from rht.formality import (free_cohomology_check, regular_sequence_check,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
                            mapping_space_model, FORMAL, UNKNOWN,
-                           bar_linearity_report)
+                           bar_linearity_report, BigradedModel)
 
 F = Fraction
 
@@ -305,6 +305,19 @@ def test_lemma36_scan_witnessed_on_even_sphere_model():
     barred = barred_bigraded_model(B, 3)
     # W_+ is empty (free cohomology): vacuous pass, consistent with formality
     assert lemma36_scan(barred, 20) == []
+
+
+def test_lemma36_scan_witnessed_branch():
+    # w (degree 4, lower 1), u and v (degree 7, lower 2), du = 0, dv = 2w^2:
+    # the first candidate with a w^2 term is v, so w' = v/2 and Omega = 0
+    alg = Cdga([("w", 4), ("u", 7), ("v", 7)], {}, 16)
+    w2 = alg.power(alg.gen("w"), 2)
+    cdga = Cdga(alg.generators, {"v": w2.scale(2)}, 16)
+    B = BigradedModel(cdga, {"w": 1, "u": 2, "v": 2}, {}, None)
+    [entry] = lemma36_scan(B, 8)
+    assert (entry.w, entry.status, entry.results) == ("w", "witnessed",
+                                                      [(2, True)])
+    assert entry.witness == (cdga.gen("v").scale(Fraction(1, 2)), 2, Poly())
 
 
 # -- pipeline ----------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Every output of the kernel is canonical (RREF, RREF kernel basis, solution
 with free variables 0, rank, membership), so it must equal the dense
-eliminator's output exactly, not just up to a change of basis.
+eliminator's output exactly, not just up to a change of basis.  The oracle
+takes dense rows; ``oracle.columns`` builds the sparse columns handed to
+``rht``.
 """
 
 from fractions import Fraction
@@ -11,8 +13,7 @@ from random import Random
 import pytest
 
 import dense_oracle as oracle
-from rht.linalg import (EchelonSpan, RatMatrix, kernel_basis, rank,
-                        row_echelon, solve)
+from rht.linalg import EchelonSpan, kernel_basis
 
 F = Fraction
 BIG = 2 ** 64
@@ -49,52 +50,65 @@ def _cases(seed, count):
         yield _random_rows(rng, nrows, ncols, kind, density), ncols, rng
 
 
-def _matrix(rows, ncols):
-    return RatMatrix.from_rows(rows, cols=ncols)
+def tagged_solve(cols, b):
+    """x with sum_j x_j cols[j] = b and free variables 0, or None if there
+    is none, read from a tagged span: the residue of (b, 0) modulo the span
+    of the vectors (cols[j], e_j) is (0, -x).  The tags run in reverse
+    column order, so the pivots among them are exactly the free variables,
+    where the residue is zero."""
+    nrows, k = len(b), len(cols)
+    span = EchelonSpan(nrows + k)
+    for j, col in enumerate(cols):
+        span.add({**col, nrows + k - 1 - j: 1})
+    res = span.residue(dict(enumerate(b)))
+    if min(res, default=nrows) < nrows:
+        return None
+    return [-res.get(nrows + k - 1 - j, F(0)) for j in range(k)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rank_and_row_echelon_match_oracle(seed):
     for rows, ncols, _ in _cases(seed, 80):
-        m = _matrix(rows, ncols)
-        assert rank(m) == oracle.rank(m)
-        got, pivots = row_echelon(rows)
+        span = EchelonSpan(ncols)
+        for r in rows:
+            span.add(r)
         want, want_pivots = oracle.row_echelon(rows)
-        assert pivots == want_pivots
-        assert got == want
-        # reduce=False: same pivots, each row a multiple of its RREF row
-        loose, loose_pivots = row_echelon(rows, reduce=False)
-        assert loose_pivots == want_pivots
-        for r, p in zip(loose, loose_pivots):
-            assert [x / r[p] for x in r] == want[want_pivots.index(p)]
-        assert all(not any(r) for r in loose[len(loose_pivots):])
+        assert span.rank() == oracle.rank(rows) == len(want_pivots)
+        assert span.pivots == want_pivots
+        assert span.rows == want[:len(want_pivots)]
+        assert all(not any(r) for r in want[len(want_pivots):])
+        # the rank of the column span, as rht's rank checks take it
+        cols = EchelonSpan(len(rows))
+        assert sum(cols.add(c) for c in oracle.columns(rows, ncols)) == \
+            span.rank()
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
 def test_kernel_basis_matches_oracle(seed):
     for rows, ncols, _ in _cases(seed, 80):
-        m = _matrix(rows, ncols)
-        assert kernel_basis(m) == oracle.kernel_basis(m)
+        assert kernel_basis(oracle.columns(rows, ncols)) == \
+            oracle.kernel_basis(rows, ncols)
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])
 def test_solve_matches_oracle(seed):
     for rows, ncols, rng in _cases(seed, 80):
-        m = _matrix(rows, ncols)
+        cols = oracle.columns(rows, ncols)
         # consistent right-hand side, then an arbitrary (often inconsistent) one
         x0 = [_entry(rng, "rat") for _ in range(ncols)]
-        for b in (m.matvec(x0), [_entry(rng, "big") for _ in range(m.rows)]):
-            got = solve(m, b)
-            assert got == oracle.solve(m, b)
+        for b in (oracle.matvec(rows, x0),
+                  [_entry(rng, "big") for _ in range(len(rows))]):
+            got = tagged_solve(cols, b)
+            assert got == oracle.solve(rows, b, ncols)
             if got is not None:
-                assert m.matvec(got) == b
+                assert oracle.matvec(rows, got) == b
 
 
 def test_solve_inconsistent_is_none():
-    m = RatMatrix.from_rows([[1, 1], [2, 2]])
-    assert solve(m, [F(1), F(3)]) is None
-    assert oracle.solve(m, [F(1), F(3)]) is None
-    assert solve(RatMatrix(2, 0), [F(0), F(1)]) is None
+    rows = [[1, 1], [2, 2]]
+    assert tagged_solve(oracle.columns(rows, 2), [F(1), F(3)]) is None
+    assert oracle.solve(rows, [F(1), F(3)], 2) is None
+    assert tagged_solve([], [F(0), F(1)]) is None
 
 
 @pytest.mark.parametrize("seed", [10, 11])
@@ -104,10 +118,10 @@ def test_echelon_span_sequences_match_oracle(seed):
         added = []
         for vec in rows + _random_rows(rng, 3, ncols, "rat", 0.5):
             probe = _random_rows(rng, 1, ncols, "int", 0.5)[0]
-            before = oracle.rank(_matrix(added, ncols)) if added else 0
-            with_probe = oracle.rank(_matrix(added + [probe], ncols))
+            before = oracle.rank(added) if added else 0
+            with_probe = oracle.rank(added + [probe])
             assert span.contains(probe) == (with_probe == before)
-            grew = oracle.rank(_matrix(added + [vec], ncols)) > before
+            grew = oracle.rank(added + [vec]) > before
             assert span.add(vec) == grew
             added.append(vec)
             want, pivots = oracle.row_echelon(added)
@@ -155,5 +169,7 @@ def test_echelon_span_rejects_wrong_length():
 
 
 def test_row_echelon_rejects_ragged_rows():
+    span = EchelonSpan(2)
+    assert span.add([1, 2])
     with pytest.raises(ValueError):
-        row_echelon([[1, 2], [3]])
+        span.add([3])

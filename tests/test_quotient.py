@@ -57,7 +57,20 @@ def test_quotient_multiplication_matrix_regularity_witness():
     x = alg.gen("x")
     ring = QuotientRing(alg, [alg.power(x, 2)], 10)
     m = ring.multiplication_matrix(x, 2)
-    assert m.rows == 0 or m.is_zero()
+    assert m == [{}]
+
+
+def test_quotient_product_zero_in_ring_is_zero():
+    # x * x lifts to x^2 != 0, which is 0 in Q[x]/(x^2)
+    alg = FreeGCA([("x", 2)])
+    ring = QuotientRing(alg, [alg.power(alg.gen("x"), 2)], 10)
+    x = ring.poly_class(alg.gen("x"))
+    assert x.coords == {0: 1}
+    assert alg.multiply(ring.element_poly(x), ring.element_poly(x))
+    prod = ring.multiply(x, x)
+    assert prod == ring.zero(4)
+    assert prod.coords == {}
+    assert prod.is_zero()
 
 
 def test_presented_ring_invariants():

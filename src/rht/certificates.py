@@ -8,7 +8,7 @@ from .gca import Cdga, CdgaMorphism, Poly
 from .quotient import ModelCohomology
 from .formality import (FormalityVerdict, FreeCohomologyCert, KoszulCert,
                         TransferCert, BarObstructionCert, BigradedModel,
-                        barred_bigraded_model)
+                        build_barred_model)
 from .workspace import (print_algebra, parse_text, parse_polynomial,
                         WorkspaceError)
 
@@ -149,7 +149,7 @@ def _parse_verdict(cur):
         y_model = _parse_algebra_block(cur, "target_model")
         H = ModelCohomology(y_model, bound)
         B = _parse_bigraded_block(cur, y_model, H, bound)
-        barred = barred_bigraded_model(B, p)
+        barred = build_barred_model(B, p)
         cert = BarObstructionCert(y_model, B, barred, witness, bound)
     else:
         raise CertificateError("unknown certificate kind %r" % kind)

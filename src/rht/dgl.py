@@ -148,12 +148,6 @@ class Dgl:
         return lc_combine((self.differential.get(x, EMPTY), v)
                           for x, v in c.items())
 
-    def combo_degree(self, c):
-        degs = {self.degree_of[x] for x in c}
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous combination")
-        return degs.pop() if degs else None
-
     # -- validation -------------------------------------------------------
 
     def validate(self):

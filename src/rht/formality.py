@@ -570,6 +570,15 @@ def barred_bigraded_model(B, p):
     is exactly the formality question, so callers inspect it separately; the
     structural invariants are enforced here.
     """
+    barred = build_barred_model(B, p)
+    rep = verify_barred_structure(barred, B)
+    if not rep:
+        raise ValueError("barred model failed validation: %s" % rep)
+    return barred
+
+
+def build_barred_model(B, p):
+    """barred_bigraded_model unverified; BarObstructionCert.replay verifies."""
     susp = suspension_model(B.cdga, p)
     alg = susp.cdga
     lower = dict(B.lower)
@@ -580,12 +589,8 @@ def barred_bigraded_model(B, p):
     for name in alg.names:
         if lower[name] == 0:
             rho_images[name] = ring.poly_class(alg.gen(name))
-    barred = BigradedModel(alg, lower, rho_images, ring, p=int(p), base=B,
-                           barred_names=[bar_name(n) for n in B.cdga.names])
-    rep = verify_barred_structure(barred, B)
-    if not rep:
-        raise ValueError("barred model failed validation: %s" % rep)
-    return barred
+    return BigradedModel(alg, lower, rho_images, ring, p=int(p), base=B,
+                         barred_names=[bar_name(n) for n in B.cdga.names])
 
 
 def verify_barred_structure(barred, base):

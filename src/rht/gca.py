@@ -6,7 +6,9 @@ carrying exponent at most 1; swapping two odd letters costs a Koszul sign -1.
 Monomials are ordered by ``FreeGCA.monomial_key``: by degree, then
 lexicographically by descending exponent vector in declaration order.  Every
 basis, representative, matrix and printed polynomial in this module follows
-that one order, which makes them deterministic.
+that one order, which makes them deterministic.  A count table prunes every
+empty branch of ``degree_basis``, so a basis costs about its size times the
+generators scanned per branch, and ``dim`` counts without enumerating.
 """
 
 from fractions import Fraction
@@ -120,7 +122,9 @@ class FreeGCA:
         self.names = tuple(names)
         self.degrees = tuple(degrees)
         self.index = {n: i for i, n in enumerate(names)}
+        self.odd = tuple(d % 2 == 1 for d in degrees)
         self._basis_cache = {}
+        self._count = [[1] for _ in range(len(degrees) + 1)]
 
     @property
     def generators(self):
@@ -130,7 +134,7 @@ class FreeGCA:
         return self.degrees[self.index[name]]
 
     def is_odd(self, i):
-        return self.degrees[i] % 2 == 1
+        return self.odd[i]
 
     def gen(self, name, coeff=QONE):
         i = self.index[name]
@@ -174,8 +178,8 @@ class FreeGCA:
                 raise KeyError("generator index %d out of range" % ref)
             if e:
                 factors.append((ref, e))
-        odd_seq = [i for i, e in factors if self.is_odd(i)]
-        if any(e > 1 for i, e in factors if self.is_odd(i)) or \
+        odd_seq = [i for i, e in factors if self.odd[i]]
+        if any(e > 1 for i, e in factors if self.odd[i]) or \
                 len(set(odd_seq)) != len(odd_seq):
             return 0, None
         inversions = 0
@@ -192,11 +196,12 @@ class FreeGCA:
 
     def mul_monomials(self, m1, m2):
         """Product of two normalized monomials: (sign, monomial) or (0, None)."""
+        odd = self.odd
         sign = 1
-        odd1 = [i for i, e in m1 if self.is_odd(i)]
+        odd1 = [i for i, e in m1 if odd[i]]
         merged = dict(m1)
         for i, e in m2:
-            if self.is_odd(i):
+            if odd[i]:
                 if i in merged:
                     return 0, None
                 # move this odd letter left past the odd letters of m1 above it
@@ -212,7 +217,7 @@ class FreeGCA:
             for m2, c2 in q.items():
                 s, m = self.mul_monomials(m1, m2)
                 if s:
-                    add_term(out, m, c1 * c2 * s)
+                    add_term(out, m, c1 * c2 if s > 0 else -(c1 * c2))
         res = Poly()
         res.terms = out
         return res
@@ -231,38 +236,53 @@ class FreeGCA:
 
     # -- degreewise bases ----------------------------------------------
 
+    def _counts(self, n):
+        """count[gi][r], the number of monomials of degree r in generators gi,
+        gi+1, ... (the last row: in none), built bottom-up to reach r = n."""
+        count = self._count
+        have = len(count[-1])
+        if have <= n:
+            count[-1].extend([0] * (n + 1 - have))
+            for gi in range(len(self.degrees) - 1, -1, -1):
+                row, below, d = count[gi], count[gi + 1], self.degrees[gi]
+                # an odd generator appears at most once, an even one freely
+                above = below if self.odd[gi] else row
+                for r in range(have, n + 1):
+                    row.append(below[r] + above[r - d] if r >= d else below[r])
+        return count
+
     def degree_basis(self, n):
-        """All monomials of total degree n, in monomial_key order."""
+        """Monomials of degree n in monomial_key order: next used generator
+        ascending, its exponent descending, recursing once per pair."""
         if n < 0:
             return []
         if n in self._basis_cache:
             return self._basis_cache[n]
-        out = []
+        count, degrees, odd = self._counts(n), self.degrees, self.odd
+        out = [] if n else [()]
 
-        def rec(gi, remaining, acc):
-            if remaining == 0:
-                out.append(tuple(acc))
-                return
-            if gi == len(self.names):
-                return
-            d = self.degrees[gi]
-            top = remaining // d
-            if self.is_odd(gi):
-                top = min(top, 1)
-            for e in range(top, -1, -1):
-                if e:
-                    acc.append((gi, e))
-                    rec(gi + 1, remaining - e * d, acc)
-                    acc.pop()
-                else:
-                    rec(gi + 1, remaining, acc)
+        def extend(prefix, j, r):
+            # j starts a degree-r monomial iff count[j][r] > count[j + 1][r]
+            while count[j][r]:
+                below = count[j + 1]
+                if count[j][r] != below[r]:
+                    d = degrees[j]
+                    for e in range(1 if odd[j] else r // d, 0, -1):
+                        mono, rest = prefix + ((j, e),), r - e * d
+                        if not rest:
+                            out.append(mono)
+                        elif below[rest]:
+                            extend(mono, j + 1, rest)
+                j += 1
 
-        rec(0, n, [])
+        if n:
+            extend((), 0, n)
         self._basis_cache[n] = out
         return out
 
     def dim(self, n):
-        return len(self.degree_basis(n))
+        """Number of monomials of degree n, read from the count table."""
+        return self._counts(n)[0][n] if n >= 0 else 0
 
     def vector_to_poly(self, vec, n):
         basis = self.degree_basis(n)
@@ -286,11 +306,16 @@ class FreeGCA:
             for k, (i, e) in enumerate(m):
                 img = deriv.images.get(self.names[i])
                 if img:
-                    sign = -1 if (ddeg % 2) and (prefix_deg % 2) else 1
+                    coeff = -c * e if ddeg % 2 and prefix_deg % 2 else c * e
                     rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
-                    term = self.multiply(Poly({m[:k]: c * e * sign}), img)
-                    for mm, cc in self.multiply(term, Poly({rest: QONE})).items():
-                        add_term(out, mm, cc)
+                    # each product is injective: one output term per image term
+                    for mi, ci in img.items():
+                        s1, left = self.mul_monomials(m[:k], mi)
+                        if s1:
+                            s, mm = self.mul_monomials(left, rest)
+                            if s:
+                                t = coeff * ci
+                                add_term(out, mm, t if s == s1 else -t)
                 prefix_deg += e * self.degrees[i]
         if truncation is not None:
             for m in out:

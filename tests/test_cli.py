@@ -106,6 +106,16 @@ def test_formality_unknown_problem_goes_through_main(capsys, ws_file):
     assert (code, out, err) == (1, "", "error: unknown problem 'nope'\n")
 
 
+def test_cohomology_many_generators(capsys, tmp_path):
+    path = tmp_path / "many.rht"
+    path.write_text("algebra Many\ntruncation 6\n" + "".join(
+        "generator g%d degree 5\n" % k for k in range(1200)))
+    code, out, _ = run_cli(capsys, "cohomology", str(path), "Many",
+                           "--max-degree", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ranks"] == [1, 0, 0, 0, 0]
+
+
 def test_cohomology_golden_values(capsys, tmp_path):
     path = tmp_path / "g.rht"
     path.write_text("algebra Y\ntruncation 26\n"

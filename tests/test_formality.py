@@ -7,12 +7,15 @@ from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
 from rht.dgl import Dgl, FiniteCdga, free_lie
 from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
 from rht.mapmodel import MapSpaceProblem, suspension_model
+from rht import formality
+from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, transfer_formality,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
-                           mapping_space_model, FORMAL, UNKNOWN,
-                           bar_linearity_report, BigradedModel)
+                           mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
+                           bar_linearity_report, BigradedModel,
+                           FormalityVerdict)
 
 F = Fraction
 
@@ -268,6 +271,28 @@ def test_bar_obstruction_odd_p_witness():
     assert alg.gen_degree(cert.witness) == 6  # bar of the degree-9 relation killer
     assert barred.lower[cert.witness] == 1
     assert cert.replay()
+
+
+def test_bar_obstruction_replay_checks_barred_structure_once(monkeypatch):
+    y = odd_wedge_y(24)
+    B = bigraded_model(ModelCohomology(y, 20), 20)
+    cert, _ = bar_obstruction(barred_bigraded_model(B, 3), y_model=y, bound=20)
+    text = serialize_verdict(FormalityVerdict(NONFORMAL, 20, cert))
+    verified, checked = [], []
+    verify, check = formality.verify_barred_structure, Cdga.check
+    monkeypatch.setattr(formality, "verify_barred_structure",
+                        lambda *args: verified.append(1) or verify(*args))
+    monkeypatch.setattr(Cdga, "check", lambda alg: checked.append(
+        any(n.endswith("_bar") for n in alg.names)) or check(alg))
+    # parsing and replaying the text checks the barred algebra exactly once
+    assert replay_certificate_text(text)[0]
+    assert (len(verified), checked.count(True)) == (1, 1)
+    # a tampered in-process barred model fails replay
+    alg = cert.barred.cdga
+    name = next(n for n in cert.barred.barred_names
+                if alg.differential.images.get(n))
+    alg.differential.images[name] = alg.differential.images[name].scale(2)
+    assert not cert.replay()
 
 
 def test_lemma36_scan_missing_everywhere_on_nonformal_case():

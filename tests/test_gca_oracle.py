@@ -1,0 +1,83 @@
+"""FreeGCA bases and derivations against the plain versions in gca_oracle.
+
+degree_basis enters only branches its count table says are nonempty, and
+dim reads that table without enumerating; apply_derivation multiplies each
+image monomial by the prefix and the rest directly.  On seeded generator
+lists, with degrees asked in shuffled order, they must give what the oracle
+gives: the same bases in the same order, and the same derivation images with
+the same key order.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import gca_oracle as oracle
+from rht.gca import Derivation, FreeGCA, Poly, TruncationError
+from rht.quotient import free_gca_ranks
+
+F = Fraction
+CASES = 300
+
+
+def random_algebra(rng):
+    return FreeGCA([("g%d" % k, rng.randint(1, 8))
+                    for k in range(rng.randint(1, 7))])
+
+
+def random_poly(rng, alg, degree):
+    """A random polynomial of the given degree with up to four terms."""
+    basis = alg.degree_basis(degree)
+    return Poly({m: F(rng.randint(-4, 4), rng.randint(1, 3))
+                 for m in rng.sample(basis, min(len(basis), 4))})
+
+
+def test_degree_basis_and_dim_match_oracle():
+    rng = Random(20260)
+    for _ in range(CASES):
+        alg = random_algebra(rng)
+        degrees = list(range(-1, 19))
+        rng.shuffle(degrees)
+        for n in degrees:
+            # dim first half the time, so the count table also grows alone
+            dim = alg.dim(n) if rng.random() < 0.5 else None
+            basis = alg.degree_basis(n)
+            assert basis == oracle.degree_basis(alg, n), (alg.generators, n)
+            if dim is None:
+                dim = alg.dim(n)
+            want = free_gca_ranks(alg.degrees, n)[n] if n >= 0 else 0
+            assert dim == len(basis) == want, (alg.generators, n)
+
+
+def test_apply_derivation_matches_oracle():
+    rng = Random(20261)
+    for _ in range(CASES):
+        alg = random_algebra(rng)
+        deg = rng.randint(-3, 3)
+        images = {}
+        for name, d in alg.generators:
+            if d + deg >= 0 and rng.random() < 0.7:
+                images[name] = random_poly(rng, alg, d + deg)
+        D = Derivation(alg, deg, images)
+        for _ in range(3):
+            p = random_poly(rng, alg, rng.randint(0, 16))
+            truncation = rng.choice([None, rng.randint(0, 20)])
+            try:
+                want = oracle.apply_derivation(alg, D, p, truncation)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    alg.apply_derivation(D, p, truncation)
+                continue
+            got = alg.apply_derivation(D, p, truncation)
+            assert list(got.terms.items()) == list(want.terms.items()), \
+                (alg.generators, deg, images, p)
+
+
+def test_dim_counts_without_enumerating(monkeypatch):
+    alg = FreeGCA([("g%d" % k, k % 7 + 1) for k in range(200)])
+    # degree 60 has about 1.5e28 monomials: enumerating them would never end
+    monkeypatch.setattr(alg, "degree_basis",
+                        lambda n: pytest.fail("dim enumerated"))
+    assert alg.dim(60) == free_gca_ranks(alg.degrees, 60)[60]
+    assert alg._basis_cache == {}

@@ -15,7 +15,8 @@ this one by rescaling generators.
 
 from fractions import Fraction
 
-from .gca import Cdga, Poly, FreeGCA, add_term
+from .gca import Cdga, CdgaMorphism, Poly, FreeGCA
+from .linalg import combine
 
 QONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -78,11 +79,11 @@ def ce_cochains(L, N, validate=True):
     for z in L.names:
         if z not in gen_of or deg[z] + 2 > N:
             continue
-        terms = {}
+        terms = []
         for x in L.names:
             c = L.differential.get(x, {}).get(z)
             if c and x in gen_of:
-                add_term(terms, ((carrier.index[gen_of[x]], 1),), -c)
+                terms.append(({((carrier.index[gen_of[x]], 1),): -c}, 1))
         for x, y, c in quadratic.get(z, ()):
             # a term of another degree can only come from unvalidated input;
             # deg[x], deg[y] < deg[z] <= N - 2 puts x and y in gen_of
@@ -91,9 +92,10 @@ def ce_cochains(L, N, validate=True):
             s, m = carrier.mul_monomials(((carrier.index[gen_of[x]], 1),),
                                          ((carrier.index[gen_of[y]], 1),))
             if s:
-                add_term(terms, m, HALF * (-1) ** (deg[x] + 1) * c * s)
-        if terms:
-            images[gen_of[z]] = Poly(terms)
+                terms.append(({m: HALF * c * s}, (-1) ** (deg[x] + 1)))
+        img = combine(terms)
+        if img:
+            images[gen_of[z]] = Poly(img)
     cdga = Cdga(gens, images, N)
     return CeResult(L, cdga, gen_of, basis_of)
 
@@ -104,17 +106,14 @@ def ce_of_morphism(phi, ce_source, ce_target):
     ce_source and ce_target are the CeResults for phi.source and phi.target.
     Contravariant: ce_of_morphism(psi o phi) = ce(phi) o ce(psi).
     """
-    from .gca import CdgaMorphism
-
     src_alg = ce_target.cdga   # C*(phi.target)
     tgt_alg = ce_source.cdga   # C*(phi.source)
     images = {}
     for vname in src_alg.names:
         y = ce_target.basis_of[vname]
-        img = Poly()
-        for x in phi.source.names:
-            c = phi.images[x].get(y)
-            if c and x in ce_source.gen_of:
-                img = img + tgt_alg.gen(ce_source.gen_of[x]).scale(c)
-        images[vname] = img
+        # one generator monomial per x, so the terms need no combining
+        images[vname] = Poly({((tgt_alg.index[ce_source.gen_of[x]], 1),):
+                              phi.images[x].get(y, 0)
+                              for x in phi.source.names
+                              if x in ce_source.gen_of})
     return CdgaMorphism(src_alg, tgt_alg, images)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 
-from .gca import Cdga, CheckReport
-from .linalg import EchelonSpan
+from .gca import CheckReport, Poly
+from .linalg import EchelonSpan, combine
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -35,33 +35,6 @@ class DglError(Exception):
 
 class ConnectivityError(DglError):
     """The tensor model produced an element of degree <= 0."""
-
-
-# -- linear combinations over named basis elements -----------------------
-
-def lc(pairs=None):
-    out = {}
-    if pairs:
-        for name, c in (pairs.items() if isinstance(pairs, dict) else pairs):
-            c = Fraction(c)
-            if c:
-                out[name] = out.get(name, QZERO) + c
-                if not out[name]:
-                    del out[name]
-    return out
-
-
-def _accumulate(out, terms):
-    """Add c * combo into out for each (combo, c) pair; zeros stay in out."""
-    for combo, c in terms:
-        for k, v in combo.items():
-            out[k] = out.get(k, QZERO) + c * v
-    return out
-
-
-def lc_combine(terms):
-    """sum of c * combo over the (combo, c) pairs, zeros dropped at the end."""
-    return {k: v for k, v in _accumulate({}, terms).items() if v}
 
 
 class Dgl:
@@ -89,13 +62,13 @@ class Dgl:
             self._check_names(a, b)
             if self.degree_of[a] + self.degree_of[b] > self.truncation:
                 raise ValueError("stored bracket [%s,%s] above truncation" % (a, b))
-            combo = lc(combo)
+            combo = combine(((combo, 1),))
             if combo:
                 self.brackets[(a, b)] = combo
         self.differential = {}
         for x, combo in differential.items():
             self._check_names(x)
-            combo = lc(combo)
+            combo = combine(((combo, 1),))
             if combo:
                 self.differential[x] = combo
         # two-sided bracket table name -> {name: combo}, each row in basis
@@ -141,12 +114,12 @@ class Dgl:
         return dict(self._entry(a, b))
 
     def bracket_lin(self, ca, cb):
-        return lc_combine((self._entry(a, b), va * vb)
-                          for a, va in ca.items() for b, vb in cb.items())
+        return combine((self._entry(a, b), va * vb)
+                       for a, va in ca.items() for b, vb in cb.items())
 
     def d_lin(self, c):
-        return lc_combine((self.differential.get(x, EMPTY), v)
-                          for x, v in c.items())
+        return combine((self.differential.get(x, EMPTY), v)
+                       for x, v in c.items())
 
     # -- validation -------------------------------------------------------
 
@@ -190,8 +163,7 @@ class Dgl:
                         % (a, b, a, b, b, a))
         for x in names:
             dx = diff.get(x)
-            if dx and any(_accumulate({}, ((diff.get(y, EMPTY), v)
-                                           for y, v in dx.items())).values()):
+            if dx and combine((diff.get(y, EMPTY), v) for y, v in dx.items()):
                 return CheckReport.violation("d-squared", "d^2(%s) != 0" % x)
         for a in names:
             da, row_a, d_a = deg[a], table[a], diff.get(a, EMPTY)
@@ -203,11 +175,10 @@ class Dgl:
                 if not (ab or d_a or d_b):
                     continue
                 # d[a,b] - [da,b] - (-1)^|a| [a,db]
-                acc = _accumulate({}, chain(
-                    ((diff.get(u, EMPTY), c) for u, c in ab.items()),
-                    ((table[x].get(b, EMPTY), -v) for x, v in d_a.items()),
-                    ((row_a.get(y, EMPTY), s * v) for y, v in d_b.items())))
-                if any(acc.values()):
+                if combine(chain(
+                        ((diff.get(u, EMPTY), c) for u, c in ab.items()),
+                        ((table[x].get(b, EMPTY), -v) for x, v in d_a.items()),
+                        ((row_a.get(y, EMPTY), s * v) for y, v in d_b.items()))):
                     return CheckReport.violation(
                         "leibniz", "d[%s,%s] != [d%s,%s] + (-1)^|%s| [%s,d%s]"
                         % (a, b, a, b, a, a, b))
@@ -227,7 +198,8 @@ class Dgl:
                     if not (ab or bc or ac):
                         continue
                     # [a,[b,c]] - [[a,b],c] - (-1)^(|a||b|) [b,[a,c]], with
-                    # the loops written out: this is the O(n^3) part
+                    # the loop of linalg.combine written out: this is the
+                    # O(n^3) part
                     acc = {}
                     for w, v in bc.items():
                         for z, x in row_a.get(w, EMPTY).items():
@@ -250,15 +222,16 @@ def validate_dgl(L):
 
 
 class BasisMorphism:
-    """Linear map given by images (lc combinations) of basis elements."""
+    """Linear map given by images (sparse combinations) of basis elements."""
 
     def __init__(self, source, target, images):
         self.source = source
         self.target = target
-        self.images = {x: lc(images.get(x, {})) for x in source.names}
+        self.images = {x: combine(((images.get(x, EMPTY), 1),))
+                       for x in source.names}
 
     def apply(self, combo):
-        return lc_combine((self.images[x], v) for x, v in combo.items())
+        return combine((self.images[x], v) for x, v in combo.items())
 
     def compose(self, inner):
         """self o inner (inner applied first), of the same kind as self."""
@@ -334,13 +307,13 @@ class FiniteCdga:
         self.top_degree = max(self.degree_of.values())
         self.mult = {}
         for (a, b), combo in mult.items():
-            combo = lc(combo)
+            combo = combine(((combo, 1),))
             if combo:
                 self.mult[(a, b)] = combo
         self.diff = {}
         if diff:
             for a, combo in diff.items():
-                combo = lc(combo)
+                combo = combine(((combo, 1),))
                 if combo:
                     self.diff[a] = combo
 
@@ -352,14 +325,14 @@ class FiniteCdga:
         return dict(self.mult.get((a, b), {}))
 
     def product_lin(self, ca, cb):
-        return lc_combine((self.product(a, b), va * vb)
-                          for a, va in ca.items() for b, vb in cb.items())
+        return combine((self.product(a, b), va * vb)
+                       for a, va in ca.items() for b, vb in cb.items())
 
     def d(self, a):
         return dict(self.diff.get(a, {}))
 
     def d_lin(self, c):
-        return lc_combine((self.diff.get(a, EMPTY), v) for a, v in c.items())
+        return combine((self.diff.get(a, EMPTY), v) for a, v in c.items())
 
     def augmentation(self, a):
         return QONE if a == self.unit else QZERO
@@ -382,7 +355,7 @@ class FiniteCdga:
                             "top-degree", "%s*%s nonzero above top degree" % (a, b))
                     continue
                 sign = 1 if (deg[a] * deg[b]) % 2 == 0 else -1
-                if self.product(a, b) != lc_combine([(self.product(b, a), sign)]):
+                if self.product(a, b) != combine([(self.product(b, a), sign)]):
                     return CheckReport.violation(
                         "commutativity", "%s*%s != (-1)^(|%s||%s|) %s*%s"
                         % (a, b, a, b, b, a))
@@ -410,9 +383,9 @@ class FiniteCdga:
                 if deg[a] + deg[b] + 1 > self.top_degree:
                     continue
                 lhs = self.d_lin(self.product(a, b))
-                rhs = lc_combine([(self.product_lin(self.d(a), {b: QONE}), 1),
-                                  (self.product_lin({a: QONE}, self.d(b)),
-                                   (-1) ** deg[a])])
+                rhs = combine([(self.product_lin(self.d(a), {b: QONE}), 1),
+                               (self.product_lin({a: QONE}, self.d(b)),
+                                (-1) ** deg[a])])
                 if lhs != rhs:
                     return CheckReport.violation(
                         "leibniz", "d(%s*%s) fails Leibniz" % (a, b))
@@ -451,7 +424,6 @@ class FiniteCdga:
         basis = [(mono_name[m], cdga.monomial_degree(m)) for m in monos]
         mult = {}
         diff = {}
-        from .gca import Poly
         for m1 in monos:
             for m2 in monos:
                 s, m = cdga.mul_monomials(m1, m2)
@@ -496,32 +468,13 @@ class FiniteCdgaMorphism(BasisMorphism):
 
 # -- free graded Lie algebras inside the tensor algebra -------------------
 
-def _tensor_concat(e1, e2):
-    out = {}
-    for w1, c1 in e1.items():
-        for w2, c2 in e2.items():
-            w = w1 + w2
-            s = out.get(w, QZERO) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
 def tensor_commutator(e1, d1, e2, d2):
     """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra."""
     sign = -1 if (d1 * d2) % 2 == 0 else 1
-    left = _tensor_concat(e1, e2)
-    right = _tensor_concat(e2, e1)
-    out = dict(left)
-    for w, c in right.items():
-        s = out.get(w, QZERO) + sign * c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
+    return combine(chain(
+        (({w1 + w2: c2 for w2, c2 in e2.items()}, c1) for w1, c1 in e1.items()),
+        (({w2 + w1: c1 for w1, c1 in e1.items()}, sign * c2)
+         for w2, c2 in e2.items())))
 
 
 def _tensor_coordinates(reps, names_by_degree):
@@ -686,10 +639,11 @@ def free_lie_differential(L, generator_images):
     letter_image = {}
     for gname, combo in generator_images.items():
         word = next(iter(reps[gname]))
-        letter_image[word[0]] = {w: c * v for n2, v in lc(combo).items()
-                                 for w, c in reps[n2].items()}
+        letter_image[word[0]] = combine((reps[n2], v)
+                                        for n2, v in combo.items())
 
     def d_tensor(elt):
+        # the loop of linalg.combine, written out: one term per image term
         out = {}
         for word, coeff in elt.items():
             prefix_deg = 0
@@ -699,13 +653,9 @@ def free_lie_differential(L, generator_images):
                     sign = -1 if prefix_deg % 2 else 1
                     for w, c in img.items():
                         key = word[:i] + w + word[i + 1:]
-                        s = out.get(key, QZERO) + sign * coeff * c
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
+                        out[key] = out.get(key, QZERO) + sign * coeff * c
                 prefix_deg += L.degree_of[gen_letter[letter]]
-        return out
+        return {k: c for k, c in out.items() if c}
 
     names_by_degree = {}
     for n in L.names:
@@ -800,16 +750,16 @@ def tensor_map_model(A, L):
             if not prod:
                 continue
             sign = (-1) ** (A.degree_of[a2] * L.degree_of[x])
-            combo = lc_combine([(embed(prod, lie), sign)])
+            combo = combine([(embed(prod, lie), sign)])
             if combo:
                 brackets[(nm1, nm2)] = combo
 
     differential = {}
     for nm, d in basis:
         a, x = fact[nm]
-        img = lc_combine([(embed(A.d(a), {x: QONE}), 1),
-                          (embed({a: QONE}, L.differential.get(x, {})),
-                           (-1) ** A.degree_of[a])])
+        img = combine([(embed(A.d(a), {x: QONE}), 1),
+                       (embed({a: QONE}, L.differential.get(x, {})),
+                        (-1) ** A.degree_of[a])])
         if img:
             differential[nm] = img
 

@@ -18,15 +18,14 @@ search into a verdict.
 
 from fractions import Fraction
 
-from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
+from .gca import Cdga, CdgaMorphism, Derivation, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
-from .linalg import EchelonSpan, kernel_basis
+from .linalg import EchelonSpan, combine, homology, kernel_basis
 from .mapmodel import (suspension_model, bar_name, check_hypotheses,
                        reduce_to_odd_sphere, SplitError)
 from .cefunctor import ce_cochains
 from .dgl import tensor_map_model
 
-QZERO = Fraction(0)
 QONE = Fraction(1)
 
 FORMAL = "formal"
@@ -159,10 +158,6 @@ class KoszulCert:
             raise ValueError("model is not of Koszul shape")
         self.even_gens, self.odd_closed, self.odd_sequence = shape
 
-    @property
-    def sequence_polys(self):
-        return [self.model.differential.images[g] for g in self.odd_sequence]
-
     def replay(self):
         verdict = koszul_formality(self.model, self.bound)
         return verdict.is_formal
@@ -261,10 +256,8 @@ def regular_sequence_check(algebra, seq, N):
             mat = ring.multiplication_matrix(f, k)
             ker = kernel_basis(mat)
             if ker:
-                bad = Poly()
-                for m, c in zip(ring.basis_monomials(k), ker[0]):
-                    if c:
-                        bad = bad + Poly({m: c})
+                basis = ring.basis_monomials(k)
+                bad = Poly({basis[j]: c for j, c in ker[0].items()})
                 return False, RegularSequenceWitness(i, k, bad)
     return True, None
 
@@ -300,11 +293,9 @@ def koszul_shape(A):
 
 
 def _restrict_poly(p, src, dst):
-    out = Poly()
-    for m, c in p.items():
-        word = [(src.names[i], e) for i, e in m]
-        out = out + dst.monomial_of_word(word).scale(c)
-    return out
+    return Poly(combine(
+        (dst.monomial_of_word([(src.names[i], e) for i, e in m]).terms, c)
+        for m, c in p.items()))
 
 
 def koszul_sequence(A):
@@ -393,17 +384,27 @@ class BigradedModel:
 
     lower maps generators to their resolution degree; rho_images maps the
     lower-degree-0 generators to ring elements (everything else goes to 0).
+    Given as None, each lower-degree-0 generator goes to its own class in
+    ring, read off the first time rho_images is asked for.
     """
 
     def __init__(self, cdga, lower, rho_images, ring, p=None, base=None,
                  barred_names=()):
         self.cdga = cdga
         self.lower = dict(lower)
-        self.rho_images = dict(rho_images)
+        self._rho_images = None if rho_images is None else dict(rho_images)
         self.ring = ring
         self.p = p
         self.base = base
         self.barred_names = tuple(barred_names)
+
+    @property
+    def rho_images(self):
+        if self._rho_images is None:
+            alg = self.cdga
+            self._rho_images = {name: self.ring.poly_class(alg.gen(name))
+                                for name in alg.names if self.lower[name] == 0}
+        return self._rho_images
 
     def rho(self, ring=None):
         return RhoMorphism(self.cdga, ring or self.ring, self.rho_images)
@@ -453,7 +454,8 @@ class BigradedModel:
                 if sum(e for _, e in m) < 2:
                     return CheckReport.violation(
                         "minimality", "d(%s) has a linear term" % name)
-            if self.rho_images.get(name):
+            # images read off on demand sit on lower degree 0 only
+            if self._rho_images is not None and self._rho_images.get(name):
                 return CheckReport.violation(
                     "rho", "rho does not vanish on %s in positive lower degree" % name)
         return CheckReport.good()
@@ -493,34 +495,30 @@ def bigraded_model(H, N):
         def weight(m):
             return sum(lower[cur.names[i]] * e for i, e in m)
 
-        def slot_reps(n_, k):
-            """Representative vectors of the slot-(n_, k) cohomology."""
-            basis_n = [m for m in cur.degree_basis(n_) if weight(m) == k]
-            if not basis_n:
-                return [], basis_n
-            tgt = [m for m in cur.degree_basis(n_ + 1) if weight(m) == k - 1]
-            tpos = {m: i for i, m in enumerate(tgt)}
-            ker = kernel_basis([{tpos[mm]: c for mm, c in
-                                 cur.d(Poly({m: QONE})).items()}
-                                for m in basis_n])
-            span = EchelonSpan(len(basis_n))
-            prev = [m for m in cur.degree_basis(n_ - 1) if weight(m) == k + 1]
-            npos = {m: i for i, m in enumerate(basis_n)}
-            for m in prev:
-                img = cur.d(Poly({m: QONE}))
-                span.add({npos[mm]: c for mm, c in img.items()})
-            reps = [v for v in ker if span.add(v)]
-            return reps, basis_n
+        def slot(deg, k):
+            return [m for m in cur.degree_basis(deg) if weight(m) == k]
 
-        def slot_poly(v, basis_n):
-            return Poly({m: c for m, c in zip(basis_n, v) if c})
+        def d_columns(source, target):
+            pos = {m: i for i, m in enumerate(target)}
+            return [{pos[mm]: c for mm, c in cur.d(Poly({m: QONE})).items()}
+                    for m in source]
+
+        def slot_reps(k):
+            """Representatives of the slot-(n, k) cohomology, as Polys."""
+            basis = slot(n, k)
+            if not basis:
+                return []
+            vecs, _ = homology(d_columns(basis, slot(n + 1, k - 1)),
+                               d_columns(slot(n - 1, k + 1), basis),
+                               len(basis))
+            return [Poly({basis[i]: c for i, c in v.items()}) for v in vecs]
 
         # surjectivity: new lower-0 generators hit a basis of coker(rho*)
-        reps0, basis0 = slot_reps(n, 0)
+        reps0 = slot_reps(0)
         rho = RhoMorphism(cur, H, rho_images)
         span = EchelonSpan(H.rank(n))
-        for v in reps0:
-            span.add(rho.apply_poly(slot_poly(v, basis0), degree=n).coords)
+        for rep in reps0:
+            span.add(rho.apply_poly(rep, degree=n).coords)
         for e in H.basis_elements(n):
             if span.add(e.coords):
                 name = fresh(n)
@@ -534,23 +532,15 @@ def bigraded_model(H, N):
         max_k = max((lower[g] for g, _ in gens), default=0) + 1
         killers = []
         for k in range(0, max_k + 1):
-            reps, basis_n = slot_reps(n, k)
-            if not reps:
-                continue
-            if k == 0:
-                combos = kernel_basis(
-                    [rho.apply_poly(slot_poly(v, basis_n), degree=n).coords
-                     for v in reps])
-            else:
-                combos = [[QONE if i == j else QZERO for i in range(len(reps))]
-                          for j in range(len(reps))]
-            for combo in combos:
-                c = Poly()
-                for coeff, v in zip(combo, reps):
-                    if coeff:
-                        c = c + slot_poly(v, basis_n).scale(coeff)
-                if c:
-                    killers.append((k + 1, c))
+            reps = slot_reps(k)
+            if k == 0 and reps:
+                # in slot 0 only the classes in the kernel of rho* are killed
+                combos = kernel_basis([rho.apply_poly(rep, degree=n).coords
+                                       for rep in reps])
+                reps = [Poly(combine((reps[j].terms, c)
+                                     for j, c in combo.items()))
+                        for combo in combos]
+            killers.extend((k + 1, rep) for rep in reps)
         for klower, c in killers:
             name = fresh(n - 1)
             gens.append((name, n - 1))
@@ -585,11 +575,7 @@ def build_barred_model(B, p):
     for name in B.cdga.names:
         lower[bar_name(name)] = B.lower[name]
     ring = ModelCohomology(alg, alg.truncation - 1)
-    rho_images = {}
-    for name in alg.names:
-        if lower[name] == 0:
-            rho_images[name] = ring.poly_class(alg.gen(name))
-    return BigradedModel(alg, lower, rho_images, ring, p=int(p), base=B,
+    return BigradedModel(alg, lower, None, ring, p=int(p), base=B,
                          barred_names=[bar_name(n) for n in B.cdga.names])
 
 
@@ -599,7 +585,6 @@ def verify_barred_structure(barred, base):
     if not rep:
         return rep
     sign = (-1) ** barred.p
-    from .gca import Derivation
     S = Derivation(alg, -barred.p,
                    {n: alg.gen(bar_name(n)) for n in base.cdga.names})
     for name in base.cdga.names:
@@ -752,9 +737,8 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
             for _ in range(random_combos):
                 poly = Poly()
                 while not poly:
-                    poly = Poly()
-                    for g in gs:
-                        poly = poly + alg.gen(g).scale(rng.randint(-2, 2))
+                    poly = Poly(combine((alg.gen(g).terms, rng.randint(-2, 2))
+                                        for g in gs))
                 entries.append(scan_element(
                     "random(%s)" % alg.poly_str(poly), poly, degw))
     return entries

@@ -13,7 +13,7 @@ generators scanned per branch, and ``dim`` counts without enumerating.
 
 from fractions import Fraction
 
-from .linalg import EchelonSpan, kernel_basis
+from .linalg import combine, homology
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -26,7 +26,12 @@ class TruncationError(Exception):
 
 
 class Poly:
-    """Q-linear combination of monomials; zero coefficients are never stored."""
+    """Q-linear combination of monomials.
+
+    ``terms`` is the sparse vector of ``rht.linalg``, keyed by monomial:
+    ``{monomial: Fraction}`` with zero coefficients never stored.  Sums and
+    multiples go through ``linalg.combine``.
+    """
 
     __slots__ = ("terms",)
 
@@ -40,8 +45,11 @@ class Poly:
                     self.terms[m] = c
 
     @classmethod
-    def zero(cls):
-        return cls()
+    def _of(cls, terms):
+        """The Poly over terms already in canonical form."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def unit(cls, coeff=QONE):
@@ -58,30 +66,16 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, QZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Poly()
-        p.terms = out
-        return p
+        return Poly._of(combine(((self.terms, 1), (other.terms, 1))))
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return Poly._of(combine(((self.terms, 1), (other.terms, -1))))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Poly()
-        p = Poly()
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
+        return Poly._of(combine(((self.terms, Fraction(c)),)))
 
     def coeff(self, monomial):
         return self.terms.get(monomial, QZERO)
@@ -94,14 +88,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % (self.terms,)
-
-
-def add_term(termdict, monomial, coeff):
-    s = termdict.get(monomial, QZERO) + coeff
-    if s:
-        termdict[monomial] = s
-    else:
-        termdict.pop(monomial, None)
 
 
 class FreeGCA:
@@ -212,15 +198,15 @@ class FreeGCA:
         return sign, tuple(sorted(merged.items()))
 
     def multiply(self, p, q):
+        # the loop of linalg.combine, written out: one term per pair
         out = {}
         for m1, c1 in p.items():
             for m2, c2 in q.items():
                 s, m = self.mul_monomials(m1, m2)
                 if s:
-                    add_term(out, m, c1 * c2 if s > 0 else -(c1 * c2))
-        res = Poly()
-        res.terms = out
-        return res
+                    out[m] = out.get(m, QZERO) + (c1 * c2 if s > 0
+                                                  else -(c1 * c2))
+        return Poly._of({m: c for m, c in out.items() if c})
 
     def power(self, p, k):
         res = Poly.unit()
@@ -284,10 +270,6 @@ class FreeGCA:
         """Number of monomials of degree n, read from the count table."""
         return self._counts(n)[0][n] if n >= 0 else 0
 
-    def vector_to_poly(self, vec, n):
-        basis = self.degree_basis(n)
-        return Poly({m: c for m, c in zip(basis, vec) if c})
-
     # -- derivations ----------------------------------------------------
 
     def apply_derivation(self, deriv, p, truncation=None):
@@ -299,6 +281,7 @@ class FreeGCA:
         an odd letter has e = 1.  If truncation is given, any output term
         above it raises TruncationError instead of being dropped.
         """
+        # the loop of linalg.combine, written out: one term per image term
         out = {}
         ddeg = deriv.degree
         for m, c in p.items():
@@ -315,16 +298,16 @@ class FreeGCA:
                             s, mm = self.mul_monomials(left, rest)
                             if s:
                                 t = coeff * ci
-                                add_term(out, mm, t if s == s1 else -t)
+                                out[mm] = out.get(mm, QZERO) + (
+                                    t if s == s1 else -t)
                 prefix_deg += e * self.degrees[i]
+        out = {m: c for m, c in out.items() if c}
         if truncation is not None:
             for m in out:
                 if self.monomial_degree(m) > truncation:
                     raise TruncationError(
                         "derivation output exceeds truncation %d" % truncation)
-        res = Poly()
-        res.terms = out
-        return res
+        return Poly._of(out)
 
     # -- printing --------------------------------------------------------
 
@@ -505,25 +488,12 @@ class Cdga(FreeGCA):
                 "cohomology in degree %d needs truncation >= %d" % (n, n + 1))
         if n in self._cohomology_cache:
             return self._cohomology_cache[n]
-        cocycles = kernel_basis(self.d_columns(n))
-        dim = self.dim(n)
-        # Column dim + k tags the k-th representative, which is added as
-        # v + e_{dim+k}; coboundaries carry no tag.  Every row of the span is
-        # then a cocycle followed by the combination of representatives it
-        # equals modulo coboundaries, so the tag columns of a residue give
-        # class coordinates (see class_coordinates).
-        span = EchelonSpan(dim + len(cocycles))
-        if n >= 1:
-            for col in self.d_columns(n - 1):
-                if col:
-                    span.add(col)
-        reps = []
-        for v in cocycles:
-            tagged = {i: c for i, c in enumerate(v) if c}
-            if min(span.residue(tagged), default=dim) < dim:
-                tagged[dim + len(reps)] = QONE
-                span.add(tagged)
-                reps.append(self.vector_to_poly(v, n))
+        # the tagged span reads class coordinates (see class_coordinates)
+        vecs, span = homology(self.d_columns(n),
+                              self.d_columns(n - 1) if n >= 1 else (),
+                              self.dim(n))
+        basis = self.degree_basis(n)
+        reps = [Poly._of({basis[i]: c for i, c in v.items()}) for v in vecs]
         result = (len(reps), reps)
         self._cohomology_cache[n] = result
         self._class_basis_cache[n] = span
@@ -565,9 +535,9 @@ class CdgaMorphism:
             self.images[name] = img
 
     def apply(self, p):
-        out = Poly()
+        terms = []
         for m, c in p.items():
-            term = Poly.unit(c)
+            term = Poly.unit()
             for i, e in m:
                 img = self.images[self.source.names[i]]
                 for _ in range(e):
@@ -576,8 +546,8 @@ class CdgaMorphism:
                         break
                 if not term:
                     break
-            out = out + term
-        return out
+            terms.append((term.terms, c))
+        return Poly._of(combine(terms))
 
     def check(self):
         """Degree preservation and phi d = d phi on generators (to truncation)."""

@@ -1,13 +1,19 @@
 """Exact linear algebra over the rationals.
 
-One vector shape crosses module boundaries: a sparse column
-``{index: Fraction}`` whose zero entries are never stored.  A matrix is a
-list of such columns, one per source basis element; a ring element's
-coordinates are one such column.  Two names are public:
+One vector shape crosses module boundaries: a sparse vector
+``{key: Fraction}`` whose zero entries are never stored.  Keyed by index it
+is a sparse column; a matrix is a list of such columns, one per source basis
+element, and a ring element's coordinates are one such column.  Keyed by
+monomial or basis name it is a polynomial or a linear combination.  Four
+names are public:
 
+  * ``combine(pairs)``, the sum of c * v over (v, c) pairs, the one way
+    sparse vectors are added;
   * ``EchelonSpan``, the one elimination kernel: a growing subspace, with
     membership, residues modulo the span and its rank;
-  * ``kernel_basis(columns)``, the kernel of a matrix given by its columns.
+  * ``kernel_basis(columns)``, the kernel of a matrix given by its columns;
+  * ``homology(d_out, d_in, dim)``, representatives of ker / im at one
+    degree of a graded complex, and the tagged span that reads classes.
 
 Inside the kernel a row is a sparse ``{column: int}`` dict: an input vector
 is scaled once by the lcm of its denominators and kept primitive (divided by
@@ -21,28 +27,42 @@ pivot, the pivot of a row being its first nonzero column.  That makes the
 outputs canonical.  The reduced row-echelon basis of a span, the echelon
 basis of a kernel, the rank and the residue of a vector modulo a span are
 all determined by the input alone, never by the order in which rows were
-eliminated, so they are deterministic and safe to freeze in tests.
+eliminated, so they are deterministic and safe to freeze in tests.  Basis
+rows and kernel vectors are handed out with their entries in ascending
+index.
 
 Coordinates of a vector over independent vectors v_1..v_k are read from a
 tagged span: add each v_j with a 1 appended in an extra column j, take the
-residue of the vector, and negate its tag entries (see
+residue of the vector, and negate its tag entries (see ``homology`` and
 ``gca.Cdga.class_coordinates``).
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = ["EchelonSpan", "kernel_basis"]
+__all__ = ["EchelonSpan", "combine", "homology", "kernel_basis"]
 
 QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
-def _int_row(pairs):
+def combine(pairs):
+    """The sum of c * v over the (v, c) pairs, each v a sparse vector
+    ``{key: value}``: a new dict of ``Fraction``s, keys in order of first
+    appearance, with the zeros dropped once at the end."""
+    out = {}
+    for v, c in pairs:
+        for k, x in v.items():
+            out[k] = out.get(k, QZERO) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _int_row(vec):
     """(row, den) with row an integer ``{col: int}`` dict and row[c] / den
-    the value at c, for the nonzero values among the (col, value) pairs."""
+    the value at c, for the nonzero values of the sparse vector vec."""
     vals = []
     den = 1
-    for c, x in pairs:
+    for c, x in vec.items():
         if x:
             if not isinstance(x, (int, Fraction)):
                 x = Fraction(x)
@@ -68,10 +88,10 @@ def _primitive(row, lead):
 class EchelonSpan:
     """A subspace of Q^dim, kept as a fully reduced echelon basis.
 
-    Vectors passed in are sparse columns (mappings from index to value) or
-    sequences of length ``dim``; entries may be ints or Fractions.  Internally
-    each basis row is a primitive integer ``{col: int}`` dict keyed by its
-    pivot column (see the module docstring).
+    Vectors passed in are sparse columns ``{index: value}`` with indices in
+    0..dim-1; entries may be ints or Fractions.  Internally each basis row is
+    a primitive integer ``{col: int}`` dict keyed by its pivot column (see
+    the module docstring).
     """
 
     def __init__(self, dim):
@@ -79,15 +99,10 @@ class EchelonSpan:
         self._rows = {}
 
     def _row(self, vec):
-        """Validated integer form (row, den) of an input vector."""
-        if isinstance(vec, dict):
-            if any(not 0 <= c < self.dim for c in vec):
-                raise ValueError("column outside 0..%d" % (self.dim - 1))
-            return _int_row(vec.items())
-        if len(vec) != self.dim:
-            raise ValueError("vector of length %d in a span of dimension %d"
-                             % (len(vec), self.dim))
-        return _int_row(enumerate(vec))
+        """Validated integer form (row, den) of an input column."""
+        if any(not 0 <= c < self.dim for c in vec):
+            raise ValueError("column outside 0..%d" % (self.dim - 1))
+        return _int_row(vec)
 
     def _reduce(self, row):
         """(w, scale): w = scale * (row - a combination of basis rows), w
@@ -132,15 +147,6 @@ class EchelonSpan:
         rows[q] = w
         return True
 
-    def _dense(self, p):
-        """Basis row with pivot p as a dense Fraction list, pivot 1."""
-        r = self._rows[p]
-        lead = r[p]
-        out = [QZERO] * self.dim
-        for c, x in r.items():
-            out[c] = Fraction(x, lead)
-        return out
-
     def add(self, vec):
         """Insert vec; returns True if it enlarged the span."""
         return self._insert(self._row(vec)[0])
@@ -162,18 +168,22 @@ class EchelonSpan:
 
     @property
     def rows(self):
-        """The reduced row-echelon basis, as dense Fraction rows by pivot."""
-        return [self._dense(p) for p in self.pivots]
+        """The reduced row-echelon basis by pivot, as sparse Fraction columns
+        in ascending index, each 1 at its pivot."""
+        out = []
+        for p in self.pivots:
+            r = self._rows[p]
+            lead = r[p]
+            out.append({c: Fraction(r[c], lead) for c in sorted(r)})
+        return out
 
     def rank(self):
         return len(self._rows)
 
 
-
-
 def kernel_basis(columns):
-    """Basis of {x : sum_j x_j columns[j] = 0}, as dense Fraction vectors of
-    length len(columns); each column is a sparse {row: value} dict.
+    """Basis of {x : sum_j x_j columns[j] = 0}, as sparse Fraction columns
+    {j: x_j} in ascending j; each input column is a sparse {row: value} dict.
 
     The matrix is eliminated row by row, in increasing row index.  The basis
     is put in reduced row-echelon form, so it is deterministic and has size
@@ -186,7 +196,7 @@ def kernel_basis(columns):
             by_row.setdefault(i, {})[j] = v
     span = EchelonSpan(ncols)
     for i in sorted(by_row):
-        span._insert(_int_row(by_row[i].items())[0])
+        span._insert(_int_row(by_row[i])[0])
     rows = span._rows
     # free column f gives e_f - sum over pivots p of (r_p[f] / lead_p) e_p
     hits = {}
@@ -205,3 +215,30 @@ def kernel_basis(columns):
             v[p] = -rows[p][f] * (scale // rows[p][p])
         ker._insert(v)
     return ker.rows
+
+
+def homology(d_out, d_in, dim):
+    """(representatives, tagged span) of ker d_out / im d_in at one degree
+    of a graded complex, C^n of dimension dim.
+
+    d_out holds the columns of d out of C^n, one per basis element; d_in
+    holds the columns of d into C^n, sparse over its dim indices.  The
+    representatives are the kernel_basis vectors of d_out that are
+    independent of the boundaries and of the representatives chosen before
+    them, so they are canonical.  In the span, column dim + k tags the k-th
+    representative, added as v + e_{dim+k}; boundaries carry no tag.  Every
+    row of the span is then a cocycle followed by the combination of
+    representatives it equals modulo boundaries, so minus the tag entries of
+    a cocycle's residue are its class coordinates.
+    """
+    cocycles = kernel_basis(d_out)
+    span = EchelonSpan(dim + len(cocycles))
+    for col in d_in:
+        if col:
+            span.add(col)
+    reps = []
+    for v in cocycles:
+        if min(span.residue(v), default=dim) < dim:
+            span.add({**v, dim + len(reps): QONE})
+            reps.append(v)
+    return reps, span

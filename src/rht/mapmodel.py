@@ -17,16 +17,12 @@ odd sphere) lives here as well.
 from fractions import Fraction
 
 from .gca import Cdga, Derivation, Poly, CheckReport, TruncationError
-from .dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
+from .dgl import (DglMorphism, FiniteCdga, FiniteCdgaMorphism,
                   tensor_map_model, tensor_name, restrict_dgl)
 from .cefunctor import ce_cochains, ce_of_morphism
-from .linalg import EchelonSpan
+from .linalg import homology
 
 QONE = Fraction(1)
-
-
-class HypothesisError(Exception):
-    pass
 
 
 class SplitError(Exception):
@@ -87,15 +83,13 @@ class HypothesisReport:
 
 
 def finite_cohomology_rank(A, n):
-    """H^n of a finite-dimensional model, straight from its tables:
-    dim C^n - rank(d out of C^n) - rank(d into C^n)."""
-    def d_rank(k):
+    """Rank of H^n of a finite-dimensional model, straight from its tables."""
+    def d_columns(k):
         pos = {z: i for i, z in enumerate(A.basis_in_degree(k + 1))}
-        span = EchelonSpan(len(pos))
-        return sum(span.add({pos[z]: c for z, c in A.d(x).items()})
-                   for x in A.basis_in_degree(k))
-    prev = d_rank(n - 1) if n >= 1 else 0
-    return len(A.basis_in_degree(n)) - d_rank(n) - prev
+        return [{pos[z]: c for z, c in A.d(x).items()}
+                for x in A.basis_in_degree(k)]
+    return len(homology(d_columns(n), d_columns(n - 1),
+                        len(A.basis_in_degree(n)))[0])
 
 
 def check_hypotheses(prob):

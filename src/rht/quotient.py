@@ -18,7 +18,7 @@ and in their ranks:
 from fractions import Fraction
 
 from .gca import Poly
-from .linalg import EchelonSpan
+from .linalg import EchelonSpan, combine
 
 QONE = Fraction(1)
 
@@ -161,10 +161,7 @@ class ModelCohomology(DegreewiseRing):
 
     def element_poly(self, e):
         reps = self.representatives(e.degree)
-        out = Poly()
-        for k, c in e.coords.items():
-            out = out + reps[k].scale(c)
-        return out
+        return Poly(combine((reps[k].terms, c) for k, c in e.coords.items()))
 
     def poly_class(self, p):
         """Class of a nonzero homogeneous cocycle as a RingElement."""

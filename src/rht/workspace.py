@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .gca import Cdga, Poly
 from .dgl import Dgl, FiniteCdga
+from .linalg import combine
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 SPHERE = re.compile(r"S(\d+)$")
@@ -91,7 +92,7 @@ def parse_polynomial(text, algebra, line):
     if text == "0":
         return Poly()
     chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
-    out = Poly()
+    terms = []
     for chunk in chunks:
         if not chunk:
             continue
@@ -125,15 +126,15 @@ def parse_polynomial(text, algebra, line):
             if base not in algebra.index:
                 raise WorkspaceError(line, "unknown generator %r" % base)
             word.append((base, e))
-        out = out + algebra.monomial_of_word(word).scale(coeff)
-    return out
+        terms.append((algebra.monomial_of_word(word).terms, coeff))
+    return Poly(combine(terms))
 
 
 def parse_lincomb(text, names, line):
     text = text.strip()
-    out = {}
+    terms = []
     if text == "0":
-        return out
+        return {}
     for chunk in re.split(r"(?=[+-])", text.replace(" ", "")):
         if not chunk:
             continue
@@ -159,10 +160,8 @@ def parse_lincomb(text, names, line):
             raise WorkspaceError(line, "missing basis element in combination")
         if name not in names:
             raise WorkspaceError(line, "unknown basis element %r" % name)
-        out[name] = out.get(name, Fraction(0)) + coeff
-        if not out[name]:
-            del out[name]
-    return out
+        terms.append(({name: coeff}, 1))
+    return combine(terms)
 
 
 def _require_ident(tok, line, what="name"):

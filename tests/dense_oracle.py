@@ -4,7 +4,9 @@ fraction-free kernel, kept only as a test oracle.
 Rows are dense lists of ``Fraction``; pivots are taken column by column,
 left to right, first available row within a column.  Slow, but short
 enough to check by eye.  A matrix here is a list of dense rows;
-``columns`` transposes it into the sparse columns that ``rht`` takes.
+``columns`` transposes it into the sparse columns that ``rht`` takes, and
+``sparse`` turns one dense vector into the sparse shape ``rht`` takes and
+returns.
 """
 
 from fractions import Fraction
@@ -86,6 +88,12 @@ def solve(rows, b, ncols):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
+
+
+def sparse(vec):
+    """The sparse column {index: value} of a dense vector, in ascending
+    index."""
+    return {i: x for i, x in enumerate(vec) if x}
 
 
 def columns(rows, ncols):

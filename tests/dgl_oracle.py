@@ -11,18 +11,59 @@ give the same report and the same cochain images.
 ``free_lie_brackets`` and ``free_lie_differential_images`` read the bracket
 table and the differential of a ``free_lie`` output the way ``rht.dgl`` did
 before its tagged spans: one dense solve per bracket or image, against the
-basis tensors of the target degree.
+basis tensors of the target degree.  ``lc`` and ``tensor_commutator`` are
+the plain sums ``rht.dgl`` used before ``rht.linalg.combine``, kept here so
+the oracle shares no arithmetic with the code it checks.
 """
 
 from fractions import Fraction
 
 import dense_oracle
-from rht.dgl import lc, tensor_commutator
 from rht.gca import CheckReport, FreeGCA, Poly
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+def lc(pairs=None):
+    out = {}
+    if pairs:
+        for name, c in (pairs.items() if isinstance(pairs, dict) else pairs):
+            c = Fraction(c)
+            if c:
+                out[name] = out.get(name, QZERO) + c
+                if not out[name]:
+                    del out[name]
+    return out
+
+
+def _tensor_concat(e1, e2):
+    out = {}
+    for w1, c1 in e1.items():
+        for w2, c2 in e2.items():
+            w = w1 + w2
+            s = out.get(w, QZERO) + c1 * c2
+            if s:
+                out[w] = s
+            else:
+                out.pop(w, None)
+    return out
+
+
+def tensor_commutator(e1, d1, e2, d2):
+    """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra."""
+    sign = -1 if (d1 * d2) % 2 == 0 else 1
+    left = _tensor_concat(e1, e2)
+    right = _tensor_concat(e2, e1)
+    out = dict(left)
+    for w, c in right.items():
+        s = out.get(w, QZERO) + sign * c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
 
 
 def lc_add(a, b):

@@ -7,10 +7,13 @@ no monomial.  ``apply_derivation`` wraps the prefix and the rest of each
 monomial in ``Poly`` objects and calls ``multiply`` twice per exponent pair.
 Both are slow and obviously exhaustive; the tests require the library to give
 the same bases in the same order, and the same images with the same key
-order.
+order.  The images are summed here by a plain loop of the oracle's own:
+each term is added into one dict and the zeros are dropped once at the end,
+so a monomial keeps the place where it first appeared, the rule of every
+sum in ``rht``.
 """
 
-from rht.gca import QONE, Poly, TruncationError, add_term
+from rht.gca import QONE, QZERO, Poly, TruncationError
 
 
 def degree_basis(algebra, n):
@@ -55,8 +58,9 @@ def apply_derivation(algebra, deriv, p, truncation=None):
                 term = algebra.multiply(Poly({m[:k]: c * e * sign}), img)
                 for mm, cc in algebra.multiply(term,
                                                Poly({rest: QONE})).items():
-                    add_term(out, mm, cc)
+                    out[mm] = out.get(mm, QZERO) + cc
             prefix_deg += e * algebra.degrees[i]
+    out = {m: c for m, c in out.items() if c}
     if truncation is not None:
         for m in out:
             if algebra.monomial_degree(m) > truncation:

@@ -4,7 +4,8 @@ from itertools import product as iproduct
 import pytest
 
 from rht.dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
-                     free_lie, add_differential, tensor_map_model,
+                     free_lie, free_lie_differential, add_differential,
+                     tensor_map_model,
                      fibration_model, tensor_commutator, ConnectivityError,
                      validate_dgl, check_dgl_morphism)
 from rht.gca import Cdga
@@ -52,10 +53,7 @@ def oracle_free_lie_dims(degrees, upto):
         pos = {w: i for i, w in enumerate(words)}
         span = EchelonSpan(len(words))
         for e in es:
-            vec = [F(0)] * len(words)
-            for w, c in e.items():
-                vec[pos[w]] = c
-            span.add(vec)
+            span.add({pos[w]: c for w, c in e.items()})
         dims[d] = span.rank()
     return {d: r for d, r in dims.items() if r}
 
@@ -89,6 +87,19 @@ def test_free_lie_mixed_generators_matches_oracle():
         L = free_lie(gens, upto)
         assert L.dims() == oracle_free_lie_dims(degrees, upto), (degrees, upto)
         assert validate_dgl(L)
+
+
+def test_free_lie_differential_image_with_shared_words():
+    # d x is a sum of two basis brackets whose tensors share words, such as
+    # [a,[b,c]] and [b,[a,c]]: the tensor of d x must add their coefficients
+    L = free_lie([("a", 2), ("b", 2), ("c", 2), ("x", 7)], 7)
+    reps = L.tensor_reps
+    deg6 = L.basis_in_degree(6)
+    u, v = next((u, v) for i, u in enumerate(deg6) for v in deg6[i + 1:]
+                if set(reps[u]) & set(reps[v]))
+    M = free_lie_differential(L, {"x": {u: 1, v: -2}})
+    assert M.differential == {"x": {u: F(1), v: F(-2)}}
+    assert validate_dgl(M)
 
 
 def test_validate_abelian_and_antisymmetry_violation():

@@ -2,9 +2,9 @@ from fractions import Fraction
 from random import Random
 
 import rht
-from dense_oracle import columns, matvec
+from dense_oracle import columns, matvec, sparse
 from rht import linalg
-from rht.linalg import kernel_basis, EchelonSpan
+from rht.linalg import combine, kernel_basis, EchelonSpan
 from test_linalg_oracle import tagged_solve
 
 F = Fraction
@@ -39,12 +39,25 @@ def test_kernel_identity_empty():
 
 def test_kernel_zero_matrix_standard_vectors():
     ker = kernel_basis([{}, {}, {}])
-    assert ker == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert ker == [{0: F(1)}, {1: F(1)}, {2: F(1)}]
 
 
 def test_kernel_one_relation():
     ker = kernel_basis([{0: 1}, {0: 1}])
-    assert ker == [[F(1), F(-1)]]
+    assert ker == [{0: F(1), 1: F(-1)}]
+    assert all(type(x) is Fraction for x in ker[0].values())
+
+
+def test_combine_drops_cancelled_keys_once():
+    got = combine([({"a": 1, "b": F(1, 2)}, 2), ({"b": 1, "c": 3}, -1),
+                   ({"c": F(3)}, 1)])
+    assert got == {"a": F(2)}
+    assert all(type(x) is Fraction for x in got.values())
+    assert combine([]) == {}
+    assert combine([({"x": F(1, 3)}, 0)]) == {}
+    # a key that cancels and comes back keeps its first place
+    assert list(combine([({"x": 1}, 1), ({"y": 1}, 1), ({"x": 1}, -1),
+                         ({"x": 2}, 1)])) == ["x", "y"]
 
 
 def test_solve_identity_and_inconsistent():
@@ -88,7 +101,8 @@ def test_kernel_vectors_are_in_kernel():
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         a = _random_matrix(rng, m, n)
         for v in kernel_basis(columns(a, n)):
-            assert all(x == 0 for x in matvec(a, v))
+            dense = [v.get(j, F(0)) for j in range(n)]
+            assert all(x == 0 for x in matvec(a, dense))
 
 
 def test_solve_is_exact():
@@ -105,17 +119,18 @@ def test_solve_is_exact():
 
 def test_echelon_span_incremental():
     span = EchelonSpan(3)
-    assert span.add([F(1), F(2), F(0)])
-    assert not span.add([F(2), F(4), F(0)])
-    assert span.add([F(0), F(0), F(5)])
+    assert span.add(sparse([F(1), F(2), F(0)]))
+    assert not span.add(sparse([F(2), F(4), F(0)]))
+    assert span.add(sparse([F(0), F(0), F(5)]))
     assert span.rank() == 2
-    assert span.contains([F(3), F(6), F(-1)])
-    assert not span.contains([F(0), F(1), F(0)])
+    assert span.contains(sparse([F(3), F(6), F(-1)]))
+    assert not span.contains(sparse([F(0), F(1), F(0)]))
 
 
 def test_public_names_resolve():
     namespace = {}
     exec("from rht import *", namespace)
     assert all(namespace[name] is getattr(rht, name) for name in rht.__all__)
-    assert linalg.__all__ == ["EchelonSpan", "kernel_basis"]
+    assert linalg.__all__ == ["EchelonSpan", "combine", "homology",
+                              "kernel_basis"]
     assert all(hasattr(linalg, name) for name in linalg.__all__)

@@ -1,18 +1,27 @@
 """Self-contained text form of formality certificates.
 
-A certificate file embeds every model it mentions (workspace-format blocks),
-so replay needs nothing from the producing session: parse, rebuild, re-verify.
+A certificate file embeds every model it mentions as workspace-format
+blocks, so replay needs nothing from the producing session: parse, rebuild,
+re-verify.  The line grammar of those blocks belongs to ``rht.workspace``;
+this module reads the certificate's own fields and the framing of its
+morphism, inner and bigraded blocks, and every parse error names its file
+line.
 """
 
-from .gca import Cdga, CdgaMorphism, Poly
+from .gca import CdgaMorphism, Poly, TruncationError
 from .quotient import ModelCohomology
 from .formality import (FormalityVerdict, FreeCohomologyCert, KoszulCert,
                         TransferCert, BarObstructionCert, BigradedModel,
                         build_barred_model)
-from .workspace import (print_algebra, parse_text, parse_polynomial,
-                        WorkspaceError)
+from .workspace import (ALGEBRA_BODY, Lines, WorkspaceError,
+                        algebra_body_lines, assigned, parse_algebra_body,
+                        parse_int, parse_polynomial, print_algebra)
 
 HEADER = "rht-certificate"
+BIGRADED_BODY = ("generator", "d", "rho")
+# transfer certificates nest through their inner certificate; deeper
+# nesting is rejected before parsing recurses any further
+MAX_NESTING = 32
 
 
 class CertificateError(Exception):
@@ -60,17 +69,9 @@ def _print_morphism(phi, name, src_label, tgt_label):
 
 
 def _print_bigraded(B, y_model):
-    lines = ["bigraded base"]
-    alg = B.cdga
-    for gname in alg.names:
-        lines.append("generator %s degree %d lower %d"
-                     % (gname, alg.gen_degree(gname), B.lower[gname]))
-    for gname in alg.names:
-        img = alg.differential.images.get(gname)
-        if img:
-            lines.append("d %s = %s" % (gname, alg.poly_str(img)))
+    lines = ["bigraded base"] + algebra_body_lines(B.cdga, B.lower)
     ring = B.ring
-    for gname in alg.names:
+    for gname in B.cdga.names:
         e = B.rho_images.get(gname)
         if e is not None and not e.is_zero():
             rep = ring.element_poly(e)
@@ -79,162 +80,123 @@ def _print_bigraded(B, y_model):
     return "\n".join(lines)
 
 
-class _Cursor:
-    def __init__(self, lines):
-        self.lines = lines
-        self.at = 0
-
-    def peek(self):
-        while self.at < len(self.lines) and not self.lines[self.at].strip():
-            self.at += 1
-        return self.lines[self.at].strip() if self.at < len(self.lines) else None
-
-    def take(self):
-        line = self.peek()
-        if line is not None:
-            self.at += 1
-        return line
-
-
 def parse_certificate(text):
     """Rebuild a FormalityVerdict (with live certificate) from its text."""
-    cur = _Cursor(text.splitlines())
-    return _parse_verdict(cur)
+    lines = Lines(text)
+    verdict = _parse_verdict(lines, 0)
+    rest = lines.peek()
+    if rest is not None:
+        raise WorkspaceError(rest[0], "unexpected %r after the certificate"
+                             % rest[2])
+    return verdict
 
 
-def _parse_verdict(cur):
-    head = cur.take()
-    if head is None or not head.startswith(HEADER + " "):
-        raise CertificateError("missing %r header" % HEADER)
-    kind = head[len(HEADER) + 1:].strip()
-    vline = cur.take()
-    if vline is None or not vline.startswith("verdict "):
-        raise CertificateError("missing verdict line")
-    verdict = vline.split()[1]
-    bline = cur.take()
-    if bline is None or not bline.startswith("bound "):
-        raise CertificateError("missing bound line")
-    bound = int(bline.split()[1])
+def _field(lines, key, many=False):
+    """File line and value of the next line, which must read `key <value>`;
+    with many, it reads `key <value> ...` and the list of values comes back."""
+    i, tokens, line = lines.take("a %r line" % key)
+    if tokens[0] != key or (not many and len(tokens) != 2):
+        raise WorkspaceError(i, "expected a %r line, got %r" % (key, line))
+    return i, tokens[1:] if many else tokens[1]
+
+
+def _at(i, make, *args):
+    """make(*args), an error of it reported at file line i."""
+    try:
+        return make(*args)
+    except (ValueError, TruncationError) as exc:
+        raise WorkspaceError(i, str(exc))
+
+
+def _parse_verdict(lines, depth):
+    i, kind = _field(lines, HEADER)
+    if depth > MAX_NESTING:
+        raise WorkspaceError(i, "certificates nested deeper than %d"
+                             % MAX_NESTING)
+    _, verdict = _field(lines, "verdict")
+    j, bound = _field(lines, "bound")
+    bound = parse_int(bound, j, "bound")
 
     if kind == FreeCohomologyCert.kind:
-        gline = cur.take()
-        if gline is None or not gline.startswith("free-generators"):
-            raise CertificateError("missing free-generators line")
-        degrees = [int(x) for x in gline.split()[1:]]
-        model = _parse_algebra_block(cur, "model")
+        j, degrees = _field(lines, "free-generators", many=True)
+        degrees = [parse_int(d, j, "degree") for d in degrees]
+        _, model = _algebra(lines, "model")
         cert = FreeCohomologyCert(model, degrees, bound)
     elif kind == KoszulCert.kind:
-        model = _parse_algebra_block(cur, "model")
-        cert = KoszulCert(model, bound)
+        j, model = _algebra(lines, "model")
+        cert = _at(j, KoszulCert, model, bound)
     elif kind == TransferCert.kind:
-        retract = _parse_algebra_block(cur, "retract")
-        big = _parse_algebra_block(cur, "big")
-        f = _parse_morphism_block(cur, "f", retract, big)
-        g = _parse_morphism_block(cur, "g", big, retract)
-        if cur.take() != "inner-certificate":
-            raise CertificateError("missing inner-certificate")
-        inner = _parse_verdict(cur)
-        if cur.take() != "end-inner":
-            raise CertificateError("missing end-inner")
+        _, retract = _algebra(lines, "retract")
+        _, big = _algebra(lines, "big")
+        f = _morphism(lines, ("f", "retract", "big"), retract, big)
+        g = _morphism(lines, ("g", "big", "retract"), big, retract)
+        lines.expect("inner-certificate")
+        inner = _parse_verdict(lines, depth + 1)
+        lines.expect("end-inner")
         cert = TransferCert(f, g, inner)
     elif kind == BarObstructionCert.kind:
-        pline = cur.take()
-        if pline is None or not pline.startswith("p "):
-            raise CertificateError("missing p line")
-        p = int(pline.split()[1])
-        wline = cur.take()
-        if wline is None or not wline.startswith("witness "):
-            raise CertificateError("missing witness line")
-        witness = wline.split()[1]
-        y_model = _parse_algebra_block(cur, "target_model")
-        H = ModelCohomology(y_model, bound)
-        B = _parse_bigraded_block(cur, y_model, H, bound)
-        barred = build_barred_model(B, p)
+        j, p = _field(lines, "p")
+        p = parse_int(p, j, "p")
+        _, witness = _field(lines, "witness")
+        _, y_model = _algebra(lines, "target_model")
+        j, B = _bigraded(lines, y_model, ModelCohomology(y_model, bound),
+                         bound)
+        barred = _at(j, build_barred_model, B, p)
         cert = BarObstructionCert(y_model, B, barred, witness, bound)
     else:
-        raise CertificateError("unknown certificate kind %r" % kind)
+        raise WorkspaceError(i, "unknown certificate kind %r" % kind)
     return FormalityVerdict(verdict, bound, cert)
 
 
-def _parse_algebra_block(cur, label):
-    line = cur.take()
-    if line != "algebra %s" % label:
-        raise CertificateError("expected 'algebra %s', got %r" % (label, line))
-    body = ["algebra %s" % label]
-    while True:
-        nxt = cur.peek()
-        if nxt is None or nxt.split()[0] in ("algebra", "morphism", "bigraded",
-                                             "inner-certificate", "end-inner",
-                                             HEADER, "p", "witness",
-                                             "free-generators"):
-            break
-        body.append(cur.take())
-    try:
-        ws = parse_text("\n".join(body))
-    except WorkspaceError as exc:
-        raise CertificateError("bad embedded model: %s" % exc)
-    return ws.algebras[label]
+def _algebra(lines, label):
+    i = lines.expect("algebra", label)
+    body = lines.take_while(lambda word: word in ALGEBRA_BODY)
+    return i, parse_algebra_body(body, i)
 
 
-def _parse_morphism_block(cur, name, source, target):
-    line = cur.take()
-    parts = line.split() if line else []
-    if len(parts) != 4 or parts[0] != "morphism" or parts[1] != name:
-        raise CertificateError("expected 'morphism %s ...', got %r" % (name, line))
+def _morphism(lines, labels, source, target):
+    lines.expect("morphism", *labels)
     images = {}
-    while True:
-        nxt = cur.peek()
-        if nxt is None or not nxt.startswith("image "):
-            break
-        line = cur.take()
-        _, gname, _, rhs = line.split(None, 3)
-        images[gname] = parse_polynomial(rhs, target, 0)
+    for i, _, line in lines.take_while(lambda word: word == "image"):
+        gname, rhs = assigned(i, line, source.index, "generator")
+        images[gname] = parse_polynomial(rhs, target, i)
     return CdgaMorphism(source, target, images)
 
 
-def _parse_bigraded_block(cur, y_model, H, bound):
-    line = cur.take()
-    if line != "bigraded base":
-        raise CertificateError("expected 'bigraded base', got %r" % line)
-    gens = []
+def _bigraded(lines, y_model, H, bound):
+    """The bigraded block: an algebra body whose generator lines end in
+    ` lower <k>`, truncated at bound + 1, and the rho lines."""
+    start = lines.expect("bigraded", "base")
+    body = []
     lower = {}
-    dlines = []
-    rholines = []
-    while True:
-        line = cur.take()
-        if line is None:
-            raise CertificateError("unterminated bigraded block")
-        if line == "end-bigraded":
-            break
-        parts = line.split()
-        if parts[0] == "generator":
-            if len(parts) != 6 or parts[2] != "degree" or parts[4] != "lower":
-                raise CertificateError("bad bigraded generator line %r" % line)
-            gens.append((parts[1], int(parts[3])))
-            lower[parts[1]] = int(parts[5])
-        elif parts[0] == "d":
-            _, gname, _, rhs = line.split(None, 3)
-            dlines.append((gname, rhs))
-        elif parts[0] == "rho":
-            _, gname, _, rhs = line.split(None, 3)
-            rholines.append((gname, rhs))
-        else:
-            raise CertificateError("unexpected %r in bigraded block" % parts[0])
-    carrier = Cdga(gens, {}, bound + 1)
-    images = {g: parse_polynomial(rhs, carrier, 0) for g, rhs in dlines}
-    cdga = Cdga(gens, images, bound + 1)
+    rho_lines = []
+    body_lines = lines.take_while(lambda word: word in BIGRADED_BODY)
+    for i, tokens, line in body_lines:
+        if tokens[0] == "rho":
+            rho_lines.append((i, line))
+            continue
+        if tokens[0] == "generator":
+            if len(tokens) != 6 or tokens[4] != "lower":
+                raise WorkspaceError(
+                    i, "expected: generator <id> degree <n> lower <k>")
+            lower[tokens[1]] = parse_int(tokens[5], i, "lower degree")
+            tokens = tokens[:4]
+        body.append((i, tokens, line))
+    lines.expect("end-bigraded")
+    cdga = parse_algebra_body(body, start, bound + 1)
     rho_images = {}
-    for gname, rhs in rholines:
-        rep = parse_polynomial(rhs, y_model, 0)
-        rho_images[gname] = H.poly_class(rep)
-    return BigradedModel(cdga, lower, rho_images, H)
+    for i, line in rho_lines:
+        gname, rhs = assigned(i, line, cdga.index, "generator")
+        rep = parse_polynomial(rhs, y_model, i)
+        rho_images[gname] = _at(i, H.poly_class, rep)
+    return start, BigradedModel(cdga, lower, rho_images, H)
 
 
 def replay_certificate_text(text):
     """(ok, info) after parsing and re-verifying a serialized certificate."""
     try:
         verdict = parse_certificate(text)
-    except (CertificateError, WorkspaceError, ValueError) as exc:
+    except (WorkspaceError, ValueError) as exc:
         return False, "parse failure: %s" % exc
     try:
         ok = verdict.certificate.replay()

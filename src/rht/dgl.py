@@ -697,15 +697,12 @@ def tensor_map_model(A, L):
     N_out = L.truncation - 2 * p
     if N_out < 1:
         raise DglError("L's truncation is too small for top degree %d" % p)
-    pairs = []
     bad = []
     for x in L.names:
         for a in A.names:
             deg = L.degree_of[x] - A.degree_of[a]
             if deg <= 0:
                 bad.append((a, x, deg))
-            elif deg <= N_out:
-                pairs.append((a, x, deg))
     if bad:
         raise ConnectivityError(
             "elements of nonpositive degree: %s"

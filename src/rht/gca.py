@@ -320,23 +320,27 @@ class FreeGCA:
         return "*".join(parts)
 
     def poly_str(self, p):
-        if not p:
-            return "0"
         items = sorted(p.items(), key=lambda mc: self.monomial_key(mc[0]))
-        chunks = []
-        for m, c in items:
-            mag = abs(c)
-            if m == ONE:
-                body = str(mag)
-            elif mag == 1:
-                body = self.monomial_str(m)
-            else:
-                body = "%s*%s" % (mag, self.monomial_str(m))
-            if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(chunks)
+        return signed_sum((self.monomial_str(m) if m else None, c)
+                          for m, c in items)
+
+
+def signed_sum(terms):
+    """`a - 2*b + 3/2` from (body, coefficient) pairs in print order, a body
+    of None standing for the unit: the one spelling of a sum, which
+    ``workspace.read_terms`` reads back."""
+    chunks = []
+    for body, c in terms:
+        mag = abs(c)
+        if body is None:
+            body = str(mag)
+        elif mag != 1:
+            body = "%s*%s" % (mag, body)
+        if chunks:
+            chunks.append(("+ " if c > 0 else "- ") + body)
+        else:
+            chunks.append(body if c > 0 else "-" + body)
+    return " ".join(chunks) if chunks else "0"
 
 
 class Derivation:

@@ -64,7 +64,9 @@ class MapSpaceProblem:
 
 
 class HypothesisReport:
-    def __init__(self, connectivity_ok, hp_nonzero, odd_closed, messages):
+    def __init__(self, x_valid, connectivity_ok, hp_nonzero, odd_closed,
+                 messages):
+        self.x_valid = x_valid
         self.connectivity_ok = connectivity_ok
         self.hp_nonzero = hp_nonzero
         self.odd_closed = odd_closed
@@ -72,14 +74,16 @@ class HypothesisReport:
 
     @property
     def ok(self):
-        return self.connectivity_ok and self.hp_nonzero
+        return self.x_valid and self.connectivity_ok and self.hp_nonzero
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
-        return "HypothesisReport(connectivity_ok=%s, hp_nonzero=%s, odd_closed=%s)" % (
-            self.connectivity_ok, self.hp_nonzero, self.odd_closed)
+        return ("HypothesisReport(x_valid=%s, connectivity_ok=%s, "
+                "hp_nonzero=%s, odd_closed=%s)" % (
+                    self.x_valid, self.connectivity_ok, self.hp_nonzero,
+                    self.odd_closed))
 
 
 def finite_cohomology_rank(A, n):
@@ -93,10 +97,13 @@ def finite_cohomology_rank(A, n):
 
 
 def check_hypotheses(prob):
-    """Connectivity m >= p+1 and H^p(X) != 0; reports (never blocks) whether
-    X carries a designated odd closed class, since the even-p path is allowed
-    to run without one."""
+    """A valid X model, connectivity m >= p+1 and H^p(X) != 0; reports (never
+    blocks) whether X carries a designated odd closed class, since the even-p
+    path is allowed to run without one."""
     messages = []
+    x_valid = prob.x_model.validate()
+    if not x_valid:
+        messages.append("invalid X model: %s" % x_valid.message)
     conn = prob.m >= prob.p + 1
     if not conn:
         messages.append("connectivity m=%d < p+1=%d" % (prob.m, prob.p + 1))
@@ -117,7 +124,7 @@ def check_hypotheses(prob):
         odd_closed = bool(cands) if prob.x_model.names else None
         if not odd_closed:
             messages.append("no odd closed basis class found in the X-model")
-    return HypothesisReport(conn, hp, odd_closed, messages)
+    return HypothesisReport(bool(x_valid), conn, hp, odd_closed, messages)
 
 
 class SuspensionModel:
@@ -267,7 +274,7 @@ def reduce_to_odd_sphere(prob, t=None, ce_X=None):
                              "tensor model")
     M_T = restrict_dgl(tensor_map_model(T, L), M_A.truncation)
 
-    def embed(model, B, a_combo, x):
+    def embed(B, a_combo, x):
         out = {}
         for a, c in a_combo.items():
             out[tensor_name(a, x, B.unit)] = c
@@ -283,13 +290,13 @@ def reduce_to_odd_sphere(prob, t=None, ce_X=None):
     I_images = {}
     for nm in M_T.names:
         a, x = fact_T[nm]
-        I_images[nm] = embed(M_A, A, i.images[a], x)
+        I_images[nm] = embed(A, i.images[a], x)
     I = DglMorphism(M_T, M_A, I_images)
     _, _, fact_A = M_A.factorization
     Q_images = {}
     for nm in M_A.names:
         a, x = fact_A[nm]
-        Q_images[nm] = embed(M_T, T, q.images[a], x)
+        Q_images[nm] = embed(T, q.images[a], x)
     Q = DglMorphism(M_A, M_T, Q_images)
     rep = I.check()
     if not rep:

@@ -16,20 +16,31 @@ Line-oriented blocks, diff-friendly, no external format dependency:
     problem <name> X=<model> Y=<model> p=<n> [t=<id>] [m=<n>]
 
 Polynomials are `coef*mon + ...` with `*` concatenation and `^` powers, e.g.
-`x1*x2`, `3/2*x^2 - y`.  X-models are either the name of an all-odd free
-algebra or a literal sphere `S<k>`.  Every printed model re-parses to an
-equal object.
+`x1*x2`, `3/2*x^2 - y`; combinations are the linear case `coef*id + ...`.
+X-models are either the name of an all-odd free algebra or a literal sphere
+`S<k>`.  Every printed model re-parses to an equal object.  Blank lines and
+`#` comments are skipped, and every error names its line in the file.
+
+This module owns the line grammar: certificate files (``rht.certificates``)
+read their embedded algebra blocks, their bigraded block and their
+morphism images with the same line cursor, term reader and algebra-body
+parser.
 """
 
 import re
 from fractions import Fraction
 
-from .gca import Cdga, Poly
+from .gca import Cdga, FreeGCA, Poly, signed_sum
 from .dgl import Dgl, FiniteCdga
 from .linalg import combine
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 SPHERE = re.compile(r"S(\d+)$")
+TERM_START = re.compile(r"(?=[+-])")
+ASSIGNMENT = re.compile(r"\S+\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
+BLOCK_HEADS = ("algebra", "dgl", "problem")
+# the first words of the body lines of an algebra block
+ALGEBRA_BODY = ("truncation", "generator", "d")
 
 
 class WorkspaceError(Exception):
@@ -86,81 +97,76 @@ def _parse_coefficient(tok, line):
         raise WorkspaceError(line, "bad coefficient %r" % tok)
 
 
-def parse_polynomial(text, algebra, line):
-    """`coef*mon + ...` into a Poly over the given algebra."""
+def parse_int(tok, line, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise WorkspaceError(line, "bad %s %r" % (what, tok))
+
+
+def read_terms(text, line):
+    """The terms of a signed sum `±coef*factor*... ± ...` as (coefficient,
+    factors) pairs, factors being the non-numeric words of a term in order.
+    `0` is the empty sum."""
     text = text.strip()
     if text == "0":
-        return Poly()
-    chunks = re.split(r"(?=[+-])", text.replace(" ", ""))
+        return []
     terms = []
-    for chunk in chunks:
+    for chunk in TERM_START.split(text.replace(" ", "")):
         if not chunk:
             continue
-        sign = Fraction(1)
+        coeff = Fraction(1)
         while chunk and chunk[0] in "+-":
             if chunk[0] == "-":
-                sign = -sign
+                coeff = -coeff
             chunk = chunk[1:]
         if not chunk:
-            raise WorkspaceError(line, "dangling sign in polynomial")
-        coeff = sign
-        word = []
+            raise WorkspaceError(line, "dangling sign")
+        factors = []
         for factor in chunk.split("*"):
             if not factor:
                 raise WorkspaceError(line, "empty factor (stray '*')")
-            if re.match(r"\d", factor):
+            if factor[0].isdigit():
                 coeff *= _parse_coefficient(factor, line)
-                continue
-            if "^" in factor:
-                base, _, exp = factor.partition("^")
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise WorkspaceError(line, "bad exponent %r" % exp)
+            else:
+                factors.append(factor)
+        terms.append((coeff, factors))
+    return terms
+
+
+def parse_polynomial(text, algebra, line):
+    """`coef*mon + ...` into a Poly over the given algebra."""
+    terms = []
+    for coeff, factors in read_terms(text, line):
+        word = []
+        for factor in factors:
+            base, caret, exp = factor.partition("^")
+            e = 1
+            if caret:
+                e = parse_int(exp, line, "exponent")
                 if e < 0:
                     raise WorkspaceError(line, "negative exponent")
-            else:
-                base, e = factor, 1
-            if not IDENT.match(base):
-                raise WorkspaceError(line, "bad generator reference %r" % base)
             if base not in algebra.index:
                 raise WorkspaceError(line, "unknown generator %r" % base)
             word.append((base, e))
-        terms.append((algebra.monomial_of_word(word).terms, coeff))
-    return Poly(combine(terms))
+        sign, monomial = algebra.normalize_word(word)
+        if sign:
+            terms.append(({monomial: coeff}, sign))
+    return Poly._of(combine(terms))
 
 
 def parse_lincomb(text, names, line):
-    text = text.strip()
+    """`coef*name + ...` into a sparse vector over the given names."""
     terms = []
-    if text == "0":
-        return {}
-    for chunk in re.split(r"(?=[+-])", text.replace(" ", "")):
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:]
-        parts = chunk.split("*")
-        coeff = sign
-        name = None
-        for factor in parts:
-            if re.match(r"\d", factor):
-                coeff *= _parse_coefficient(factor, line)
-            elif IDENT.match(factor):
-                if name is not None:
-                    raise WorkspaceError(
-                        line, "combinations are linear; unexpected %r" % factor)
-                name = factor
-            else:
-                raise WorkspaceError(line, "bad term %r" % factor)
-        if name is None:
+    for coeff, factors in read_terms(text, line):
+        if not factors:
             raise WorkspaceError(line, "missing basis element in combination")
-        if name not in names:
-            raise WorkspaceError(line, "unknown basis element %r" % name)
-        terms.append(({name: coeff}, 1))
+        if len(factors) > 1:
+            raise WorkspaceError(
+                line, "combinations are linear; unexpected %r" % factors[1])
+        if factors[0] not in names:
+            raise WorkspaceError(line, "unknown basis element %r" % factors[0])
+        terms.append(({factors[0]: coeff}, 1))
     return combine(terms)
 
 
@@ -170,46 +176,68 @@ def _require_ident(tok, line, what="name"):
     return tok
 
 
+class Lines:
+    """Cursor over the numbered lines of a text: (file line, tokens, line)
+    for each line that is neither blank nor a `#` comment."""
+
+    def __init__(self, text):
+        raw = text.splitlines()
+        self.lines = [(i, line.split(), line)
+                      for i, line in enumerate((r.strip() for r in raw), 1)
+                      if line and not line.startswith("#")]
+        self.end = len(raw) + 1
+        self.at = 0
+
+    def peek(self):
+        return self.lines[self.at] if self.at < len(self.lines) else None
+
+    def take(self, what):
+        """The next line; `what` names it in the error at end of text."""
+        if self.at == len(self.lines):
+            raise WorkspaceError(self.end,
+                                 "expected %s, got end of file" % what)
+        self.at += 1
+        return self.lines[self.at - 1]
+
+    def take_while(self, keep):
+        """The run of next lines whose first word passes keep."""
+        start = self.at
+        while self.at < len(self.lines) and keep(self.lines[self.at][1][0]):
+            self.at += 1
+        return self.lines[start:self.at]
+
+    def expect(self, *words):
+        """File line of the next line, which must read `words`."""
+        i, tokens, line = self.take(repr(" ".join(words)))
+        if tokens != list(words):
+            raise WorkspaceError(i, "expected %r, got %r"
+                                 % (" ".join(words), line))
+        return i
+
+
 def parse_text(text):
     ws = Workspace()
-    lines = text.splitlines()
-    blocks = []
-    current = None
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    lines = Lines(text)
+    while lines.peek():
+        i, tokens, _ = lines.take("a block")
         head = tokens[0]
-        if head in ("algebra", "dgl"):
-            if len(tokens) != 2:
-                raise WorkspaceError(i, "expected: %s <name>" % head)
-            current = {"kind": head, "name": _require_ident(tokens[1], i),
-                       "line": i, "body": []}
-            blocks.append(current)
-        elif head == "problem":
-            blocks.append({"kind": "problem", "line": i, "tokens": tokens})
-            current = None
-        else:
-            if current is None:
-                raise WorkspaceError(
-                    i, "expected a block header (algebra/dgl/problem), got %r"
-                    % head)
-            current["body"].append((i, tokens, line))
-
-    seen = set()
-    for block in blocks:
-        if block["kind"] == "problem":
-            _parse_problem(ws, block)
+        if head == "problem":
+            _parse_problem(ws, i, tokens)
             continue
-        name = block["name"]
-        if name in seen:
-            raise WorkspaceError(block["line"], "duplicate name %r" % name)
-        seen.add(name)
-        if block["kind"] == "algebra":
-            ws.algebras[name] = _parse_algebra(block)
+        if head not in ("algebra", "dgl"):
+            raise WorkspaceError(
+                i, "expected a block header (algebra/dgl/problem), got %r"
+                % head)
+        if len(tokens) != 2:
+            raise WorkspaceError(i, "expected: %s <name>" % head)
+        name = _require_ident(tokens[1], i)
+        if name in ws.algebras or name in ws.dgls:
+            raise WorkspaceError(i, "duplicate name %r" % name)
+        body = lines.take_while(lambda word: word not in BLOCK_HEADS)
+        if head == "algebra":
+            ws.algebras[name] = parse_algebra_body(body, i)
         else:
-            ws.dgls[name] = _parse_dgl(block)
+            ws.dgls[name] = _parse_dgl(body, i)
     for pname, decl in ws.problems.items():
         if decl.y_spec not in ws.algebras and decl.y_spec not in ws.dgls:
             raise WorkspaceError(decl.line, "unknown Y-model %r" % decl.y_spec)
@@ -218,75 +246,78 @@ def parse_text(text):
     return ws
 
 
-def _parse_algebra(block):
-    gens = []
+def _declare(i, tokens, what, degrees):
+    """Enter the id and degree of a `<word> <id> degree <n>` line in the
+    ordered dict degrees, where the id must be new."""
+    if len(tokens) != 4 or tokens[2] != "degree":
+        raise WorkspaceError(i, "expected: %s <id> degree <n>" % tokens[0])
+    name = _require_ident(tokens[1], i, what)
+    deg = parse_int(tokens[3], i, "degree")
+    if deg <= 0:
+        raise WorkspaceError(i, "degree must be positive")
+    if name in degrees:
+        raise WorkspaceError(i, "duplicate %s %r" % (what, name))
+    degrees[name] = deg
+
+
+def assigned(i, line, names, noun):
+    """(id, right-hand side) of a `<word> <id> = <sum>` line whose id is one
+    of names, each a `noun`."""
+    m = ASSIGNMENT.match(line)
+    if not m:
+        raise WorkspaceError(i, "expected: %s <id> = <sum>" % line.split()[0])
+    if m.group(1) not in names:
+        raise WorkspaceError(i, "unknown %s %r" % (noun, m.group(1)))
+    return m.group(1), m.group(2)
+
+
+def _truncation(i, tokens):
+    try:
+        return int(tokens[1])
+    except (IndexError, ValueError):
+        raise WorkspaceError(i, "expected: truncation <n>")
+
+
+def parse_algebra_body(body, line, truncation=None):
+    """The Cdga of an algebra block headed at file line `line`, from the
+    numbered lines of its body.  Without a truncation line the truncation
+    is the given one, else one above the top generator degree."""
+    degrees = {}
     dlines = []
-    truncation = None
-    for i, tokens, line in block["body"]:
+    for i, tokens, text in body:
         if tokens[0] == "generator":
-            if len(tokens) != 4 or tokens[2] != "degree":
-                raise WorkspaceError(i, "expected: generator <id> degree <n>")
-            name = _require_ident(tokens[1], i, "generator")
-            try:
-                deg = int(tokens[3])
-            except ValueError:
-                raise WorkspaceError(i, "bad degree %r" % tokens[3])
-            if deg <= 0:
-                raise WorkspaceError(i, "degree must be positive")
-            if any(name == g for g, _ in gens):
-                raise WorkspaceError(i, "duplicate generator %r" % name)
-            gens.append((name, deg))
+            _declare(i, tokens, "generator", degrees)
         elif tokens[0] == "d":
-            m = re.match(r"d\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
-            if not m:
-                raise WorkspaceError(i, "expected: d <id> = <polynomial>")
-            dlines.append((i, m.group(1), m.group(2)))
+            dlines.append((i, text))
         elif tokens[0] == "truncation":
-            try:
-                truncation = int(tokens[1])
-            except (IndexError, ValueError):
-                raise WorkspaceError(i, "expected: truncation <n>")
+            truncation = _truncation(i, tokens)
         else:
             raise WorkspaceError(i, "unexpected %r in algebra block" % tokens[0])
     if truncation is None:
-        truncation = max((d for _, d in gens), default=1) + 1
-    carrier = Cdga(gens, {}, max(truncation, max((d for _, d in gens),
-                                                 default=0) + 1))
+        truncation = max(degrees.values(), default=1) + 1
+    gens = list(degrees.items())
+    carrier = FreeGCA(gens)
     images = {}
-    for i, gname, poly_text in dlines:
-        if gname not in carrier.index:
-            raise WorkspaceError(i, "unknown generator %r" % gname)
-        images[gname] = parse_polynomial(poly_text, carrier, i)
+    for i, text in dlines:
+        gname, rhs = assigned(i, text, carrier.index, "generator")
+        images[gname] = parse_polynomial(rhs, carrier, i)
     try:
         return Cdga(gens, images, truncation)
     except Exception as exc:
-        raise WorkspaceError(block["line"], str(exc))
+        raise WorkspaceError(line, str(exc))
 
 
-def _parse_dgl(block):
-    basis = []
+def _parse_dgl(body, line):
+    names = {}
     brackets = {}
     diff = {}
     truncation = None
-    names = set()
-    for i, tokens, line in block["body"]:
+    for i, tokens, text in body:
         if tokens[0] == "basis":
-            if len(tokens) != 4 or tokens[2] != "degree":
-                raise WorkspaceError(i, "expected: basis <id> degree <n>")
-            name = _require_ident(tokens[1], i, "basis element")
-            try:
-                deg = int(tokens[3])
-            except ValueError:
-                raise WorkspaceError(i, "bad degree %r" % tokens[3])
-            if deg <= 0:
-                raise WorkspaceError(i, "degree must be positive")
-            if name in names:
-                raise WorkspaceError(i, "duplicate basis element %r" % name)
-            names.add(name)
-            basis.append((name, deg))
+            _declare(i, tokens, "basis element", names)
         elif tokens[0] == "bracket":
             m = re.match(r"bracket\s*\[\s*([A-Za-z_][A-Za-z0-9_]*)\s*,"
-                         r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\s*=\s*(.+)$", line)
+                         r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\]\s*=\s*(.+)$", text)
             if not m:
                 raise WorkspaceError(
                     i, "expected: bracket [<id>,<id>] = <combination>")
@@ -296,30 +327,21 @@ def _parse_dgl(block):
                     raise WorkspaceError(i, "unknown basis element %r" % x)
             brackets[(a, b)] = parse_lincomb(rhs, names, i)
         elif tokens[0] == "d":
-            m = re.match(r"d\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$", line)
-            if not m:
-                raise WorkspaceError(i, "expected: d <id> = <combination>")
-            if m.group(1) not in names:
-                raise WorkspaceError(i, "unknown basis element %r" % m.group(1))
-            diff[m.group(1)] = parse_lincomb(m.group(2), names, i)
+            x, rhs = assigned(i, text, names, "basis element")
+            diff[x] = parse_lincomb(rhs, names, i)
         elif tokens[0] == "truncation":
-            try:
-                truncation = int(tokens[1])
-            except (IndexError, ValueError):
-                raise WorkspaceError(i, "expected: truncation <n>")
+            truncation = _truncation(i, tokens)
         else:
             raise WorkspaceError(i, "unexpected %r in dgl block" % tokens[0])
     if truncation is None:
-        truncation = max((d for _, d in basis), default=1)
+        truncation = max(names.values(), default=1)
     try:
-        return Dgl(basis, brackets, diff, truncation)
+        return Dgl(list(names.items()), brackets, diff, truncation)
     except Exception as exc:
-        raise WorkspaceError(block["line"], str(exc))
+        raise WorkspaceError(line, str(exc))
 
 
-def _parse_problem(ws, block):
-    tokens = block["tokens"]
-    i = block["line"]
+def _parse_problem(ws, i, tokens):
     if len(tokens) < 3:
         raise WorkspaceError(i, "expected: problem <name> X=... Y=... p=...")
     name = _require_ident(tokens[1], i, "problem name")
@@ -334,18 +356,12 @@ def _parse_problem(ws, block):
     for key in ("X", "Y", "p"):
         if key not in fields:
             raise WorkspaceError(i, "problem needs %s=" % key)
-    try:
-        p = int(fields["p"])
-    except ValueError:
-        raise WorkspaceError(i, "bad p %r" % fields["p"])
+    p = parse_int(fields["p"], i, "p")
     if p <= 0:
         raise WorkspaceError(i, "p must be positive")
     m = None
     if "m" in fields:
-        try:
-            m = int(fields["m"])
-        except ValueError:
-            raise WorkspaceError(i, "bad m %r" % fields["m"])
+        m = parse_int(fields["m"], i, "m")
     ws.problems[name] = ProblemDecl(name, fields["X"], fields["Y"], p,
                                     t=fields.get("t"), m=m, line=i)
 
@@ -357,15 +373,25 @@ def parse_path(path):
 
 # -- printing (round-trips through parse_text) ------------------------------
 
-def print_algebra(cdga, name):
-    lines = ["algebra %s" % name, "truncation %d" % cdga.truncation]
+def algebra_body_lines(cdga, lower=None):
+    """The generator and d lines of an algebra block.  Given lower degrees,
+    each generator line ends in ` lower <k>`, as in a bigraded block."""
+    lines = []
     for gname, deg in cdga.generators:
-        lines.append("generator %s degree %d" % (gname, deg))
+        line = "generator %s degree %d" % (gname, deg)
+        if lower is not None:
+            line += " lower %d" % lower[gname]
+        lines.append(line)
     for gname in cdga.names:
         img = cdga.differential.images.get(gname)
         if img:
             lines.append("d %s = %s" % (gname, cdga.poly_str(img)))
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def print_algebra(cdga, name):
+    lines = ["algebra %s" % name, "truncation %d" % cdga.truncation]
+    return "\n".join(lines + algebra_body_lines(cdga)) + "\n"
 
 
 def print_dgl(dgl, name):
@@ -380,17 +406,7 @@ def print_dgl(dgl, name):
 
 
 def lincomb_str(combo):
-    if not combo:
-        return "0"
-    chunks = []
-    for name, c in sorted(combo.items()):
-        mag = abs(c)
-        body = name if mag == 1 else "%s*%s" % (mag, name)
-        if not chunks:
-            chunks.append(body if c > 0 else "-" + body)
-        else:
-            chunks.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(chunks)
+    return signed_sum(sorted(combo.items()))
 
 
 def cdga_equal(a, b):

@@ -272,8 +272,12 @@ def free_lie_differential_images(L, generator_images):
             gen_letter[word[0]] = gname
     for gname, combo in generator_images.items():
         word = next(iter(reps[gname]))
-        letter_image[word[0]] = {w: c * v for n2, v in lc(combo).items()
-                                 for w, c in reps[n2].items()}
+        # basis tensors of one image may share words: their coefficients add
+        image = {}
+        for n2, v in lc(combo).items():
+            for w, c in reps[n2].items():
+                image[w] = image.get(w, QZERO) + c * v
+        letter_image[word[0]] = {w: c for w, c in image.items() if c}
     images = {}
     for name in L.names:
         de = {}

@@ -296,14 +296,65 @@ def test_corrupted_certificates_fail_replay(capsys, ws_file, tmp_path):
     assert not ok3
 
 
-def test_transfer_certificate_serialization_roundtrip():
+def test_tampered_certificate_lines_fail_at_their_file_line(capsys, ws_file,
+                                                           tmp_path):
+    cert = tmp_path / "nf.cert"
+    run_cli(capsys, "formality", ws_file, "nonformal", "--max-degree", "20",
+            "--certificate-out", str(cert))
+    text = cert.read_text()
+    transfer = serialize_verdict(transfer_verdict())
+    cases = [
+        # the embedded target model
+        (text, "d y = x1*x2", "d y = x1*q", 11, "unknown generator 'q'"),
+        # a d line and a rho line of the bigraded block
+        (text, "d z9_0 = z5_0*z5_1", "d z9_0 = z5_0*q", 26,
+         "unknown generator 'q'"),
+        (text, "rho z5_0 = x1", "rho z5_0 = q", 35, "unknown generator 'q'"),
+        (text, "rho z5_0 = x1", "d zz = z5_0", 35, "unknown generator 'zz'"),
+        # a bigraded generator above the bound fails at its block header
+        (text, "generator z18_2 degree 18", "generator z18_2 degree 30", 12,
+         "d(z18_2) has degree 31 above truncation 21"),
+        # a morphism image line
+        (transfer, "image u = 0", "image u = q", 15, "unknown generator 'q'"),
+    ]
+    for original, old, new, line, message in cases:
+        assert old in original
+        ok, info = replay_certificate_text(original.replace(old, new, 1))
+        assert (ok, info) == (False, "parse failure: line %d: %s"
+                              % (line, message))
+
+
+def test_deeply_nested_certificate_is_rejected(monkeypatch):
+    import rht.certificates
+    text = serialize_verdict(transfer_verdict())
+    head, inner = text.split("inner-certificate\n")
+
+    def nested(levels):
+        if not levels:
+            return inner.replace("end-inner\n", "")
+        return (head + "inner-certificate\n" + nested(levels - 1)
+                + "end-inner\n")
+
+    monkeypatch.setattr(rht.certificates, "MAX_NESTING", 3)
+    assert parse_certificate(nested(3)).certificate.kind == "transfer"
+    deep = nested(4)
+    line = deep.splitlines().index(
+        "rht-certificate koszul-regular-sequence") + 1
+    assert replay_certificate_text(deep) == (
+        False, "parse failure: line %d: certificates nested deeper than 3"
+        % line)
+
+
+def transfer_verdict():
     A = Cdga([("x", 4)], {}, 13)
     B = Cdga([("x", 4), ("u", 2)], {}, 13)
     f = CdgaMorphism(A, B, {"x": B.gen("x")})
     g = CdgaMorphism(B, A, {"x": A.gen("x"), "u": Poly()})
-    inner = koszul_formality(B, 12)
-    verdict = transfer_formality(f, g, inner)
-    text = serialize_verdict(verdict)
+    return transfer_formality(f, g, koszul_formality(B, 12))
+
+
+def test_transfer_certificate_serialization_roundtrip():
+    text = serialize_verdict(transfer_verdict())
     back = parse_certificate(text)
     assert back.certificate.kind == "transfer"
     assert back.certificate.replay()

@@ -204,3 +204,13 @@ def test_free_lie_coordinates_match_dense_solves():
             oracle.free_lie_differential_images(L, images), (gens, N, images)
         differentials += bool(Ld.differential)
     assert differentials >= 20
+
+
+def test_free_lie_differential_with_shared_words_matches_the_oracle():
+    # b6_2 and b6_4 have tensors with common words, so the tensor of d x
+    # must add their coefficients in the oracle as in the library
+    L = free_lie([("a", 2), ("b", 2), ("c", 2), ("x", 7)], 7)
+    images = {"x": {"b6_2": F(1), "b6_4": F(1)}}
+    assert set(L.tensor_reps["b6_2"]) & set(L.tensor_reps["b6_4"])
+    assert free_lie_differential(L, images).differential == \
+        oracle.free_lie_differential_images(L, images)

@@ -5,6 +5,7 @@ import pytest
 from rht.gca import Cdga, Poly
 from rht.dgl import Dgl, FiniteCdga, free_lie, tensor_map_model
 from rht.cefunctor import ce_cochains
+from rht.formality import formality_pipeline
 from rht.mapmodel import (MapSpaceProblem, check_hypotheses, suspension_model,
                           split_odd_generator, reduce_to_odd_sphere,
                           SplitError, bar_name, finite_cohomology_rank)
@@ -46,6 +47,19 @@ def test_check_hypotheses_hp_zero():
     prob = MapSpaceProblem(FiniteCdga.point(), 2, y_cdga=section4_y())
     rep = check_hypotheses(prob)
     assert not rep.hp_nonzero
+
+
+def test_check_hypotheses_rejects_invalid_x_model():
+    # t*x = tx but x*t = -tx: S^3 x S^2 with broken graded commutativity
+    X = FiniteCdga([("1", 0), ("x", 2), ("t", 3), ("tx", 5)], "1",
+                   {("t", "x"): {"tx": 1}, ("x", "t"): {"tx": -1}})
+    prob = MapSpaceProblem(X, 5, y_dgl=Dgl([("a", 7)], {}, {}, 24))
+    rep = check_hypotheses(prob)
+    assert not rep.ok and not rep.x_valid
+    assert rep.connectivity_ok and rep.hp_nonzero
+    assert rep.messages == ["invalid X model: x*t != (-1)^(|x||t|) t*x"]
+    with pytest.raises(ValueError, match="hypotheses violated: invalid X"):
+        formality_pipeline(prob, 10)
 
 
 def test_finite_cohomology_rank_sphere():

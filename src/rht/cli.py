@@ -56,15 +56,18 @@ def default_max_degree():
 
 
 def raise_truncation(cdga, needed):
-    """Copy of a fully-specified algebra with a larger truncation bound."""
-    if cdga.truncation >= needed:
-        return cdga
-    if cdga.truncated_gens:
-        raise ValueError(
-            "algebra truncation %d is below %d and the differential is "
-            "incomplete; raise 'truncation' in the file"
-            % (cdga.truncation, needed))
-    return Cdga(cdga.generators, cdga.differential.images, needed)
+    """The algebra, checked, with its truncation raised to at least needed."""
+    if cdga.truncation < needed:
+        if cdga.truncated_gens:
+            raise ValueError(
+                "algebra truncation %d is below %d and the differential is "
+                "incomplete; raise 'truncation' in the file"
+                % (cdga.truncation, needed))
+        cdga = Cdga(cdga.generators, cdga.differential.images, needed)
+    report = cdga.check()
+    if not report:
+        raise ValueError("invalid algebra: %s" % report)
+    return cdga
 
 
 def emit(payload, fmt, table_lines):
@@ -108,9 +111,6 @@ def cmd_cohomology(args):
         raise ValueError("unknown algebra %r" % args.algebra)
     N = args.max_degree
     alg = raise_truncation(ws.algebras[args.algebra], N + 1)
-    report = alg.check()
-    if not report:
-        raise ValueError("invalid algebra: %s" % report)
     ranks = [alg.cohomology(n)[0] for n in range(0, N + 1)]
     payload = {"command": "cohomology", "algebra": args.algebra,
                "max_degree": N, "ranks": ranks}
@@ -191,9 +191,6 @@ def cmd_formality(args):
     prob = ws.resolve_problem(args.problem)
     if prob.y_cdga is not None:
         prob.y_cdga = raise_truncation(prob.y_cdga, args.max_degree + 1)
-        report = prob.y_cdga.check()
-        if not report:
-            raise ValueError("invalid algebra: %s" % report)
     return run_formality(prob, args.max_degree, args.format,
                          args.certificate_out, args.problem)
 

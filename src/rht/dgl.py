@@ -12,8 +12,10 @@ total degree <= N and every consumer is expected to respect that.
 
 The module also holds finite-dimensional CDGA models (basis-presented, not
 free) and the tensor construction A (x) L that models the space of maps from
-a finite complex into the space modelled by L, with its fibration projection
-and section.
+a finite complex into the space modelled by L.  A (x) L is functorial in A: a
+map phi: A -> B gives phi (x) Id: A (x) L -> B (x) L (tensor_morphism), and
+the fibration projection and section are the augmentation and the unit of A
+tensored with L.
 """
 
 from bisect import bisect_right
@@ -283,6 +285,18 @@ def check_dgl_morphism(phi):
 
 # -- finite-dimensional CDGA models ---------------------------------------
 
+MAX_X_BASIS = 64
+
+
+def check_x_basis_size(n):
+    """ValueError when an X-model basis of n elements exceeds MAX_X_BASIS:
+    FiniteCdga.validate is cubic in the basis, and a free odd algebra on k
+    generators has 2^k basis elements."""
+    if n > MAX_X_BASIS:
+        raise ValueError("X model has %d basis elements, above the limit %d"
+                         % (n, MAX_X_BASIS))
+
+
 class FiniteCdga:
     """Finite-dimensional graded-commutative algebra with differential.
 
@@ -334,11 +348,18 @@ class FiniteCdga:
     def d_lin(self, c):
         return combine((self.diff.get(a, EMPTY), v) for a, v in c.items())
 
-    def augmentation(self, a):
-        return QONE if a == self.unit else QZERO
-
     def basis_in_degree(self, n):
         return [x for x in self.names if self.degree_of[x] == n]
+
+    def is_sphere(self):
+        """A model of a sphere: one basis element besides the unit."""
+        return len(self.names) == 2
+
+    def odd_closed_classes(self):
+        """The odd closed basis elements, lowest (degree, name) first."""
+        return sorted((x for x in self.names
+                       if self.degree_of[x] % 2 == 1 and not self.diff.get(x)),
+                      key=lambda x: (self.degree_of[x], x))
 
     def validate(self):
         deg = self.degree_of
@@ -509,6 +530,16 @@ def _tensor_coordinates(reps, names_by_degree):
     return coords
 
 
+def _independent(tagged):
+    """The (tag, tensor) pairs of one degree whose tensors are independent of
+    the tensors before them."""
+    words = sorted({w for _, e in tagged for w in e})
+    pos = {w: i for i, w in enumerate(words)}
+    span = EchelonSpan(len(words))
+    return [(tag, e) for tag, e in tagged
+            if span.add({pos[w]: c for w, c in e.items()})]
+
+
 def free_lie(generators, truncation):
     """The free graded Lie algebra L(V) realized inside the tensor algebra.
 
@@ -528,16 +559,10 @@ def free_lie(generators, truncation):
         """Keep a linearly independent subset, degree by degree, in order."""
         by_deg = {}
         for d, e in elems_with_degree:
-            by_deg.setdefault(d, []).append(e)
+            by_deg.setdefault(d, []).append((d, e))
         kept = []
         for d in sorted(by_deg):
-            elems = by_deg[d]
-            words = sorted({w for e in elems for w in e})
-            pos = {w: i for i, w in enumerate(words)}
-            span = EchelonSpan(len(words))
-            for e in elems:
-                if span.add({pos[w]: c for w, c in e.items()}):
-                    kept.append((d, e))
+            kept.extend(_independent(by_deg[d]))
         return kept
 
     # spanning elements, layered by bracket length; [span S, span T] spans
@@ -566,23 +591,17 @@ def free_lie(generators, truncation):
             for d, e in layers[k]:
                 if d == deg:
                     candidates.append((k, e))
-        if not candidates:
-            continue
-        words = sorted({w for _, e in candidates for w in e})
-        span = EchelonSpan(len(words))
-        pos = {w: i for i, w in enumerate(words)}
-        for k, e in candidates:
-            if span.add({pos[w]: c for w, c in e.items()}):
-                if k == 1:
-                    word = next(iter(e))
-                    name = gens[word[0]][0]
-                else:
-                    i = per_degree_count.get(deg, 0)
-                    name = "b%d_%d" % (deg, i)
-                    per_degree_count[deg] = i + 1
-                lead = next(w for w in words if e.get(w))
-                basis.append((name, deg))
-                reps[name] = {w: c / e[lead] for w, c in e.items()}
+        for k, e in _independent(candidates):
+            if k == 1:
+                word = next(iter(e))
+                name = gens[word[0]][0]
+            else:
+                i = per_degree_count.get(deg, 0)
+                name = "b%d_%d" % (deg, i)
+                per_degree_count[deg] = i + 1
+            lead = min(e)
+            basis.append((name, deg))
+            reps[name] = {w: c / e[lead] for w, c in e.items()}
 
     # bracket table as coordinates over the basis tensors
     names_by_degree = {}
@@ -698,28 +717,23 @@ def tensor_map_model(A, L):
     if N_out < 1:
         raise DglError("L's truncation is too small for top degree %d" % p)
     bad = []
+    basis = []
+    fact = {}
+    name_of = {}
     for x in L.names:
         for a in A.names:
             deg = L.degree_of[x] - A.degree_of[a]
             if deg <= 0:
                 bad.append((a, x, deg))
+            elif deg <= N_out:
+                nm = tensor_name(a, x, A.unit)
+                basis.append((nm, deg))
+                fact[nm] = (a, x)
+                name_of[(a, x)] = nm
     if bad:
         raise ConnectivityError(
             "elements of nonpositive degree: %s"
             % ", ".join("%s(x)%s in degree %d" % t for t in bad))
-
-    basis = []
-    fact = {}
-    for x in L.names:
-        for a in A.names:
-            deg = L.degree_of[x] - A.degree_of[a]
-            if deg <= N_out:
-                nm = tensor_name(a, x, A.unit)
-                basis.append((nm, deg))
-                fact[nm] = (a, x)
-    name_of = {}
-    for nm, (a, x) in fact.items():
-        name_of[(a, x)] = nm
 
     def embed(a_combo, x_combo):
         out = {}
@@ -765,31 +779,48 @@ def tensor_map_model(A, L):
     return M
 
 
+def tensor_morphism(phi, source, target):
+    """phi (x) Id: A (x) L -> B (x) L for a map phi: A -> B of finite models.
+
+    source and target are tensor_map_model outputs over A and B with the
+    same L, possibly restricted; a(x)l goes to the sum of c.(b(x)l) over the
+    terms c.b of phi(a).  A term outside the target's basis raises DglError.
+    """
+    if source.factorization is None:
+        raise DglError("tensor_morphism needs a tensor_map_model source")
+    fact = source.factorization[2]
+    images = {}
+    for nm in source.names:
+        a, x = fact[nm]
+        img = {}
+        for b, c in phi.images[a].items():
+            name = tensor_name(b, x, phi.target.unit)
+            if name not in target.degree_of:
+                raise DglError("tensor term %s(x)%s escaped the basis" % (b, x))
+            img[name] = c
+        images[nm] = img
+    return DglMorphism(source, target, images)
+
+
 def fibration_model(M):
     """Projection to L (evaluation at the basepoint) and its section.
 
-    proj comes from the augmentation A -> Q, sect from the unit Q -> A;
-    proj o sect = Id on L.
+    proj is the augmentation A -> Q tensored with L, sect the unit Q -> A
+    tensored with L; proj o sect = Id on L.
     """
     if M.factorization is None:
         raise DglError("fibration_model needs a tensor_map_model output")
-    A, L, fact = M.factorization
-    Lt = restrict_dgl(L, M.truncation)
-    proj_images = {}
-    for nm in M.names:
-        a, x = fact[nm]
-        eps = A.augmentation(a)
-        proj_images[nm] = {x: eps} if eps else {}
-    proj = DglMorphism(M, Lt, proj_images)
-    sect_images = {}
-    for x in Lt.names:
-        sect_images[x] = {tensor_name(A.unit, x, A.unit): QONE}
-    sect = DglMorphism(Lt, M, sect_images)
-    return proj, sect
+    A, L, _ = M.factorization
+    P = FiniteCdga.point()
+    Lt = restrict_dgl(tensor_map_model(P, L), M.truncation)
+    eps = FiniteCdgaMorphism(A, P, {A.unit: {P.unit: QONE}})
+    unit = FiniteCdgaMorphism(P, A, {P.unit: {A.unit: QONE}})
+    return tensor_morphism(eps, M, Lt), tensor_morphism(unit, Lt, M)
 
 
 def restrict_dgl(L, truncation):
-    """L with basis and tables cut down to the given lower truncation."""
+    """L with basis and tables cut down to the given lower truncation; a
+    tensor model keeps its factorization on the names it keeps."""
     if truncation > L.truncation:
         raise ValueError("cannot extend a truncation")
     keep = [(n, L.degree_of[n]) for n in L.names if L.degree_of[n] <= truncation]
@@ -797,4 +828,8 @@ def restrict_dgl(L, truncation):
                 if L.degree_of[k[0]] + L.degree_of[k[1]] <= truncation}
     diff = {x: v for x, v in L.differential.items()
             if L.degree_of[x] <= truncation}
-    return Dgl(keep, brackets, diff, truncation)
+    out = Dgl(keep, brackets, diff, truncation)
+    if L.factorization is not None:
+        A, L0, fact = L.factorization
+        out.factorization = (A, L0, {n: fact[n] for n, _ in keep})
+    return out

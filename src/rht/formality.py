@@ -757,7 +757,7 @@ def mapping_space_model(prob, N=None):
     """
     notes = []
     if prob.y_cdga is not None:
-        if set(prob.x_model.names) != {prob.x_model.unit, "t"}:
+        if not prob.x_model.is_sphere():
             raise ValueError(
                 "the Sullivan route needs X to be a sphere model; "
                 "give Y as a Lie model instead")
@@ -778,8 +778,6 @@ def mapping_space_model(prob, N=None):
 
 def y_cohomology_ring(prob, N):
     if prob.y_cdga is not None:
-        if prob.y_cdga.truncation < N + 1:
-            raise ValueError("Y-model truncation must be at least N + 1")
         return ModelCohomology(prob.y_cdga, N), prob.y_cdga
     ce = ce_cochains(prob.y_dgl, prob.y_dgl.truncation + 1)
     bound = min(N, ce.cdga.truncation - 1)
@@ -824,7 +822,7 @@ def formality_pipeline(prob, N):
     # negative route: only an odd sphere dimension can conclude
     p_eff = None
     reduction_note = None
-    if set(prob.x_model.names) == {prob.x_model.unit, "t"}:
+    if prob.x_model.is_sphere():
         if prob.p % 2 == 1:
             p_eff = prob.p
     elif prob.y_dgl is not None and hyp.odd_closed:

@@ -150,8 +150,9 @@ class FreeGCA:
         """Sort a written product; returns (sign, monomial) or (0, None).
 
         A factor is a generator ref (name or index) or a (ref, exponent)
-        pair.  The Koszul sign is -1 per transposition of two odd letters; a
-        repeated odd letter kills the word.
+        pair.  Every ref is resolved first, so an unknown one raises KeyError
+        even in a word that vanishes; mul_monomials then multiplies the
+        factors in, with the Koszul sign.  An odd letter twice kills the word.
         """
         factors = []
         for w in word:
@@ -164,20 +165,14 @@ class FreeGCA:
                 raise KeyError("generator index %d out of range" % ref)
             if e:
                 factors.append((ref, e))
-        odd_seq = [i for i, e in factors if self.odd[i]]
-        if any(e > 1 for i, e in factors if self.odd[i]) or \
-                len(set(odd_seq)) != len(odd_seq):
-            return 0, None
-        inversions = 0
-        for a in range(len(odd_seq)):
-            for b in range(a + 1, len(odd_seq)):
-                if odd_seq[a] > odd_seq[b]:
-                    inversions += 1
-        sign = -1 if inversions % 2 else 1
-        exps = {}
+        sign, mono = 1, ()
         for i, e in factors:
-            exps[i] = exps.get(i, 0) + e
-        mono = tuple(sorted(exps.items()))
+            if self.odd[i] and e > 1:
+                return 0, None
+            s, mono = self.mul_monomials(mono, ((i, e),))
+            if not s:
+                return 0, None
+            sign *= s
         return sign, mono
 
     def mul_monomials(self, m1, m2):

@@ -17,8 +17,8 @@ odd sphere) lives here as well.
 from fractions import Fraction
 
 from .gca import Cdga, Derivation, Poly, CheckReport, TruncationError
-from .dgl import (DglMorphism, FiniteCdga, FiniteCdgaMorphism,
-                  tensor_map_model, tensor_name, restrict_dgl)
+from .dgl import (FiniteCdga, FiniteCdgaMorphism, check_x_basis_size,
+                  tensor_map_model, tensor_morphism, restrict_dgl)
 from .cefunctor import ce_cochains, ce_of_morphism
 from .linalg import homology
 
@@ -99,7 +99,9 @@ def finite_cohomology_rank(A, n):
 def check_hypotheses(prob):
     """A valid X model, connectivity m >= p+1 and H^p(X) != 0; reports (never
     blocks) whether X carries a designated odd closed class, since the even-p
-    path is allowed to run without one."""
+    path is allowed to run without one.  An X basis above MAX_X_BASIS raises
+    ValueError before any check runs."""
+    check_x_basis_size(len(prob.x_model.names))
     messages = []
     x_valid = prob.x_model.validate()
     if not x_valid:
@@ -110,18 +112,13 @@ def check_hypotheses(prob):
     hp = finite_cohomology_rank(prob.x_model, prob.p) > 0
     if not hp:
         messages.append("H^%d(X) = 0 at the declared top degree" % prob.p)
-    odd_closed = None
+    odd = prob.x_model.odd_closed_classes()
     if prob.t is not None:
-        A = prob.x_model
-        odd_closed = (prob.t in A.degree_of
-                      and A.degree_of[prob.t] % 2 == 1
-                      and not A.d(prob.t))
+        odd_closed = prob.t in odd
         if not odd_closed:
             messages.append("designated class %r is not odd and closed" % prob.t)
     else:
-        cands = [x for x in prob.x_model.names
-                 if prob.x_model.degree_of[x] % 2 == 1 and not prob.x_model.d(x)]
-        odd_closed = bool(cands) if prob.x_model.names else None
+        odd_closed = bool(odd)
         if not odd_closed:
             messages.append("no odd closed basis class found in the X-model")
     return HypothesisReport(bool(x_valid), conn, hp, odd_closed, messages)
@@ -251,15 +248,14 @@ def reduce_to_odd_sphere(prob, t=None, ce_X=None):
     """
     if prob.y_dgl is None:
         raise ValueError("reduction needs a Lie model of Y")
+    A = prob.x_model
     t = t or prob.t
     if t is None:
-        cands = [x for x in prob.x_model.names
-                 if prob.x_model.degree_of[x] % 2 == 1 and not prob.x_model.d(x)]
+        cands = A.odd_closed_classes()
         if not cands:
             raise SplitError(CheckReport.violation(
                 "odd", "no odd closed basis class to split off"))
-        t = min(cands, key=lambda x: (prob.x_model.degree_of[x], x))
-    A = prob.x_model
+        t = cands[0]
     L = prob.y_dgl
     i, q = split_odd_generator(A, t)
     T = i.source
@@ -273,31 +269,8 @@ def reduce_to_odd_sphere(prob, t=None, ce_X=None):
             raise ValueError("ce_X is not the cochains of this problem's "
                              "tensor model")
     M_T = restrict_dgl(tensor_map_model(T, L), M_A.truncation)
-
-    def embed(B, a_combo, x):
-        out = {}
-        for a, c in a_combo.items():
-            out[tensor_name(a, x, B.unit)] = c
-        return out
-
-    # factorization is easier to rebuild than to thread through restrict_dgl
-    fact_T = {}
-    for x in L.names:
-        for a in T.names:
-            nmx = tensor_name(a, x, T.unit)
-            if nmx in M_T.degree_of:
-                fact_T[nmx] = (a, x)
-    I_images = {}
-    for nm in M_T.names:
-        a, x = fact_T[nm]
-        I_images[nm] = embed(A, i.images[a], x)
-    I = DglMorphism(M_T, M_A, I_images)
-    _, _, fact_A = M_A.factorization
-    Q_images = {}
-    for nm in M_A.names:
-        a, x = fact_A[nm]
-        Q_images[nm] = embed(T, q.images[a], x)
-    Q = DglMorphism(M_A, M_T, Q_images)
+    I = tensor_morphism(i, M_T, M_A)
+    Q = tensor_morphism(q, M_A, M_T)
     rep = I.check()
     if not rep:
         raise SplitError(rep)

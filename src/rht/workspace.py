@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 
 from .gca import Cdga, FreeGCA, Poly, signed_sum
-from .dgl import Dgl, FiniteCdga
+from .dgl import Dgl, FiniteCdga, check_x_basis_size
 from .linalg import combine
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -72,6 +72,7 @@ class Workspace:
         if sphere:
             return FiniteCdga.sphere(int(sphere.group(1)))
         if spec in self.algebras:
+            check_x_basis_size(2 ** len(self.algebras[spec].names))
             return FiniteCdga.from_free_odd(self.algebras[spec])
         raise WorkspaceError(line, "unknown X-model %r" % spec)
 

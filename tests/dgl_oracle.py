@@ -14,6 +14,11 @@ before its tagged spans: one dense solve per bracket or image, against the
 basis tensors of the target degree.  ``lc`` and ``tensor_commutator`` are
 the plain sums ``rht.dgl`` used before ``rht.linalg.combine``, kept here so
 the oracle shares no arithmetic with the code it checks.
+
+``reduction_images`` and ``fibration_images`` build the maps that a map of
+X-models induces on A (x) L by hand, as ``reduce_to_odd_sphere`` and
+``fibration_model`` did before ``rht.dgl.tensor_morphism``: one loop per map,
+the factorization of the restricted sphere model rebuilt from tensor names.
 """
 
 from fractions import Fraction
@@ -296,3 +301,48 @@ def free_lie_differential_images(L, generator_images):
             if combo:
                 images[name] = combo
     return images
+
+
+def _tensor_name(a, x, unit):
+    return x if a == unit else "%s_%s" % (a, x)
+
+
+def _embed(B, a_combo, x):
+    return {_tensor_name(a, x, B.unit): c for a, c in a_combo.items()}
+
+
+def reduction_images(i, q, M_A, M_T):
+    """The images of I = i (x) Id: M_T -> M_A and Q = q (x) Id: M_A -> M_T
+    for the splitting i: T -> A, q: A -> T of an odd sphere T."""
+    T, A = i.source, i.target
+    _, L, fact_A = M_A.factorization
+    fact_T = {}
+    for x in L.names:
+        for a in T.names:
+            nmx = _tensor_name(a, x, T.unit)
+            if nmx in M_T.degree_of:
+                fact_T[nmx] = (a, x)
+    I_images = {}
+    for nm in M_T.names:
+        a, x = fact_T[nm]
+        I_images[nm] = _embed(A, i.images[a], x)
+    Q_images = {}
+    for nm in M_A.names:
+        a, x = fact_A[nm]
+        Q_images[nm] = _embed(T, q.images[a], x)
+    return I_images, Q_images
+
+
+def fibration_images(M):
+    """The images of the projection M -> L (the augmentation of A tensored
+    with L) and of its section, with L cut to M's truncation."""
+    A, L, fact = M.factorization
+    proj_images = {}
+    for nm in M.names:
+        a, x = fact[nm]
+        proj_images[nm] = {x: QONE} if a == A.unit else {}
+    sect_images = {}
+    for x in L.names:
+        if L.degree_of[x] <= M.truncation:
+            sect_images[x] = {_tensor_name(A.unit, x, A.unit): QONE}
+    return proj_images, sect_images

@@ -11,9 +11,43 @@ order.  The images are summed here by a plain loop of the oracle's own:
 each term is added into one dict and the zeros are dropped once at the end,
 so a monomial keeps the place where it first appeared, the rule of every
 sum in ``rht``.
+
+``normalize_word`` takes the Koszul sign of a written product from the
+inversions of its odd letters, where the library multiplies the letters in
+one at a time through ``mul_monomials``.
 """
 
 from rht.gca import QONE, QZERO, Poly, TruncationError
+
+
+def normalize_word(algebra, word):
+    """Sort a written product by counting the inversions of its odd letters:
+    (sign, monomial), or (0, None) when an odd letter repeats."""
+    factors = []
+    for w in word:
+        ref, e = w if isinstance(w, tuple) else (w, 1)
+        if isinstance(ref, str):
+            if ref not in algebra.index:
+                raise KeyError("unknown generator %r" % ref)
+            ref = algebra.index[ref]
+        elif not 0 <= ref < len(algebra.names):
+            raise KeyError("generator index %d out of range" % ref)
+        if e:
+            factors.append((ref, e))
+    odd_seq = [i for i, e in factors if algebra.odd[i]]
+    if any(e > 1 for i, e in factors if algebra.odd[i]) or \
+            len(set(odd_seq)) != len(odd_seq):
+        return 0, None
+    inversions = 0
+    for a in range(len(odd_seq)):
+        for b in range(a + 1, len(odd_seq)):
+            if odd_seq[a] > odd_seq[b]:
+                inversions += 1
+    sign = -1 if inversions % 2 else 1
+    exps = {}
+    for i, e in factors:
+        exps[i] = exps.get(i, 0) + e
+    return sign, tuple(sorted(exps.items()))
 
 
 def degree_basis(algebra, n):

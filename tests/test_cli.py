@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rht import cli
+from rht import cli, dgl
 from rht.certificates import (serialize_verdict, parse_certificate,
                               replay_certificate_text)
 from rht.formality import transfer_formality, koszul_formality
@@ -270,6 +270,39 @@ def test_formality_checks_the_y_model(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cohomology", str(path), "Y")
     assert code == 1
     assert "d(y) is not homogeneous of degree |y|+1" in err
+
+
+FREE_ODD_X_WS = """\
+algebra X
+truncation 9
+generator a degree 3
+generator b degree 3
+generator c degree 3
+
+dgl K
+truncation 30
+basis l degree 11
+
+problem big X=X Y=K p=9
+"""
+
+
+def test_x_model_basis_limit(capsys, tmp_path, monkeypatch):
+    # X = Lambda(a3, b3, c3) has 2^3 = 8 basis elements
+    path = tmp_path / "x.rht"
+    path.write_text(FREE_ODD_X_WS)
+    monkeypatch.setattr(dgl, "MAX_X_BASIS", 8)
+    code, _, _ = run_cli(capsys, "map-model", str(path), "big")
+    assert code == 0
+    monkeypatch.setattr(dgl, "MAX_X_BASIS", 7)
+    # the limit is checked before the X model is built
+    monkeypatch.setattr(dgl.FiniteCdga, "from_free_odd", None)
+    for argv in (["map-model", str(path), "big"],
+                 ["formality", str(path), "big", "--max-degree", "8"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: X model has 8 basis elements, above the " \
+                      "limit 7\n"
 
 
 def test_pipeline_rejects_non_positive_bound():

@@ -8,18 +8,25 @@ give exactly what the oracle gives: the same brackets, the same
 (ok, kind, message) and the same cochain images.  free_lie and
 free_lie_differential read coordinates from one tagged span per degree; they
 must store the bracket table and differential that one dense solve per
-bracket or image gives.
+bracket or image gives.  tensor_morphism must give the maps I, Q, proj and
+sect that the hand-built loops give, and be a functor.
 """
 
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 import dgl_oracle as oracle
 from test_mapmodel import split_test_model
 from test_properties import random_dgl, random_odd_finite_model
 from rht.cefunctor import ce_cochains
-from rht.dgl import Dgl, free_lie, free_lie_differential, tensor_map_model
+from rht.dgl import (Dgl, DglError, FiniteCdga, FiniteCdgaMorphism,
+                     fibration_model, free_lie, free_lie_differential,
+                     restrict_dgl, tensor_map_model, tensor_morphism)
 from rht.gca import Cdga
+from rht.mapmodel import (MapSpaceProblem, reduce_to_odd_sphere,
+                          split_odd_generator)
 
 F = Fraction
 
@@ -214,3 +221,65 @@ def test_free_lie_differential_with_shared_words_matches_the_oracle():
     assert set(L.tensor_reps["b6_2"]) & set(L.tensor_reps["b6_4"])
     assert free_lie_differential(L, images).differential == \
         oracle.free_lie_differential_images(L, images)
+
+
+def lie_reduction_x(c):
+    """X = S^3 x S^2 with t*x = c*tx, as the lie_reduction benchmark builds it."""
+    zero = [("x", "x"), ("t", "t"), ("t", "tx"), ("tx", "t"), ("x", "tx"),
+            ("tx", "x"), ("tx", "tx")]
+    mult = {("t", "x"): {"tx": c}, ("x", "t"): {"tx": c}}
+    mult.update({pair: {} for pair in zero})
+    return FiniteCdga([("1", 0), ("x", 2), ("t", 3), ("tx", 5)], "1", mult)
+
+
+def tensor_models(A, L):
+    """A (x) L, the split sphere T (x) L and the point P (x) L at one
+    truncation, with the splitting i, q and the augmentation and unit."""
+    i, q = split_odd_generator(A, "t")
+    M_A = tensor_map_model(A, L)
+    M_T = restrict_dgl(tensor_map_model(i.source, L), M_A.truncation)
+    P = FiniteCdga.point()
+    M_P = restrict_dgl(tensor_map_model(P, L), M_A.truncation)
+    eps = FiniteCdgaMorphism(A, P, {A.unit: {P.unit: 1}})
+    unit = FiniteCdgaMorphism(P, i.source, {P.unit: {i.source.unit: 1}})
+    return i, q, eps, unit, M_A, M_T, M_P
+
+
+X_MODELS = [split_test_model(), lie_reduction_x(F(-5, 3))]
+
+
+@pytest.mark.parametrize("A", X_MODELS)
+def test_tensor_morphism_matches_the_hand_built_maps(A):
+    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    i, q, _, _, M_A, M_T, _ = tensor_models(A, L)
+    I_want, Q_want = oracle.reduction_images(i, q, M_A, M_T)
+    assert tensor_morphism(i, M_T, M_A).images == I_want
+    assert tensor_morphism(q, M_A, M_T).images == Q_want
+    red = reduce_to_odd_sphere(MapSpaceProblem(A, 5, y_dgl=L, t="t"))
+    assert red.I.images == I_want and red.Q.images == Q_want
+    proj, sect = fibration_model(M_A)
+    assert (proj.images, sect.images) == oracle.fibration_images(M_A)
+    assert proj.check() and sect.check()
+
+
+@pytest.mark.parametrize("A", X_MODELS)
+def test_tensor_morphism_is_a_functor(A):
+    # T(g o f) = T(g) o T(f) on T -> A -> T, T -> A -> point, point -> T -> A
+    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    i, q, eps, unit, M_A, M_T, M_P = tensor_models(A, L)
+    models = {A: M_A, i.source: M_T, eps.target: M_P}
+    for g, f in ((q, i), (eps, i), (i, unit)):
+        Tf = tensor_morphism(f, models[f.source], models[f.target])
+        Tg = tensor_morphism(g, models[g.source], models[g.target])
+        Tgf = tensor_morphism(g.compose(f), models[f.source],
+                              models[g.target])
+        assert Tgf.images == Tg.compose(Tf).images
+        assert Tf.check() and Tg.check()
+
+
+def test_tensor_morphism_rejects_a_term_outside_the_target():
+    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    i, _, _, _, M_A, M_T, _ = tensor_models(split_test_model(), L)
+    # b12_0 of M_T has degree 12; A (x) L cut at 10 has no image for it
+    with pytest.raises(DglError, match="escaped the basis"):
+        tensor_morphism(i, M_T, restrict_dgl(M_A, 10))

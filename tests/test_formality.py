@@ -397,6 +397,22 @@ def test_pipeline_reduction_path_for_general_x():
     assert replay_verdict(verdict)
 
 
+@pytest.mark.parametrize("p, N, y", [
+    (3, 20, {"y_cdga": odd_wedge_y(24)}),
+    (3, 14, {"y_dgl": Dgl([("a1", 6), ("a2", 6), ("b", 12)],
+                          {("a1", "a2"): {"b": 1}}, {}, 24)}),
+])
+def test_a_sphere_is_recognised_by_its_shape_not_its_class_name(p, N, y):
+    # S^3 with its class named u: both routes must treat it as the sphere,
+    # not refuse it (Sullivan) or reduce it to itself (Lie)
+    U = FiniteCdga([("1", 0), ("u", 3)], "1", {("u", "u"): {}})
+    got = formality_pipeline(MapSpaceProblem(U, p, **y), N)
+    want = formality_pipeline(MapSpaceProblem(FiniteCdga.sphere(p), p, **y), N)
+    assert got.is_nonformal
+    assert (got.verdict, got.notes) == (want.verdict, want.notes)
+    assert serialize_verdict(got) == serialize_verdict(want)
+
+
 def test_pipeline_unknown_when_bound_too_small():
     # N = 4 is too small for any checker to reach the section-4 relation
     prob = MapSpaceProblem(FiniteCdga.sphere(2), 2, y_cdga=section4_y(18))

@@ -5,7 +5,9 @@ dim reads that table without enumerating; apply_derivation multiplies each
 image monomial by the prefix and the rest directly.  On seeded generator
 lists, with degrees asked in shuffled order, they must give what the oracle
 gives: the same bases in the same order, and the same derivation images with
-the same key order.
+the same key order.  normalize_word multiplies a written product in one
+letter at a time; it must give the sign and monomial that counting the
+inversions of the odd letters gives, and the same KeyError.
 """
 
 from fractions import Fraction
@@ -72,6 +74,45 @@ def test_apply_derivation_matches_oracle():
             got = alg.apply_derivation(D, p, truncation)
             assert list(got.terms.items()) == list(want.terms.items()), \
                 (alg.generators, deg, images, p)
+
+
+def random_word(rng, alg):
+    """A written product: names, indices and (ref, exponent) pairs with
+    exponents from 0 to 3, a letter sometimes written twice, and now and then
+    an unknown name or an index out of range."""
+    word = []
+    for _ in range(rng.randint(0, 6)):
+        ref = rng.choice([rng.randrange(len(alg.names)),
+                          rng.choice(alg.names)])
+        if rng.random() < 0.03:
+            ref = rng.choice(["zz", len(alg.names), -1])
+        word.append((ref, rng.choice((0, 1, 1, 2, 3))) if rng.random() < 0.5
+                    else ref)
+        if rng.random() < 0.1:
+            word.append(word[rng.randrange(len(word))])
+    rng.shuffle(word)
+    return word
+
+
+def test_normalize_word_matches_the_inversion_count():
+    rng = Random(20262)
+    outcomes = {}
+    for _ in range(CASES):
+        alg = random_algebra(rng)
+        for _ in range(10):
+            word = random_word(rng, alg)
+            try:
+                want = oracle.normalize_word(alg, word)
+            except KeyError as exc:
+                with pytest.raises(KeyError) as got:
+                    alg.normalize_word(word)
+                assert str(got.value) == str(exc)
+                outcomes["unknown"] = outcomes.get("unknown", 0) + 1
+                continue
+            assert alg.normalize_word(word) == want, (alg.generators, word)
+            outcomes[want[0]] = outcomes.get(want[0], 0) + 1
+    for outcome in (1, -1, 0, "unknown"):
+        assert outcomes.get(outcome, 0) >= 20, outcomes
 
 
 def test_dim_counts_without_enumerating(monkeypatch):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from rht import dgl
 from rht.gca import Cdga, Poly
 from rht.dgl import Dgl, FiniteCdga, free_lie, tensor_map_model
 from rht.cefunctor import ce_cochains
@@ -60,6 +61,18 @@ def test_check_hypotheses_rejects_invalid_x_model():
     assert rep.messages == ["invalid X model: x*t != (-1)^(|x||t|) t*x"]
     with pytest.raises(ValueError, match="hypotheses violated: invalid X"):
         formality_pipeline(prob, 10)
+
+
+def test_check_hypotheses_bounds_the_x_basis(monkeypatch):
+    # the four-element S^3 x S^2 model against a limit of three: the limit
+    # is checked before the cubic validate runs
+    monkeypatch.setattr(dgl, "MAX_X_BASIS", 3)
+    monkeypatch.setattr(FiniteCdga, "validate", None)
+    prob = MapSpaceProblem(split_test_model(), 5,
+                           y_dgl=Dgl([("a", 7)], {}, {}, 24))
+    with pytest.raises(ValueError, match="X model has 4 basis elements, "
+                                         "above the limit 3"):
+        check_hypotheses(prob)
 
 
 def test_finite_cohomology_rank_sphere():

@@ -5,14 +5,14 @@
 # so the dimensions are 1, 1, 0 in degrees 3, 6, 9 -- and the cochains of
 # the truncation realize the Sullivan model of the 4-sphere.
 
-from rht.dgl import free_lie, free_lie_differential, validate_dgl
+from rht.dgl import free_lie, free_lie_differential
 from rht.cefunctor import ce_cochains
 
 L = free_lie([("a", 3)], 9)
 print("L(a), |a| = 3, dimensions by degree:", L.dims())
 print("[a, a] =", L.bracket("a", "a"))
 print("tensor representative of b6_0:", L.tensor_reps["b6_0"])
-print("axioms check:", bool(validate_dgl(L)))
+print("axioms check:", bool(L.validate()))
 
 res = ce_cochains(free_lie([("a", 3)], 7), 8)
 model = res.cdga
@@ -32,4 +32,4 @@ L3d = free_lie_differential(L3, {"h": L3.bracket("g", "g")})
 print("\nL(g5, h11) with dh = [g,g]:")
 for k, v in L3d.differential.items():
     print("  d %s = %s" % (k, v))
-print("  axioms check:", bool(validate_dgl(L3d)))
+print("  axioms check:", bool(L3d.validate()))

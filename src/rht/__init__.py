@@ -3,29 +3,26 @@
 from .gca import Poly, FreeGCA, Derivation, Cdga, CdgaMorphism, TruncationError
 from .linalg import EchelonSpan, kernel_basis
 from .dgl import (Dgl, DglMorphism, FiniteCdga, free_lie,
-                  free_lie_differential, tensor_map_model, fibration_model,
-                  validate_dgl)
+                  free_lie_differential, tensor_map_model, fibration_model)
 from .cefunctor import ce_cochains, ce_of_morphism
 from .mapmodel import (MapSpaceProblem, check_hypotheses, suspension_model,
                        split_odd_generator, reduce_to_odd_sphere)
 from .quotient import QuotientRing, ModelCohomology
 from .formality import (formality_pipeline, free_cohomology_check,
                         regular_sequence_check, koszul_formality,
-                        transfer_formality, bigraded_model,
-                        barred_bigraded_model, lemma36_scan, bar_obstruction,
-                        replay_verdict, FormalityVerdict)
+                        bigraded_model, barred_bigraded_model, lemma36_scan,
+                        bar_obstruction, replay_verdict, FormalityVerdict)
 
 __all__ = [
     "Poly", "FreeGCA", "Derivation", "Cdga", "CdgaMorphism", "TruncationError",
     "EchelonSpan", "kernel_basis",
     "Dgl", "DglMorphism", "FiniteCdga", "free_lie", "free_lie_differential",
-    "tensor_map_model", "fibration_model", "validate_dgl",
+    "tensor_map_model", "fibration_model",
     "ce_cochains", "ce_of_morphism",
     "MapSpaceProblem", "check_hypotheses", "suspension_model",
     "split_odd_generator", "reduce_to_odd_sphere",
     "QuotientRing", "ModelCohomology",
     "formality_pipeline", "free_cohomology_check", "regular_sequence_check",
-    "koszul_formality", "transfer_formality", "bigraded_model",
-    "barred_bigraded_model", "lemma36_scan", "bar_obstruction",
-    "replay_verdict", "FormalityVerdict",
+    "koszul_formality", "bigraded_model", "barred_bigraded_model",
+    "lemma36_scan", "bar_obstruction", "replay_verdict", "FormalityVerdict",
 ]

@@ -4,24 +4,19 @@ A certificate file embeds every model it mentions as workspace-format
 blocks, so replay needs nothing from the producing session: parse, rebuild,
 re-verify.  The line grammar of those blocks belongs to ``rht.workspace``;
 this module reads the certificate's own fields and the framing of its
-morphism, inner and bigraded blocks, and every parse error names its file
-line.
+bigraded block, and every parse error names its file line.
 """
 
-from .gca import CdgaMorphism, Poly, TruncationError
+from .gca import TruncationError
 from .quotient import ModelCohomology
 from .formality import (FormalityVerdict, FreeCohomologyCert, KoszulCert,
-                        TransferCert, BarObstructionCert, BigradedModel,
-                        build_barred_model)
+                        BarObstructionCert, BigradedModel, build_barred_model)
 from .workspace import (ALGEBRA_BODY, Lines, WorkspaceError,
                         algebra_body_lines, assigned, parse_algebra_body,
                         parse_int, parse_polynomial, print_algebra)
 
 HEADER = "rht-certificate"
 BIGRADED_BODY = ("generator", "d", "rho")
-# transfer certificates nest through their inner certificate; deeper
-# nesting is rejected before parsing recurses any further
-MAX_NESTING = 32
 
 
 class CertificateError(Exception):
@@ -41,14 +36,6 @@ def serialize_verdict(verdict):
         lines.append(print_algebra(cert.model, "model").rstrip("\n"))
     elif isinstance(cert, KoszulCert):
         lines.append(print_algebra(cert.model, "model").rstrip("\n"))
-    elif isinstance(cert, TransferCert):
-        lines.append(print_algebra(cert.f.source, "retract").rstrip("\n"))
-        lines.append(print_algebra(cert.f.target, "big").rstrip("\n"))
-        lines.append(_print_morphism(cert.f, "f", "retract", "big"))
-        lines.append(_print_morphism(cert.g, "g", "big", "retract"))
-        lines.append("inner-certificate")
-        lines.append(serialize_verdict(cert.inner).rstrip("\n"))
-        lines.append("end-inner")
     elif isinstance(cert, BarObstructionCert):
         lines.append("p %d" % cert.p)
         lines.append("witness %s" % cert.witness)
@@ -58,14 +45,6 @@ def serialize_verdict(verdict):
         raise CertificateError("cannot serialize certificate kind %r"
                                % getattr(cert, "kind", None))
     return "\n".join(lines) + "\n"
-
-
-def _print_morphism(phi, name, src_label, tgt_label):
-    lines = ["morphism %s %s %s" % (name, src_label, tgt_label)]
-    for gname in phi.source.names:
-        img = phi.images.get(gname, Poly())
-        lines.append("image %s = %s" % (gname, phi.target.poly_str(img)))
-    return "\n".join(lines)
 
 
 def _print_bigraded(B, y_model):
@@ -83,7 +62,7 @@ def _print_bigraded(B, y_model):
 def parse_certificate(text):
     """Rebuild a FormalityVerdict (with live certificate) from its text."""
     lines = Lines(text)
-    verdict = _parse_verdict(lines, 0)
+    verdict = _parse_verdict(lines)
     rest = lines.peek()
     if rest is not None:
         raise WorkspaceError(rest[0], "unexpected %r after the certificate"
@@ -108,11 +87,8 @@ def _at(i, make, *args):
         raise WorkspaceError(i, str(exc))
 
 
-def _parse_verdict(lines, depth):
+def _parse_verdict(lines):
     i, kind = _field(lines, HEADER)
-    if depth > MAX_NESTING:
-        raise WorkspaceError(i, "certificates nested deeper than %d"
-                             % MAX_NESTING)
     _, verdict = _field(lines, "verdict")
     j, bound = _field(lines, "bound")
     bound = parse_int(bound, j, "bound")
@@ -125,15 +101,6 @@ def _parse_verdict(lines, depth):
     elif kind == KoszulCert.kind:
         j, model = _algebra(lines, "model")
         cert = _at(j, KoszulCert, model, bound)
-    elif kind == TransferCert.kind:
-        _, retract = _algebra(lines, "retract")
-        _, big = _algebra(lines, "big")
-        f = _morphism(lines, ("f", "retract", "big"), retract, big)
-        g = _morphism(lines, ("g", "big", "retract"), big, retract)
-        lines.expect("inner-certificate")
-        inner = _parse_verdict(lines, depth + 1)
-        lines.expect("end-inner")
-        cert = TransferCert(f, g, inner)
     elif kind == BarObstructionCert.kind:
         j, p = _field(lines, "p")
         p = parse_int(p, j, "p")
@@ -151,16 +118,11 @@ def _parse_verdict(lines, depth):
 def _algebra(lines, label):
     i = lines.expect("algebra", label)
     body = lines.take_while(lambda word: word in ALGEBRA_BODY)
-    return i, parse_algebra_body(body, i)
-
-
-def _morphism(lines, labels, source, target):
-    lines.expect("morphism", *labels)
-    images = {}
-    for i, _, line in lines.take_while(lambda word: word == "image"):
-        gname, rhs = assigned(i, line, source.index, "generator")
-        images[gname] = parse_polynomial(rhs, target, i)
-    return CdgaMorphism(source, target, images)
+    alg = parse_algebra_body(body, i)
+    report = alg.check()
+    if not report:
+        raise WorkspaceError(i, "invalid algebra: %s" % report)
+    return i, alg
 
 
 def _bigraded(lines, y_model, H, bound):

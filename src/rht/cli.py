@@ -11,7 +11,7 @@ import os
 import sys
 
 from .gca import Cdga, TruncationError
-from .dgl import validate_dgl
+from .dgl import DglError
 from .mapmodel import check_hypotheses
 from .quotient import ModelCohomology
 from .formality import (formality_pipeline, mapping_space_model,
@@ -88,7 +88,7 @@ def cmd_parse(args):
         sys.stdout.write(print_algebra(alg, name))
         print()
     for name, dgl in ws.dgls.items():
-        report = validate_dgl(dgl)
+        report = dgl.validate()
         if not report:
             print("dgl %s: INVALID (%s)" % (name, report))
             return EXIT_VALIDATION
@@ -284,7 +284,7 @@ def main(argv=None):
                 raise ValueError("--max-degree must be a positive integer")
         return args.func(args)
     except (WorkspaceError, ValueError, TruncationError, CertificateError,
-            KeyError) as exc:
+            DglError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
 

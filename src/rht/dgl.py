@@ -219,10 +219,6 @@ class Dgl:
         return CheckReport.good()
 
 
-def validate_dgl(L):
-    return L.validate()
-
-
 class BasisMorphism:
     """Linear map given by images (sparse combinations) of basis elements."""
 
@@ -277,10 +273,6 @@ class DglMorphism(BasisMorphism):
                     return CheckReport.violation(
                         "bracket", "phi[%s,%s] != [phi %s, phi %s]" % (a, b, a, b))
         return CheckReport.good()
-
-
-def check_dgl_morphism(phi):
-    return phi.check()
 
 
 # -- finite-dimensional CDGA models ---------------------------------------

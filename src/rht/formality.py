@@ -5,8 +5,6 @@ Every verdict carries evidence that re-verifies from scratch:
   * FreeCohomologyCert -- degreewise ranks match a free algebra (Thom route);
   * KoszulCert -- a regular sequence plus an explicit quasi-isomorphism onto
     the quotient ring with zero differential;
-  * TransferCert -- a retraction g o f = Id together with a formal certificate
-    for the big algebra;
   * BarObstructionCert -- a structural non-formality witness on a barred
     bigraded model (only for odd sphere dimension: the even case cannot
     conclude and returns nothing);
@@ -163,23 +161,6 @@ class KoszulCert:
         return verdict.is_formal
 
 
-class TransferCert:
-    kind = "transfer"
-
-    def __init__(self, f, g, inner, bound=None):
-        self.f = f
-        self.g = g
-        self.inner = inner  # FormalityVerdict (formal) for f's target
-        self.bound = int(inner.bound if bound is None else bound)
-
-    def replay(self):
-        try:
-            check_transfer_inputs(self.f, self.g)
-        except ValueError:
-            return False
-        return replay_verdict(self.inner)
-
-
 class BarObstructionCert:
     kind = "bar-linearity-obstruction"
 
@@ -333,7 +314,7 @@ def koszul_formality(A, N):
                    % (", ".join(odd_seq), witness.index, witness.degree)])
     target_alg = FreeGCA([(g, A.gen_degree(g)) for g in evens + odd_closed])
     rels = [_restrict_poly(f, even_alg, target_alg) for f in seq]
-    ring = QuotientRing(target_alg, rels, N)
+    ring = QuotientRing(target_alg, rels, A.truncation)
     images = {}
     for g in evens + odd_closed:
         nf = ring.reduce(target_alg.gen(g))
@@ -349,32 +330,6 @@ def koszul_formality(A, N):
     cert = KoszulCert(A, N)
     cert.rho = rho
     return FormalityVerdict(FORMAL, N, certificate=cert)
-
-
-def check_transfer_inputs(f, g):
-    if f.source is not g.target or f.target is not g.source:
-        raise ValueError("transfer needs f: A -> B and g: B -> A")
-    if not f.check():
-        raise ValueError("f is not a CDGA morphism")
-    if not g.check():
-        raise ValueError("g is not a CDGA morphism")
-    if not g.compose(f).is_identity():
-        raise ValueError("g o f != Id")
-    if f.source.cohomology(1)[0] != 0:
-        raise ValueError("H^1(A) != 0")
-
-
-def transfer_formality(f, g, cert_b):
-    """Formality of the retract A given f: A -> B, g: B -> A with g o f = Id
-    and a replaying Formal certificate for B."""
-    check_transfer_inputs(f, g)
-    if not cert_b.is_formal:
-        raise ValueError("transfer needs a Formal certificate for the target")
-    if not replay_verdict(cert_b):
-        raise ValueError("certificate for B fails replay")
-    bound = min(cert_b.bound, f.source.truncation - 1)
-    return FormalityVerdict(FORMAL, bound,
-                            certificate=TransferCert(f, g, cert_b, bound))
 
 
 # -- bigraded models ---------------------------------------------------------
@@ -626,7 +581,7 @@ def bar_linearity_report(barred):
     return CheckReport.good()
 
 
-def bar_obstruction(barred, y_model=None, bound=None):
+def bar_obstruction(barred, y_model, bound):
     """NonFormal certificate from bar-linearity, or None with a reason.
 
     Emitted only when p is odd (for even p the argument cannot conclude) and
@@ -650,13 +605,6 @@ def bar_obstruction(barred, y_model=None, bound=None):
     if not witnesses:
         return None, ["no even barred generator of positive lower degree"]
     witness = witnesses[0]
-    bound = bound if bound is not None else alg.truncation - 1
-    if y_model is None:
-        y_model = getattr(barred.base.ring, "cdga", None)
-        if y_model is None:
-            raise ValueError(
-                "bar_obstruction needs y_model when the base ring is a "
-                "presented cohomology algebra")
     cert = BarObstructionCert(y_model, barred.base, barred, witness, bound)
     return cert, notes
 

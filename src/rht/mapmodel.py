@@ -219,7 +219,9 @@ def split_odd_generator(A, t, complement=None):
 class Reduction:
     """The odd-sphere reduction package: Lie maps I, Q and cochain maps f, g.
 
-    g o f = Id on C*(Lambda t (x) L), ready for the formality transfer.
+    g o f = Id on C*(Lambda t (x) L), so the sphere side is a retract of
+    C*(A (x) L): a retract of a formal CDGA is formal, so a nonformal sphere
+    side makes F(X, Y) nonformal.
     """
 
     def __init__(self, i, q, I, Q, model_X, model_sphere, ce_X, ce_sphere,
@@ -243,8 +245,8 @@ def reduce_to_odd_sphere(prob, t=None, ce_X=None):
     Needs Y as a Lie model.  ce_X, when given, is ce_cochains of
     tensor_map_model(prob.x_model, prob.y_dgl) at its truncation + 1, as
     formality.mapping_space_model builds it; it is then not built again.
-    Returns a Reduction whose f, g are the CDGA morphisms feeding the
-    formality transfer.
+    Returns a Reduction whose f, g are the CDGA morphisms of the retract
+    argument.
     """
     if prob.y_dgl is None:
         raise ValueError("reduction needs a Lie model of Y")

@@ -22,9 +22,8 @@ X-models are either the name of an all-odd free algebra or a literal sphere
 `#` comments are skipped, and every error names its line in the file.
 
 This module owns the line grammar: certificate files (``rht.certificates``)
-read their embedded algebra blocks, their bigraded block and their
-morphism images with the same line cursor, term reader and algebra-body
-parser.
+read their embedded algebra blocks and their bigraded block with the same
+line cursor, term reader and algebra-body parser.
 """
 
 import re

@@ -6,8 +6,7 @@ import pytest
 from rht.dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
                      free_lie, free_lie_differential, add_differential,
                      tensor_map_model,
-                     fibration_model, tensor_commutator, ConnectivityError,
-                     validate_dgl, check_dgl_morphism)
+                     fibration_model, tensor_commutator, ConnectivityError)
 from rht.gca import Cdga
 from rht.linalg import EchelonSpan
 
@@ -63,7 +62,7 @@ def test_free_lie_one_odd_generator_against_oracle():
     L = free_lie([("a", 3)], 9)
     assert L.dims() == {3: 1, 6: 1}
     assert oracle_free_lie_dims([3], 9) == {3: 1, 6: 1}
-    assert validate_dgl(L)
+    assert L.validate()
     # and [a,a] is twice the basis tensor a(x)a, in particular nonzero
     assert L.bracket("a", "a") == {"b6_0": F(2)}
 
@@ -78,7 +77,7 @@ def test_free_lie_two_odd_generators_degree_six():
     L = free_lie([("a", 3), ("b", 3)], 6)
     assert L.dims() == {3: 2, 6: 3}
     assert oracle_free_lie_dims([3, 3], 6) == {3: 2, 6: 3}
-    assert validate_dgl(L)
+    assert L.validate()
 
 
 def test_free_lie_mixed_generators_matches_oracle():
@@ -86,7 +85,7 @@ def test_free_lie_mixed_generators_matches_oracle():
         gens = [("g%d" % i, d) for i, d in enumerate(degrees)]
         L = free_lie(gens, upto)
         assert L.dims() == oracle_free_lie_dims(degrees, upto), (degrees, upto)
-        assert validate_dgl(L)
+        assert L.validate()
 
 
 def test_free_lie_differential_image_with_shared_words():
@@ -99,15 +98,15 @@ def test_free_lie_differential_image_with_shared_words():
                 if set(reps[u]) & set(reps[v]))
     M = free_lie_differential(L, {"x": {u: 1, v: -2}})
     assert M.differential == {"x": {u: F(1), v: F(-2)}}
-    assert validate_dgl(M)
+    assert M.validate()
 
 
 def test_validate_abelian_and_antisymmetry_violation():
     L = Dgl([("u", 3)], {}, {}, 9)
-    assert validate_dgl(L)
+    assert L.validate()
     bad = Dgl([("u", 3), ("v", 4), ("w", 7)],
               {("u", "v"): {"w": 1}, ("v", "u"): {"w": 1}}, {}, 9)
-    report = validate_dgl(bad)
+    report = bad.validate()
     assert not report and report.kind == "antisymmetry"
 
 
@@ -120,7 +119,7 @@ def test_validate_catches_bad_jacobi():
     brackets[key] = {n: 2 * c for n, c in brackets[key].items()}
     bad = Dgl(list(zip(L.names, [L.degree_of[n] for n in L.names])),
               brackets, {}, 9)
-    report = validate_dgl(bad)
+    report = bad.validate()
     assert not report and report.kind in ("jacobi", "antisymmetry")
 
 
@@ -128,10 +127,10 @@ def test_validate_catches_bad_leibniz():
     L = free_lie([("a", 3), ("c", 7)], 10)
     # d(c) = [a,a] is a valid minimal differential
     good = add_differential(L, {"c": L.bracket("a", "a")})
-    assert validate_dgl(good)
+    assert good.validate()
     # d(b6_0) = a breaks Leibniz/degree bookkeeping on [a,a]
     bad = add_differential(L, {"c": L.bracket("a", "a"), "b6_0": {"a": 2}})
-    report = validate_dgl(bad)
+    report = bad.validate()
     assert not report
 
 
@@ -156,7 +155,7 @@ def test_tensor_model_sphere_times_abelian():
     assert sorted((n, M.degree_of[n]) for n in M.names) == [("l", 3), ("t_l", 1)]
     assert M.brackets == {}
     assert M.differential == {}
-    assert validate_dgl(M)
+    assert M.validate()
 
 
 def test_tensor_model_unit_case_is_isomorphic_to_L():
@@ -199,7 +198,7 @@ def test_tensor_model_with_nonzero_differentials_validates():
     L = free_lie([("a", 17), ("b", 19)], 38)
     dL = add_differential(L, {"b": {}})
     M = tensor_map_model(A, dL)
-    assert validate_dgl(M)
+    assert M.validate()
 
 
 def test_fibration_model_projection_and_section():
@@ -207,8 +206,8 @@ def test_fibration_model_projection_and_section():
     L = free_lie([("a", 3), ("b", 3)], 10)
     M = tensor_map_model(A, L)
     proj, sect = fibration_model(M)
-    assert check_dgl_morphism(proj)
-    assert check_dgl_morphism(sect)
+    assert proj.check()
+    assert sect.check()
     assert proj.compose(sect).is_identity()
     # proj kills t(x)l and keeps 1(x)l
     assert proj.images["t_a"] == {}
@@ -225,11 +224,11 @@ def test_fibration_model_point_is_identity():
 
 def test_check_dgl_morphism_identity_and_scaling_violation():
     L = free_lie([("a", 3), ("b", 3)], 9)
-    assert check_dgl_morphism(DglMorphism.identity(L))
+    assert DglMorphism.identity(L).check()
     images = {n: {n: QONE} for n in L.names}
     images["b6_1"] = {"b6_1": F(5)}  # scales one bracket inconsistently
     bad = DglMorphism(L, L, images)
-    report = check_dgl_morphism(bad)
+    report = bad.check()
     assert not report and report.kind == "bracket"
 
 

@@ -10,7 +10,7 @@ from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht import formality
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.formality import (free_cohomology_check, regular_sequence_check,
-                           koszul_formality, koszul_shape, transfer_formality,
+                           koszul_formality, koszul_shape,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
@@ -137,39 +137,6 @@ def test_koszul_with_closed_odd_generator():
     verdict = koszul_formality(model, 12)
     assert verdict.is_formal
     assert verdict.certificate.odd_closed == ["t"]
-
-
-# -- transfer ----------------------------------------------------------------
-
-def test_transfer_identity_case():
-    model = suspension_model(section4_y(14), 2).cdga
-    inner = koszul_formality(model, 12)
-    ident = CdgaMorphism.identity(model)
-    verdict = transfer_formality(ident, ident, inner)
-    assert verdict.is_formal
-    assert verdict.certificate.kind == "transfer"
-    assert replay_verdict(verdict)
-
-
-def test_transfer_retract_of_product():
-    # A = Lambda(x4), B = Lambda(x4, u2): inclusion/projection retract
-    A = Cdga([("x", 4)], {}, 13)
-    B = Cdga([("x", 4), ("u", 2)], {}, 13)
-    f = CdgaMorphism(A, B, {"x": B.gen("x")})
-    g = CdgaMorphism(B, A, {"x": A.gen("x"), "u": Poly()})
-    inner = koszul_formality(B, 12)  # free polynomial ring: empty sequence
-    assert inner.is_formal
-    verdict = transfer_formality(f, g, inner)
-    assert verdict.is_formal
-
-
-def test_transfer_rejects_failed_retraction():
-    A = Cdga([("x", 4)], {}, 13)
-    f = CdgaMorphism(A, A, {"x": Poly()})
-    g = CdgaMorphism(A, A, {"x": A.gen("x")})
-    inner = koszul_formality(A, 12)
-    with pytest.raises(ValueError):
-        transfer_formality(f, g, inner)
 
 
 # -- bigraded models ---------------------------------------------------------

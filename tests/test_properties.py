@@ -17,7 +17,7 @@ from random import Random
 
 from rht.gca import Cdga, FreeGCA, Poly
 from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
-                     tensor_map_model, validate_dgl, Dgl)
+                     tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import suspension_model, split_odd_generator
 from rht.formality import koszul_formality, replay_verdict, RhoMorphism
@@ -89,7 +89,7 @@ def test_tensor_map_model_always_yields_a_dgl():
             M = tensor_map_model(A, L)
         except Exception:
             continue
-        report = validate_dgl(M)
+        report = M.validate()
         assert report, (report, A.names, L.names)
         produced += 1
         if A.diff:
@@ -126,7 +126,7 @@ def test_ce_detects_corrupted_jacobi_triples():
         brackets[key] = {n: c * 3 for n, c in brackets[key].items()}
         bad = Dgl(list(zip(L.names, [L.degree_of[n] for n in L.names])),
                   brackets, {}, N)
-        report = validate_dgl(bad)
+        report = bad.validate()
         if report:
             continue  # the scaled bracket happened to stay consistent
         bad_ce = ce_cochains(bad, bad.truncation + 1, validate=False)

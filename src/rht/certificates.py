@@ -87,25 +87,37 @@ def _at(i, make, *args):
         raise WorkspaceError(i, str(exc))
 
 
+def _check_bound(j, bound, model):
+    """The one bound rule of every kind: a claim up to degree bound reads
+    its first embedded model up to bound + 1, so 1 <= bound < truncation."""
+    if not 1 <= bound < model.truncation:
+        raise WorkspaceError(j, "bound %d is not in 1..%d (the model is "
+                             "truncated at %d)" % (bound, model.truncation - 1,
+                                                    model.truncation))
+
+
 def _parse_verdict(lines):
     i, kind = _field(lines, HEADER)
     _, verdict = _field(lines, "verdict")
-    j, bound = _field(lines, "bound")
-    bound = parse_int(bound, j, "bound")
+    jb, bound = _field(lines, "bound")
+    bound = parse_int(bound, jb, "bound")
 
     if kind == FreeCohomologyCert.kind:
         j, degrees = _field(lines, "free-generators", many=True)
         degrees = [parse_int(d, j, "degree") for d in degrees]
         _, model = _algebra(lines, "model")
+        _check_bound(jb, bound, model)
         cert = FreeCohomologyCert(model, degrees, bound)
     elif kind == KoszulCert.kind:
         j, model = _algebra(lines, "model")
+        _check_bound(jb, bound, model)
         cert = _at(j, KoszulCert, model, bound)
     elif kind == BarObstructionCert.kind:
         j, p = _field(lines, "p")
         p = parse_int(p, j, "p")
         _, witness = _field(lines, "witness")
         _, y_model = _algebra(lines, "target_model")
+        _check_bound(jb, bound, y_model)
         j, B = _bigraded(lines, y_model, ModelCohomology(y_model, bound),
                          bound)
         barred = _at(j, build_barred_model, B, p)

@@ -3,8 +3,10 @@
 Every verdict carries evidence that re-verifies from scratch:
 
   * FreeCohomologyCert -- degreewise ranks match a free algebra (Thom route);
-  * KoszulCert -- a regular sequence plus an explicit quasi-isomorphism onto
-    the quotient ring with zero differential;
+  * KoszulCert -- Koszul shape plus a regular sequence of odd differentials,
+    checked up to bound + 1; by the Koszul-complex theorem that is exactly
+    the quasi-isomorphism onto the quotient ring up to bound, so neither
+    produce nor replay computes the model's cohomology;
   * BarObstructionCert -- a structural non-formality witness on a barred
     bigraded model (only for odd sphere dimension: the even case cannot
     conclude and returns nothing);
@@ -15,6 +17,7 @@ search into a verdict.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .gca import Cdga, CdgaMorphism, Derivation, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
@@ -146,19 +149,29 @@ class RegularSequenceWitness:
 
 
 class KoszulCert:
+    """Koszul shape and odd differentials regular up to bound + 1: both are
+    read off the model, so the model is the whole certificate."""
     kind = "koszul-regular-sequence"
 
-    def __init__(self, model, bound):
+    def __init__(self, model, bound, shape=None):
         self.model = model
         self.bound = int(bound)
-        shape = koszul_shape(model)
-        if shape is None:
+        self.shape = shape or koszul_shape(model)
+        if self.shape is None:
             raise ValueError("model is not of Koszul shape")
-        self.even_gens, self.odd_closed, self.odd_sequence = shape
+        self.even_gens, self.odd_closed, self.odd_sequence = self.shape
+
+    def regularity(self):
+        """regular_sequence_check of the odd differentials up to bound + 1."""
+        even_alg, seq, _ = koszul_sequence(self.model, self.shape)
+        return regular_sequence_check(even_alg, seq, self.bound + 1)
 
     def replay(self):
-        verdict = koszul_formality(self.model, self.bound)
-        return verdict.is_formal
+        return self.regularity()[0]
+
+    @cached_property
+    def rho(self):
+        return koszul_rho(self.model, self.shape)
 
 
 class BarObstructionCert:
@@ -222,23 +235,26 @@ def free_cohomology_check(H, N):
 
 def regular_sequence_check(algebra, seq, N):
     """Is f_1, ..., f_k a regular sequence in the even polynomial ring, up to
-    total degree N?  Checks injectivity of multiplication by f_i on every
-    degree <= N - |f_i| of the partial quotient.  Truncation-relative."""
+    total degree N?  Checks that multiplication by f_i is injective on every
+    degree <= N - |f_i| of the partial quotient Q[evens]/(f_<i), that is,
+    that its columns are independent; a nonzero f_1 is injective because
+    Q[evens] is a domain.  Truncation-relative."""
     if any(d % 2 for d in algebra.degrees):
         raise ValueError("regular sequences live in an even polynomial ring")
-    for f in seq:
-        algebra.poly_degree(f)  # raises if inhomogeneous
-    for i, f in enumerate(seq):
-        ring = QuotientRing(algebra, seq[:i], N)
-        df = algebra.poly_degree(f)
+    degrees = [algebra.poly_degree(f) for f in seq]  # raises if inhomogeneous
+    for i, (f, df) in enumerate(zip(seq, degrees)):
         if df is None:
             return False, RegularSequenceWitness(i, 0, Poly.unit())
+        if i == 0:
+            continue
+        ring = QuotientRing(algebra, seq[:i], N)
         for k in range(0, N - df + 1):
             mat = ring.multiplication_matrix(f, k)
-            ker = kernel_basis(mat)
-            if ker:
+            span = EchelonSpan(ring.rank(k + df))
+            if not all(span.add(col) for col in mat):
                 basis = ring.basis_monomials(k)
-                bad = Poly({basis[j]: c for j, c in ker[0].items()})
+                ker = kernel_basis(mat)[0]
+                bad = Poly({basis[j]: c for j, c in ker.items()})
                 return False, RegularSequenceWitness(i, k, bad)
     return True, None
 
@@ -279,10 +295,10 @@ def _restrict_poly(p, src, dst):
         for m, c in p.items()))
 
 
-def koszul_sequence(A):
+def koszul_sequence(A, shape=None):
     """(even polynomial ring, odd-differential sequence, odd generator names)
-    for an algebra of Koszul shape; None otherwise."""
-    shape = koszul_shape(A)
+    for an algebra of Koszul shape (given, or computed here); None otherwise."""
+    shape = shape or koszul_shape(A)
     if shape is None:
         return None
     evens, _, odd_seq = shape
@@ -292,43 +308,45 @@ def koszul_sequence(A):
     return even_alg, seq, odd_seq
 
 
+def koszul_rho(A, shape=None):
+    """rho: A -> Q[evens]/(f) (x) Lambda(closed odds), killing the non-closed
+    odd generators, for an algebra of Koszul shape."""
+    evens, odd_closed, odd_seq = shape or koszul_shape(A)
+    kept = evens + odd_closed
+    target_alg = FreeGCA([(g, A.gen_degree(g)) for g in kept])
+    rels = [_restrict_poly(A.differential.images[g], A, target_alg)
+            for g in odd_seq]
+    ring = QuotientRing(target_alg, rels, A.truncation)
+    return RhoMorphism(A, ring, {g: ring.poly_class(target_alg.gen(g))
+                                 for g in kept})
+
+
 def koszul_formality(A, N):
     """Formal with a Koszul certificate, or Unknown.  Never a false verdict.
 
-    On pure-Koszul shape, checks that the odd differentials form a regular
-    sequence, builds rho killing the non-closed odd generators, and verifies
-    rho is a cochain map and a quasi-isomorphism up to N."""
+    On Koszul shape (even generators closed, each non-closed odd y_i with
+    d y_i = f_i in Q[evens]) the whole check is that f is regular up to
+    N + 1.  d keeps the internal degree |y_i| + 1 = |f_i|, so H^n(A) holds
+    H_j(K)_{n+j} of the Koszul complex K of f for every j, and H_j(K)_m = 0
+    for all m <= N + j exactly when each f_i is injective on Q[evens]/(f_<i)
+    up to degree N + 1 - |f_i|: exactly when koszul_rho is a
+    quasi-isomorphism up to N.  The bound N would be too weak:
+    Lambda(a2, y3, z5), dy = a^2, dz = a^3 is regular up to 5, yet
+    [z - a*y] != 0 in H^5."""
     if N + 1 > A.truncation:
         raise ValueError("koszul_formality needs truncation >= N + 1")
     shape = koszul_shape(A)
     if shape is None:
         return FormalityVerdict(UNKNOWN, N,
                                 notes=["not of Koszul shape"])
-    evens, odd_closed, odd_seq = shape
-    even_alg, seq, _ = koszul_sequence(A)
-    ok, witness = regular_sequence_check(even_alg, seq, N)
+    cert = KoszulCert(A, N, shape)
+    ok, witness = cert.regularity()
     if not ok:
         return FormalityVerdict(
             UNKNOWN, N,
             notes=["sequence (%s) is not regular: index %d degree %d"
-                   % (", ".join(odd_seq), witness.index, witness.degree)])
-    target_alg = FreeGCA([(g, A.gen_degree(g)) for g in evens + odd_closed])
-    rels = [_restrict_poly(f, even_alg, target_alg) for f in seq]
-    ring = QuotientRing(target_alg, rels, A.truncation)
-    images = {}
-    for g in evens + odd_closed:
-        nf = ring.reduce(target_alg.gen(g))
-        images[g] = ring.poly_class(target_alg.gen(g)) if nf else ring.zero(A.gen_degree(g))
-    rho = RhoMorphism(A, ring, images)
-    rep = rho.is_cochain_map()
-    if not rep:
-        return FormalityVerdict(UNKNOWN, N, notes=[str(rep)])
-    qis, bad = rho.is_quasi_iso(N)
-    if not qis:
-        return FormalityVerdict(
-            UNKNOWN, N, notes=["rho fails quasi-isomorphism at degree %d" % bad])
-    cert = KoszulCert(A, N)
-    cert.rho = rho
+                   % (", ".join(cert.odd_sequence), witness.index,
+                      witness.degree)])
     return FormalityVerdict(FORMAL, N, certificate=cert)
 
 

@@ -65,7 +65,7 @@ class Budget:
         self.elapsed = time.monotonic() - self.start
         if exc[0] is None:
             assert self.elapsed < self.seconds, \
-                "budget exceeded: %.2fs >= %ds" % (self.elapsed, self.seconds)
+                "budget exceeded: %.2fs >= %gs" % (self.elapsed, self.seconds)
         return False
 
 
@@ -109,6 +109,22 @@ def test_criterion_1_section4_reproduction(tmp_path, capsys):
         assert verdict.certificate.rho.is_quasi_iso(16) == (True, None)
     print("\nPASS criterion 1: section-4 reproduction "
           "(model, regular sequence, Koszul certificate) in %.2fs"
+          % budget.elapsed)
+
+
+def test_section4_replay_budget(tmp_path, capsys):
+    # replay checks Koszul shape and regularity up to N + 1, not the
+    # cohomology of the model, so a large N replays in a fraction of a second
+    cert_path = tmp_path / "s4_40.cert"
+    code = cli.main(["reproduce-section4", "--max-degree", "40",
+                     "--certificate-out", str(cert_path)])
+    capsys.readouterr()
+    assert code == 0
+    text = cert_path.read_text()
+    with Budget(0.6) as budget:
+        ok, info = replay_certificate_text(text)
+    assert ok, info
+    print("\nPASS section-4 certificate at N = 40 replayed in %.2fs"
           % budget.elapsed)
 
 

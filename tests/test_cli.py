@@ -380,10 +380,28 @@ def test_tampered_certificate_lines_fail_at_their_file_line(capsys, ws_file,
         ("rht-certificate bar-linearity-obstruction",
          "rht-certificate transfer", 1, "unknown certificate kind 'transfer'"),
     ]
+    # the bound: at least 1, and its bound + 1 within the target model
+    cases += [("bound 20", "bound %s" % b, 3, "bound %s is not in 1..23 "
+               "(the model is truncated at 24)" % b) for b in ("0", "40")]
     for old, new, line, message in cases:
         assert old in text
         ok, info = replay_certificate_text(text.replace(old, new, 1))
         assert (ok, info) == (False, "parse failure: line %d: %s"
                               % (line, message))
+    # the same bound rule for the other two kinds, at the bound line
+    k7, thom = tmp_path / "k7.cert", tmp_path / "thom.cert"
+    run_cli(capsys, "reproduce-section4", "--max-degree", "7",
+            "--certificate-out", str(k7))
+    run_cli(capsys, "formality", ws_file, "thom", "--max-degree", "12",
+            "--certificate-out", str(thom))
+    for path, bound, top, bad in ((k7, 7, 25, ("0", "-1", "26", "50")),
+                                  (thom, 12, 12, ("0", "-1", "13"))):
+        text = path.read_text()
+        for b in bad:
+            ok, info = replay_certificate_text(
+                text.replace("bound %d" % bound, "bound " + b, 1))
+            assert (ok, info) == (
+                False, "parse failure: line 3: bound %s is not in 1..%d "
+                "(the model is truncated at %d)" % (b, top, top + 1))
 
 

@@ -10,7 +10,7 @@ from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht import formality
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.formality import (free_cohomology_check, regular_sequence_check,
-                           koszul_formality, koszul_shape,
+                           koszul_formality, koszul_shape, koszul_rho,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
@@ -137,6 +137,33 @@ def test_koszul_with_closed_odd_generator():
     verdict = koszul_formality(model, 12)
     assert verdict.is_formal
     assert verdict.certificate.odd_closed == ["t"]
+
+
+def test_koszul_regularity_is_checked_up_to_n_plus_one():
+    # Lambda(a2, y3, z5), dy = a^2, dz = a^3: regular up to 5, yet
+    # z - a*y is a cocycle of degree 5 and no boundary, while the target
+    # Q[a]/(a^2, a^3) is 0 in degree 5
+    gens = [("a", 2), ("y", 3), ("z", 5)]
+    alg = Cdga(gens, {}, 7)
+    a = alg.gen("a")
+    model = Cdga(gens, {"y": alg.power(a, 2), "z": alg.power(a, 3)}, 7)
+    assert koszul_formality(model, 4).is_formal
+    verdict = koszul_formality(model, 5)
+    assert verdict.verdict == UNKNOWN
+    assert verdict.notes == ["sequence (y, z) is not regular: index 1 degree 0"]
+    assert koszul_rho(model).is_quasi_iso(5) == (False, 5)
+    cocycle = alg.gen("z") - alg.multiply(a, alg.gen("y"))
+    assert not model.d(cocycle) and model.cohomology(5)[0] == 1
+
+
+def test_koszul_certificate_without_a_regular_sequence_fails_replay():
+    model = suspension_model(section4_y(18), 2).cdga
+    text = serialize_verdict(koszul_formality(model, 16))
+    old = "d y_bar = x1*x2_bar + x2*x1_bar"
+    assert old in text
+    # x1*x2 and x1*x2_bar share the factor x1: x2 * x1*x2_bar lies in (x1*x2)
+    assert replay_certificate_text(text.replace(old, "d y_bar = x1*x2_bar")) \
+        == (False, "koszul-regular-sequence certificate FAILED replay")
 
 
 # -- bigraded models ---------------------------------------------------------

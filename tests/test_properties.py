@@ -20,7 +20,10 @@ from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import suspension_model, split_odd_generator
-from rht.formality import koszul_formality, replay_verdict, RhoMorphism
+from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
+                           KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
+                           koszul_sequence, regular_sequence_check)
+from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.quotient import QuotientRing, ModelCohomology
 
 F = Fraction
@@ -245,6 +248,49 @@ def random_homogeneous(rng, alg, degree):
         p = Poly({m: F(rng.randint(-3, 3), rng.randint(1, 3))
                   for m in rng.sample(basis, min(len(basis), 3))})
     return p
+
+
+def random_koszul_shape_model(rng):
+    """(model, N): Lambda(evens, odds), 1-3 even generators of degree 2 or
+    4, 1-3 odd ones with a random d in Q[evens] of degree 4, 6 or 8, and
+    sometimes one closed odd generator; regular or not."""
+    evens = [("a%d" % i, rng.choice([2, 4])) for i in range(rng.randint(1, 3))]
+    even_alg = FreeGCA(evens)
+    odds, d = [], {}
+    for i in range(rng.randint(1, 3)):
+        degree = rng.choice([4, 6, 8])
+        f = random_homogeneous(rng, even_alg, degree)
+        if f is not None:  # the evens come first, so f reads in the model
+            odds.append(("y%d" % i, degree - 1))
+            d["y%d" % i] = f
+    if rng.random() < 0.3:
+        odds.append(("t", rng.choice([3, 5])))
+    N = rng.randint(4, 14)
+    gens = evens + odds
+    truncation = max([N + 1] + [deg + 1 for _, deg in gens])
+    return Cdga(gens, d, truncation), N
+
+
+def test_koszul_regularity_matches_the_quasi_iso_oracle():
+    # regularity up to N + 1 decides what rho's quasi-isomorphism up to N
+    # decides, and a regular sequence checked only up to N would not
+    rng = Random(2718)
+    counts = {True: 0, False: 0}
+    regular_at_n_only = 0
+    for _ in range(CASES):
+        model, N = random_koszul_shape_model(rng)
+        want = koszul_rho(model).is_quasi_iso(N)[0]
+        verdict = koszul_formality(model, N)
+        assert verdict.is_formal == want
+        # the claim "formal up to N" replays exactly when it holds
+        claim = FormalityVerdict(FORMAL, N, KoszulCert(model, N))
+        assert replay_certificate_text(serialize_verdict(claim))[0] == want
+        if not want:
+            even_alg, seq, _ = koszul_sequence(model)
+            regular_at_n_only += regular_sequence_check(even_alg, seq, N)[0]
+        counts[want] += 1
+    assert min(counts.values()) >= 20, counts
+    assert regular_at_n_only >= 5
 
 
 def check_rho_multiplicative(rng, rho, bound):

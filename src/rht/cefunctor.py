@@ -39,18 +39,15 @@ class CeResult:
         return lin, quad
 
 
-def ce_cochains(L, N, validate=True):
+def ce_cochains(L, N):
     """C*(L, d_L) truncated at cohomological degree N <= L.truncation + 1.
 
-    Set validate=False only when feeding deliberately corrupted input to
-    check that d^2 = 0 fails.
+    A plain builder: L is not validated here but where it enters
+    (mapmodel.check_hypotheses).  d^2 = 0 holds whenever L is a DGL, and
+    A (x) L is one for a valid X-model A and a valid L.
     """
     if N > L.truncation + 1:
         raise ValueError("N may exceed L's truncation by at most 1")
-    if validate:
-        report = L.validate()
-        if not report:
-            raise ValueError("invalid DGL: %s" % report)
 
     gens = []
     gen_of = {}
@@ -85,7 +82,7 @@ def ce_cochains(L, N, validate=True):
             if c and x in gen_of:
                 terms.append(({((carrier.index[gen_of[x]], 1),): -c}, 1))
         for x, y, c in quadratic.get(z, ()):
-            # a term of another degree can only come from unvalidated input;
+            # a term of another degree can only come from invalid input;
             # deg[x], deg[y] < deg[z] <= N - 2 puts x and y in gen_of
             if deg[x] + deg[y] != deg[z]:
                 continue

@@ -10,13 +10,17 @@ bigraded block, and every parse error names its file line.
 from .gca import TruncationError
 from .quotient import ModelCohomology
 from .formality import (FormalityVerdict, FreeCohomologyCert, KoszulCert,
-                        BarObstructionCert, BigradedModel, build_barred_model)
+                        BarObstructionCert, BigradedModel, FORMAL, NONFORMAL,
+                        barred_bigraded_model)
 from .workspace import (ALGEBRA_BODY, Lines, WorkspaceError,
                         algebra_body_lines, assigned, parse_algebra_body,
                         parse_int, parse_polynomial, print_algebra)
 
 HEADER = "rht-certificate"
 BIGRADED_BODY = ("generator", "d", "rho")
+# the one verdict each certificate kind backs
+KIND_VERDICT = {FreeCohomologyCert.kind: FORMAL, KoszulCert.kind: FORMAL,
+                BarObstructionCert.kind: NONFORMAL}
 
 
 class CertificateError(Exception):
@@ -98,9 +102,14 @@ def _check_bound(j, bound, model):
 
 def _parse_verdict(lines):
     i, kind = _field(lines, HEADER)
-    _, verdict = _field(lines, "verdict")
+    jv, verdict = _field(lines, "verdict")
     jb, bound = _field(lines, "bound")
     bound = parse_int(bound, jb, "bound")
+    if kind not in KIND_VERDICT:
+        raise WorkspaceError(i, "unknown certificate kind %r" % kind)
+    if verdict != KIND_VERDICT[kind]:
+        raise WorkspaceError(jv, "a %s certificate backs verdict %s, not %r"
+                             % (kind, KIND_VERDICT[kind], verdict))
 
     if kind == FreeCohomologyCert.kind:
         j, degrees = _field(lines, "free-generators", many=True)
@@ -112,7 +121,7 @@ def _parse_verdict(lines):
         j, model = _algebra(lines, "model")
         _check_bound(jb, bound, model)
         cert = _at(j, KoszulCert, model, bound)
-    elif kind == BarObstructionCert.kind:
+    else:
         j, p = _field(lines, "p")
         p = parse_int(p, j, "p")
         _, witness = _field(lines, "witness")
@@ -120,10 +129,8 @@ def _parse_verdict(lines):
         _check_bound(jb, bound, y_model)
         j, B = _bigraded(lines, y_model, ModelCohomology(y_model, bound),
                          bound)
-        barred = _at(j, build_barred_model, B, p)
+        barred = _at(j, barred_bigraded_model, B, p)
         cert = BarObstructionCert(y_model, B, barred, witness, bound)
-    else:
-        raise WorkspaceError(i, "unknown certificate kind %r" % kind)
     return FormalityVerdict(verdict, bound, cert)
 
 

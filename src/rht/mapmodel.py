@@ -64,9 +64,10 @@ class MapSpaceProblem:
 
 
 class HypothesisReport:
-    def __init__(self, x_valid, connectivity_ok, hp_nonzero, odd_closed,
-                 messages):
+    def __init__(self, x_valid, y_valid, connectivity_ok, hp_nonzero,
+                 odd_closed, messages):
         self.x_valid = x_valid
+        self.y_valid = y_valid
         self.connectivity_ok = connectivity_ok
         self.hp_nonzero = hp_nonzero
         self.odd_closed = odd_closed
@@ -74,16 +75,17 @@ class HypothesisReport:
 
     @property
     def ok(self):
-        return self.x_valid and self.connectivity_ok and self.hp_nonzero
+        return (self.x_valid and self.y_valid and self.connectivity_ok
+                and self.hp_nonzero)
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
-        return ("HypothesisReport(x_valid=%s, connectivity_ok=%s, "
+        return ("HypothesisReport(x_valid=%s, y_valid=%s, connectivity_ok=%s, "
                 "hp_nonzero=%s, odd_closed=%s)" % (
-                    self.x_valid, self.connectivity_ok, self.hp_nonzero,
-                    self.odd_closed))
+                    self.x_valid, self.y_valid, self.connectivity_ok,
+                    self.hp_nonzero, self.odd_closed))
 
 
 def finite_cohomology_rank(A, n):
@@ -97,15 +99,23 @@ def finite_cohomology_rank(A, n):
 
 
 def check_hypotheses(prob):
-    """A valid X model, connectivity m >= p+1 and H^p(X) != 0; reports (never
-    blocks) whether X carries a designated odd closed class, since the even-p
-    path is allowed to run without one.  An X basis above MAX_X_BASIS raises
-    ValueError before any check runs."""
+    """Valid X and Y models, connectivity m >= p+1 and H^p(X) != 0; reports
+    (never blocks) whether X carries a designated odd closed class, since the
+    even-p path is allowed to run without one.  An X basis above MAX_X_BASIS
+    raises ValueError before any check runs.
+
+    This is where X and Y are checked, once: every model built from them
+    downstream (the suspension model, A (x) L, its cochains) is valid by
+    construction and is not checked again."""
     check_x_basis_size(len(prob.x_model.names))
     messages = []
     x_valid = prob.x_model.validate()
     if not x_valid:
         messages.append("invalid X model: %s" % x_valid.message)
+    y_valid = (prob.y_cdga.check() if prob.y_cdga is not None
+               else prob.y_dgl.validate())
+    if not y_valid:
+        messages.append("invalid Y model: %s" % y_valid.message)
     conn = prob.m >= prob.p + 1
     if not conn:
         messages.append("connectivity m=%d < p+1=%d" % (prob.m, prob.p + 1))
@@ -121,7 +131,8 @@ def check_hypotheses(prob):
         odd_closed = bool(odd)
         if not odd_closed:
             messages.append("no odd closed basis class found in the X-model")
-    return HypothesisReport(bool(x_valid), conn, hp, odd_closed, messages)
+    return HypothesisReport(bool(x_valid), bool(y_valid), conn, hp,
+                            odd_closed, messages)
 
 
 class SuspensionModel:

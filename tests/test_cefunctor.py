@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from rht.cefunctor import ce_cochains, ce_of_morphism
 from rht.dgl import (Dgl, DglMorphism, FiniteCdga, free_lie, add_differential,
                      tensor_map_model, fibration_model)
@@ -70,7 +68,7 @@ def test_ce_detects_corrupted_jacobi():
               brackets, {}, 11)
     report = bad.validate()
     assert not report and report.kind == "jacobi"
-    res = ce_cochains(bad, 12, validate=False)
+    res = ce_cochains(bad, 12)
     assert not res.cdga.check()
 
 
@@ -110,10 +108,3 @@ def test_ce_zero_section_dualizes_to_augmentation():
             assert not img
         else:
             assert img == g.target.gen(ceL.gen_of[x])
-
-
-def test_ce_rejects_invalid_dgl():
-    bad = Dgl([("u", 3), ("v", 4), ("w", 7)],
-              {("u", "v"): {"w": 1}, ("v", "u"): {"w": 1}}, {}, 9)
-    with pytest.raises(ValueError):
-        ce_cochains(bad, 8)

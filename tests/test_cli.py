@@ -290,6 +290,35 @@ def test_formality_checks_the_y_model(capsys, tmp_path):
     assert "d(y) is not homogeneous of degree |y|+1" in err
 
 
+INVALID_LIE_WS = """\
+dgl L
+truncation 12
+basis u degree 3
+basis v degree 4
+basis w degree 7
+bracket [u,v] = w
+bracket [v,u] = w
+
+problem p1 X=S2 Y=L p=2
+"""
+
+
+def test_invalid_lie_y_model_is_rejected_up_front(capsys, tmp_path):
+    # [v,u] must be -[u,v] here; the tensor model and its cochains are built
+    # on L unchecked, so without the hypothesis check this read FORMAL
+    path = tmp_path / "lie.rht"
+    path.write_text(INVALID_LIE_WS)
+    cert = tmp_path / "lie.cert"
+    for argv in (["formality", str(path), "p1", "--max-degree", "6",
+                  "--certificate-out", str(cert)],
+                 ["map-model", str(path), "p1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: hypotheses violated: invalid Y model: "
+                              "[u,v] != -(-1)^(|u||v|) [v,u]")
+    assert not cert.exists()
+
+
 def test_lie_truncation_too_small_goes_through_main(capsys, tmp_path):
     path = tmp_path / "short.rht"
     path.write_text("dgl K\ntruncation 6\nbasis l degree 5\n\n"
@@ -380,6 +409,10 @@ def test_tampered_certificate_lines_fail_at_their_file_line(capsys, ws_file,
         ("rht-certificate bar-linearity-obstruction",
          "rht-certificate transfer", 1, "unknown certificate kind 'transfer'"),
     ]
+    # a bar obstruction backs nonformal and nothing else
+    cases += [("verdict nonformal", "verdict %s" % v, 2, "a bar-linearity-"
+               "obstruction certificate backs verdict nonformal, not %r" % v)
+              for v in ("formal", "bogus")]
     # the bound: at least 1, and its bound + 1 within the target model
     cases += [("bound 20", "bound %s" % b, 3, "bound %s is not in 1..23 "
                "(the model is truncated at 24)" % b) for b in ("0", "40")]
@@ -394,6 +427,20 @@ def test_tampered_certificate_lines_fail_at_their_file_line(capsys, ws_file,
             "--certificate-out", str(k7))
     run_cli(capsys, "formality", ws_file, "thom", "--max-degree", "12",
             "--certificate-out", str(thom))
+    # and both back formal only, at the verdict line
+    k8 = tmp_path / "k8.cert"
+    run_cli(capsys, "reproduce-section4", "--max-degree", "8",
+            "--certificate-out", str(k8))
+    for path, kind, bad in ((k8, "koszul-regular-sequence",
+                             ("nonformal", "unknown", "bogus")),
+                            (thom, "free-cohomology", ("nonformal",))):
+        text = path.read_text()
+        for v in bad:
+            ok, info = replay_certificate_text(
+                text.replace("verdict formal", "verdict " + v, 1))
+            assert (ok, info) == (
+                False, "parse failure: line 2: a %s certificate backs "
+                "verdict formal, not %r" % (kind, v))
     for path, bound, top, bad in ((k7, 7, 25, ("0", "-1", "26", "50")),
                                   (thom, 12, 12, ("0", "-1", "13"))):
         text = path.read_text()

@@ -45,7 +45,7 @@ def assert_matches_oracle(L):
     assert (got.ok, got.kind, got.message) == \
         (want.ok, want.kind, want.message), (basis_of(L), L.brackets)
     N = L.truncation + 1
-    res = ce_cochains(L, N, validate=False)
+    res = ce_cochains(L, N)
     ref = Cdga(res.cdga.generators, oracle.ce_images(L, N), N)
     assert res.cdga.differential.images == ref.differential.images
     return want.kind

@@ -63,6 +63,29 @@ def test_check_hypotheses_rejects_invalid_x_model():
         formality_pipeline(prob, 10)
 
 
+def test_check_hypotheses_rejects_invalid_y_model():
+    # [u,v] = w and [v,u] = w break antisymmetry (|u||v| is even); the
+    # pipeline builds on L unchecked, so the check happens here or not at all
+    bad = Dgl([("u", 3), ("v", 4), ("w", 7)],
+              {("u", "v"): {"w": 1}, ("v", "u"): {"w": 1}}, {}, 12)
+    prob = MapSpaceProblem(FiniteCdga.sphere(2), 2, y_dgl=bad)
+    rep = check_hypotheses(prob)
+    assert not rep.ok and not rep.y_valid
+    assert rep.x_valid and rep.connectivity_ok and rep.hp_nonzero
+    assert rep.messages[0] == "invalid Y model: [u,v] != -(-1)^(|u||v|) [v,u]"
+    with pytest.raises(ValueError, match="hypotheses violated: invalid Y"):
+        formality_pipeline(prob, 10)
+    # a Sullivan Y is checked here as well: d y = x1^3 has the wrong degree
+    gens = [("x1", 4), ("x2", 4), ("y", 7)]
+    alg = Cdga(gens, {}, 20)
+    y = Cdga(gens, {"y": alg.power(alg.gen("x1"), 3)}, 20)
+    rep = check_hypotheses(MapSpaceProblem(FiniteCdga.sphere(2), 2,
+                                           y_cdga=y))
+    assert not rep.y_valid
+    assert rep.messages[0] == \
+        "invalid Y model: d(y) is not homogeneous of degree |y|+1"
+
+
 def test_check_hypotheses_bounds_the_x_basis(monkeypatch):
     # the four-element S^3 x S^2 model against a limit of three: the limit
     # is checked before the cubic validate runs

@@ -8,6 +8,8 @@ Generators of random valid inputs:
   * DGLs as free Lie algebras on random generators with random minimal
     differentials into brackets of closed generators;
   * minimal Sullivan algebras with random decomposable differentials;
+  * bigraded models of random presented rings and of the cohomology of
+    random minimal Sullivan algebras, and their barred models;
   * random homogeneous polynomials, mapped by rho into a presented quotient
     ring and into the cohomology ring of a model.
 """
@@ -22,7 +24,9 @@ from rht.cefunctor import ce_cochains
 from rht.mapmodel import suspension_model, split_odd_generator
 from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
                            KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
-                           koszul_sequence, regular_sequence_check)
+                           koszul_sequence, regular_sequence_check,
+                           bigraded_model, barred_bigraded_model,
+                           bar_linearity_report)
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.quotient import QuotientRing, ModelCohomology
 
@@ -132,7 +136,7 @@ def test_ce_detects_corrupted_jacobi_triples():
         report = bad.validate()
         if report:
             continue  # the scaled bracket happened to stay consistent
-        bad_ce = ce_cochains(bad, bad.truncation + 1, validate=False)
+        bad_ce = ce_cochains(bad, bad.truncation + 1)
         assert not bad_ce.cdga.check(), (degs, key)
         detected += 1
     assert detected >= CASES - 40
@@ -182,6 +186,44 @@ def test_suspension_model_identities():
             for m in basis[:4]:
                 pp = Poly({m: F(1)})
                 assert not alg.apply_derivation(S, alg.apply_derivation(S, pp))
+
+
+def random_bigraded_model(rng):
+    """Bigraded model of a random presented ring (two or three even
+    generators of degree 4 or 6, two or three random relations of degree 8
+    or 10, often not a complete intersection, so generators of lower degree
+    2 appear) or of the cohomology of a random minimal Sullivan algebra;
+    every generator has degree > 3."""
+    N = rng.randint(13, 17)
+    if rng.random() < 0.6:
+        gens = FreeGCA([("x%d" % i, rng.choice([4, 4, 6]))
+                        for i in range(rng.randint(2, 3))])
+        rels = [random_homogeneous(rng, gens, rng.choice([8, 8, 10]))
+                for _ in range(rng.randint(2, 3))]
+        H = QuotientRing(gens, [f for f in rels if f is not None], N)
+    else:
+        H = ModelCohomology(random_minimal_sullivan(rng, 3), N)
+    return bigraded_model(H, N)
+
+
+def test_barred_bigraded_model_is_valid_by_construction():
+    # barred_bigraded_model checks nothing: for every valid B and every p
+    # (even and odd) the barred model it builds is a minimal bigraded CDGA
+    # (d^2 = 0, homogeneous lower degree, no linear terms) with d(Z)
+    # bar-free and d(Zbar) bar-linear
+    rng = Random(1313)
+    lower_two = 0
+    for _ in range(CASES // 2):  # two barred models each
+        B = random_bigraded_model(rng)
+        assert B.validate_structure()
+        lower_two += any(k >= 2 for k in B.lower.values())
+        for p in (2, 3):
+            barred = barred_bigraded_model(B, p)
+            assert barred.validate_structure(), (B.cdga.generators, p)
+            assert bar_linearity_report(barred), (B.cdga.generators, p)
+    # d of a lower-2 generator involves generators with nonzero d, which is
+    # where a wrong sign in d(zbar) = (-1)^p S(dz) breaks d^2 = 0
+    assert lower_two >= 20, lower_two
 
 
 def test_split_odd_generator_retraction_exact():

@@ -135,7 +135,7 @@ def cmd_map_model(args):
                 % prob.p)
     else:
         note = "tensor model cochains"
-    warnings = [] if hyp.odd_closed else \
+    warnings = [] if hyp.t is not None else \
         ["warning: X carries no odd closed class (the even-p path)"]
     payload = {"command": "map-model", "problem": args.problem,
                "route": note,

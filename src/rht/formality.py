@@ -760,9 +760,9 @@ def formality_pipeline(prob, N):
     if prob.x_model.is_sphere():
         if prob.p % 2 == 1:
             p_eff = prob.p
-    elif prob.y_dgl is not None and hyp.odd_closed:
+    elif prob.y_dgl is not None and hyp.t is not None:
         try:
-            red = reduce_to_odd_sphere(prob, ce_X=ce_model)
+            red = reduce_to_odd_sphere(ce_model, hyp.t)
             p_eff = red.sphere_degree
             reduction_note = ("reduced to the %d-sphere: Q o I = Id and "
                               "g o f = Id verified" % p_eff)

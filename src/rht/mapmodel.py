@@ -64,28 +64,30 @@ class MapSpaceProblem:
 
 
 class HypothesisReport:
-    def __init__(self, x_valid, y_valid, connectivity_ok, hp_nonzero,
-                 odd_closed, messages):
+    """The checks of check_hypotheses, the odd class t the reduction splits
+    off (None if there is none) and one message per violation."""
+
+    def __init__(self, x_valid, y_valid, connectivity_ok, hp_nonzero, t,
+                 messages):
         self.x_valid = x_valid
         self.y_valid = y_valid
         self.connectivity_ok = connectivity_ok
         self.hp_nonzero = hp_nonzero
-        self.odd_closed = odd_closed
+        self.t = t
         self.messages = messages
 
     @property
     def ok(self):
-        return (self.x_valid and self.y_valid and self.connectivity_ok
-                and self.hp_nonzero)
+        return not self.messages
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
         return ("HypothesisReport(x_valid=%s, y_valid=%s, connectivity_ok=%s, "
-                "hp_nonzero=%s, odd_closed=%s)" % (
+                "hp_nonzero=%s, t=%r)" % (
                     self.x_valid, self.y_valid, self.connectivity_ok,
-                    self.hp_nonzero, self.odd_closed))
+                    self.hp_nonzero, self.t))
 
 
 def finite_cohomology_rank(A, n):
@@ -99,10 +101,13 @@ def finite_cohomology_rank(A, n):
 
 
 def check_hypotheses(prob):
-    """Valid X and Y models, connectivity m >= p+1 and H^p(X) != 0; reports
-    (never blocks) whether X carries a designated odd closed class, since the
-    even-p path is allowed to run without one.  An X basis above MAX_X_BASIS
-    raises ValueError before any check runs.
+    """Valid X and Y models, connectivity m >= p+1 and H^p(X) != 0, and the
+    one choice of the odd closed class t: prob.t when it designates one (a
+    designated t that is not an odd closed basis class is a violation),
+    otherwise the lowest odd closed class of X, or None when X has none,
+    since the even-p path is allowed to run without one.  The report is ok
+    exactly when it carries no message.  An X basis above MAX_X_BASIS raises
+    ValueError before any check runs.
 
     This is where X and Y are checked, once: every model built from them
     downstream (the suspension model, A (x) L, its cochains) is valid by
@@ -123,16 +128,12 @@ def check_hypotheses(prob):
     if not hp:
         messages.append("H^%d(X) = 0 at the declared top degree" % prob.p)
     odd = prob.x_model.odd_closed_classes()
-    if prob.t is not None:
-        odd_closed = prob.t in odd
-        if not odd_closed:
-            messages.append("designated class %r is not odd and closed" % prob.t)
-    else:
-        odd_closed = bool(odd)
-        if not odd_closed:
-            messages.append("no odd closed basis class found in the X-model")
-    return HypothesisReport(bool(x_valid), bool(y_valid), conn, hp,
-                            odd_closed, messages)
+    t = prob.t if prob.t is not None else (odd[0] if odd else None)
+    if t is not None and t not in odd:
+        messages.append("designated class %r is not odd and closed" % t)
+        t = None
+    return HypothesisReport(bool(x_valid), bool(y_valid), conn, hp, t,
+                            messages)
 
 
 class SuspensionModel:
@@ -190,40 +191,27 @@ def suspension_model(Y, p, truncation=None):
     return SuspensionModel(model, S, p, Y, bar_of)
 
 
-def split_odd_generator(A, t, complement=None):
+def split_odd_generator(A, t):
     """Prop-style splitting off of an odd sphere inside a finite model.
 
     Returns (i, q) with i: (Lambda t, 0) -> A the inclusion and q the
-    retraction killing the chosen complement; q o i = Id is verified exactly.
-    Failures (t even, t not closed, q not a cochain map or not multiplicative
-    for the given complement) are reported via SplitError, never repaired.
+    retraction that keeps 1 and t and kills every other basis element.  i is
+    a cochain algebra map and q o i = Id by construction once t is odd and
+    closed: i sends 1 and t to themselves, and t*t = 0 lies above the
+    sphere's top degree.  q can fail to be a cochain algebra map (t
+    decomposable, or t a term of some d(x)); that failure, like an even or
+    non-closed t, is reported via SplitError, never repaired.
     """
-    if t not in A.degree_of:
-        raise KeyError("unknown basis element %r" % t)
     if A.degree_of[t] % 2 == 0:
         raise SplitError(CheckReport.violation("odd", "%s has even degree" % t))
     if A.d(t):
         raise SplitError(CheckReport.violation("closed", "d(%s) != 0" % t))
     T = FiniteCdga.sphere(A.degree_of[t])
     i = FiniteCdgaMorphism(T, A, {"1": {A.unit: QONE}, "t": {t: QONE}})
-    if complement is None:
-        complement = [x for x in A.names if x not in (A.unit, t)]
-    q_images = {A.unit: {"1": QONE}, t: {"t": QONE}}
-    for x in complement:
-        q_images[x] = {}
-    missing = [x for x in A.names if x not in q_images]
-    if missing:
-        raise SplitError(CheckReport.violation(
-            "complement", "complement does not cover %s" % missing))
-    q = FiniteCdgaMorphism(A, T, q_images)
-    rep = i.check()
-    if not rep:
-        raise SplitError(rep)
+    q = FiniteCdgaMorphism(A, T, {A.unit: {"1": QONE}, t: {"t": QONE}})
     rep = q.check()
     if not rep:
         raise SplitError(rep)
-    if not q.compose(i).is_identity():
-        raise SplitError(CheckReport.violation("retraction", "q o i != Id"))
     return i, q
 
 
@@ -235,69 +223,36 @@ class Reduction:
     side makes F(X, Y) nonformal.
     """
 
-    def __init__(self, i, q, I, Q, model_X, model_sphere, ce_X, ce_sphere,
-                 f, g, sphere_degree):
-        self.i = i
-        self.q = q
+    def __init__(self, I, Q, f, g, sphere_degree):
         self.I = I
         self.Q = Q
-        self.model_X = model_X
-        self.model_sphere = model_sphere
-        self.ce_X = ce_X
-        self.ce_sphere = ce_sphere
         self.f = f
         self.g = g
         self.sphere_degree = sphere_degree
 
 
-def reduce_to_odd_sphere(prob, t=None, ce_X=None):
-    """Build I = i (x) Id and Q = q (x) Id, apply cochains, verify g o f = Id.
+def reduce_to_odd_sphere(ce_X, t):
+    """Split the odd class t off X and carry the splitting to cochains.
 
-    Needs Y as a Lie model.  ce_X, when given, is ce_cochains of
-    tensor_map_model(prob.x_model, prob.y_dgl) at its truncation + 1, as
-    formality.mapping_space_model builds it; it is then not built again.
-    Returns a Reduction whose f, g are the CDGA morphisms of the retract
-    argument.
+    ce_X is ce_cochains of the tensor model A (x) L, as
+    formality.mapping_space_model builds it; A and L are read from its
+    factorization.  I = i (x) Id and Q = q (x) Id are DGL maps by
+    construction, since phi (x) Id preserves the bracket and D of A (x) L
+    whenever phi is a multiplicative cochain map of degree 0; the witness
+    checked here is Q o I = Id and, on cochains, g o f = Id.  Returns a
+    Reduction whose f, g are the CDGA morphisms of the retract argument.
     """
-    if prob.y_dgl is None:
-        raise ValueError("reduction needs a Lie model of Y")
-    A = prob.x_model
-    t = t or prob.t
-    if t is None:
-        cands = A.odd_closed_classes()
-        if not cands:
-            raise SplitError(CheckReport.violation(
-                "odd", "no odd closed basis class to split off"))
-        t = cands[0]
-    L = prob.y_dgl
+    M_A = ce_X.dgl
+    A, L, _ = M_A.factorization
     i, q = split_odd_generator(A, t)
-    T = i.source
-    if ce_X is None:
-        M_A = tensor_map_model(A, L)
-    else:
-        M_A = ce_X.dgl
-        fact = M_A.factorization
-        if (fact is None or fact[0] is not A or fact[1] is not L
-                or ce_X.cdga.truncation != M_A.truncation + 1):
-            raise ValueError("ce_X is not the cochains of this problem's "
-                             "tensor model")
-    M_T = restrict_dgl(tensor_map_model(T, L), M_A.truncation)
+    M_T = restrict_dgl(tensor_map_model(i.source, L), M_A.truncation)
     I = tensor_morphism(i, M_T, M_A)
     Q = tensor_morphism(q, M_A, M_T)
-    rep = I.check()
-    if not rep:
-        raise SplitError(rep)
-    rep = Q.check()
-    if not rep:
-        raise SplitError(rep)
     if not Q.compose(I).is_identity():
         raise SplitError(CheckReport.violation("retraction", "Q o I != Id"))
-    N = M_A.truncation + 1
-    ce_A = ce_X if ce_X is not None else ce_cochains(M_A, N)
-    ce_T = ce_cochains(M_T, N)
-    f = ce_of_morphism(Q, ce_A, ce_T)   # C*(M_T) -> C*(M_A)
-    g = ce_of_morphism(I, ce_T, ce_A)   # C*(M_A) -> C*(M_T)
+    ce_T = ce_cochains(M_T, ce_X.cdga.truncation)
+    f = ce_of_morphism(Q, ce_X, ce_T)   # C*(M_T) -> C*(M_A)
+    g = ce_of_morphism(I, ce_T, ce_X)   # C*(M_A) -> C*(M_T)
     if not g.compose(f).is_identity():
         raise SplitError(CheckReport.violation("retraction", "g o f != Id"))
-    return Reduction(i, q, I, Q, M_A, M_T, ce_A, ce_T, f, g,
-                     A.degree_of[t])
+    return Reduction(I, Q, f, g, A.degree_of[t])

@@ -7,6 +7,7 @@ import pytest
 
 from rht import cli, dgl
 from rht.certificates import replay_certificate_text
+from test_reduction_golden import WORKSPACE as REDUCTION_WS
 
 NONFORMAL_WS = """\
 algebra Yodd
@@ -313,10 +314,32 @@ def test_invalid_lie_y_model_is_rejected_up_front(capsys, tmp_path):
                   "--certificate-out", str(cert)],
                  ["map-model", str(path), "p1"]):
         code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: hypotheses violated: invalid Y model: "
-                              "[u,v] != -(-1)^(|u||v|) [v,u]")
+        assert (code, out, err) == (
+            1, "", "error: hypotheses violated: invalid Y model: "
+            "[u,v] != -(-1)^(|u||v|) [v,u]\n")
     assert not cert.exists()
+
+
+def test_designated_class_that_is_not_odd_and_closed_exits_1(capsys,
+                                                             tmp_path):
+    # X = S^3 x S^5: ab is an even basis class and zz no class at all, so
+    # neither can be split off; without t= or with t=b the reduction runs
+    path = tmp_path / "red.rht"
+    path.write_text(REDUCTION_WS + "problem badt X=T Y=L p=8 t=ab\n"
+                    "problem zzt X=T Y=L p=8 t=zz\n")
+    for problem, t in (("badt", "ab"), ("zzt", "zz")):
+        cert = tmp_path / ("%s.cert" % problem)
+        for argv in (["formality", str(path), problem, "--max-degree", "22",
+                      "--certificate-out", str(cert)],
+                     ["map-model", str(path), problem]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, err) == (
+                1, "", "error: hypotheses violated: designated class %r is "
+                "not odd and closed\n" % t)
+        assert not cert.exists()
+    for problem in ("red", "redt"):
+        code, out, _ = run_cli(capsys, "map-model", str(path), problem)
+        assert code == 0 and "warning" not in out
 
 
 def test_lie_truncation_too_small_goes_through_main(capsys, tmp_path):

@@ -25,8 +25,7 @@ from rht.dgl import (Dgl, DglError, FiniteCdga, FiniteCdgaMorphism,
                      fibration_model, free_lie, free_lie_differential,
                      restrict_dgl, tensor_map_model, tensor_morphism)
 from rht.gca import Cdga
-from rht.mapmodel import (MapSpaceProblem, reduce_to_odd_sphere,
-                          split_odd_generator)
+from rht.mapmodel import reduce_to_odd_sphere, split_odd_generator
 
 F = Fraction
 
@@ -245,18 +244,29 @@ def tensor_models(A, L):
     return i, q, eps, unit, M_A, M_T, M_P
 
 
-X_MODELS = [split_test_model(), lie_reduction_x(F(-5, 3))]
+def lie_y(A):
+    """Free Lie algebra on two generators of degree d = max(6, top(A) + 1),
+    cut after brackets of four letters, so that A (x) L stays connected."""
+    d = max(6, A.top_degree + 1)
+    return free_lie([("a1", d), ("a2", d)], 4 * d)
+
+
+X_MODELS = [split_test_model(), lie_reduction_x(F(-5, 3)),
+            FiniteCdga.from_free_odd(Cdga([("t", 3), ("b", 5)], {}, 9))]
 
 
 @pytest.mark.parametrize("A", X_MODELS)
 def test_tensor_morphism_matches_the_hand_built_maps(A):
-    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    # I and Q are DGL maps by construction, so the reduction does not check
+    # them; this test does
+    L = lie_y(A)
     i, q, _, _, M_A, M_T, _ = tensor_models(A, L)
     I_want, Q_want = oracle.reduction_images(i, q, M_A, M_T)
     assert tensor_morphism(i, M_T, M_A).images == I_want
     assert tensor_morphism(q, M_A, M_T).images == Q_want
-    red = reduce_to_odd_sphere(MapSpaceProblem(A, 5, y_dgl=L, t="t"))
+    red = reduce_to_odd_sphere(ce_cochains(M_A, M_A.truncation + 1), "t")
     assert red.I.images == I_want and red.Q.images == Q_want
+    assert red.I.check() and red.Q.check()
     proj, sect = fibration_model(M_A)
     assert (proj.images, sect.images) == oracle.fibration_images(M_A)
     assert proj.check() and sect.check()
@@ -265,7 +275,7 @@ def test_tensor_morphism_matches_the_hand_built_maps(A):
 @pytest.mark.parametrize("A", X_MODELS)
 def test_tensor_morphism_is_a_functor(A):
     # T(g o f) = T(g) o T(f) on T -> A -> T, T -> A -> point, point -> T -> A
-    L = free_lie([("a1", 6), ("a2", 6)], 24)
+    L = lie_y(A)
     i, q, eps, unit, M_A, M_T, M_P = tensor_models(A, L)
     models = {A: M_A, i.source: M_T, eps.target: M_P}
     for g, f in ((q, i), (eps, i), (i, unit)):

@@ -33,7 +33,7 @@ def test_check_hypotheses_section4_setup():
     rep = check_hypotheses(prob)
     assert rep.ok
     assert prob.m == 3
-    assert rep.odd_closed is False  # S^2 has no odd closed class; not blocking
+    assert rep.t is None  # S^2 has no odd closed class; not blocking
 
 
 def test_check_hypotheses_connectivity_violation():
@@ -84,6 +84,33 @@ def test_check_hypotheses_rejects_invalid_y_model():
     assert not rep.y_valid
     assert rep.messages[0] == \
         "invalid Y model: d(y) is not homogeneous of degree |y|+1"
+
+
+def s3_times_s5():
+    """X = S^3 x S^5, free on odd a, b: odd closed classes a and b, while
+    the product ab is even."""
+    return FiniteCdga.from_free_odd(Cdga([("a", 3), ("b", 5)], {}, 9))
+
+
+def test_check_hypotheses_chooses_the_odd_class_once():
+    L = Dgl([("u", 10), ("v", 10), ("w", 20)], {("u", "v"): {"w": 1}}, {},
+            39)
+    X = s3_times_s5()
+    for t, chosen in ((None, "a"), ("a", "a"), ("b", "b")):
+        rep = check_hypotheses(MapSpaceProblem(X, 8, y_dgl=L, t=t))
+        assert rep.ok and rep.messages == [] and rep.t == chosen
+    # ab is a basis class but even; zz is no basis class at all
+    for t in ("ab", "zz"):
+        prob = MapSpaceProblem(X, 8, y_dgl=L, t=t)
+        rep = check_hypotheses(prob)
+        assert not rep.ok and rep.t is None
+        assert rep.x_valid and rep.y_valid
+        assert rep.connectivity_ok and rep.hp_nonzero
+        assert rep.messages == ["designated class %r is not odd and closed"
+                                % t]
+        with pytest.raises(ValueError, match="hypotheses violated: "
+                           "designated class '%s'" % t):
+            formality_pipeline(prob, 22)
 
 
 def test_check_hypotheses_bounds_the_x_basis(monkeypatch):
@@ -257,11 +284,16 @@ def test_split_with_d_nonzero_and_qd_zero():
         assert q.apply(B.d(a)) == {}
 
 
+def tensor_cochains(A, L):
+    """ce_cochains of A (x) L at its truncation + 1, as the pipeline builds it."""
+    M = tensor_map_model(A, L)
+    return ce_cochains(M, M.truncation + 1)
+
+
 def test_reduce_to_odd_sphere_identity_case():
     # X = S^3 itself: the reduction is the identity package
     L = free_lie([("l", 5)], 16)
-    prob = MapSpaceProblem(FiniteCdga.sphere(3), 3, y_dgl=L, t="t")
-    red = reduce_to_odd_sphere(prob)
+    red = reduce_to_odd_sphere(tensor_cochains(FiniteCdga.sphere(3), L), "t")
     assert red.Q.compose(red.I).is_identity()
     assert red.I.is_identity() and red.Q.is_identity()
     assert red.g.compose(red.f).is_identity()
@@ -271,19 +303,17 @@ def test_reduce_to_odd_sphere_product_model():
     # X = S^3 x S^2 with t the 3-sphere class, Y abelian in degree 6
     A = split_test_model()
     L = Dgl([("l", 6), ("k", 7)], {("l", "k"): {}}, {}, 17)
-    prob = MapSpaceProblem(A, 5, y_dgl=L, t="t")
-    red = reduce_to_odd_sphere(prob)
+    red = reduce_to_odd_sphere(tensor_cochains(A, L), "t")
+    assert red.sphere_degree == 3
     assert red.Q.compose(red.I).is_identity()
     assert red.g.compose(red.f).is_identity()
     assert red.f.check() and red.g.check()
 
 
-def test_reduce_picks_lowest_odd_class_when_unspecified():
+def test_check_hypotheses_picks_lowest_odd_class_when_unspecified():
     A = split_test_model()
     L = Dgl([("l", 6)], {}, {}, 16)
-    prob = MapSpaceProblem(A, 5, y_dgl=L)
-    red = reduce_to_odd_sphere(prob)
-    assert red.sphere_degree == 3
+    assert check_hypotheses(MapSpaceProblem(A, 5, y_dgl=L)).t == "t"
 
 
 def test_pipeline_builds_the_tensor_model_once(monkeypatch):
@@ -310,22 +340,3 @@ def test_pipeline_builds_the_tensor_model_once(monkeypatch):
     verdict = rht.formality.formality_pipeline(prob, 14)
     assert any("reduced to the 3-sphere" in n for n in verdict.notes)
     assert counts == {"tensor_map_model": 2, "ce_cochains": 3}
-
-
-def test_reduce_with_the_callers_cochains_is_the_same_reduction():
-    A = split_test_model()
-    L = free_lie([("a1", 6), ("a2", 6)], 24)
-    prob = MapSpaceProblem(A, 5, y_dgl=L, t="t")
-    M = tensor_map_model(A, L)
-    ce = ce_cochains(M, M.truncation + 1)
-    built = reduce_to_odd_sphere(prob)
-    passed = reduce_to_odd_sphere(prob, ce_X=ce)
-    assert passed.model_X is M and passed.ce_X is ce
-    assert passed.f.images == built.f.images
-    assert passed.g.images == built.g.images
-    # cochains of another problem's tensor model are refused
-    other = tensor_map_model(split_test_model(), L)
-    with pytest.raises(ValueError):
-        reduce_to_odd_sphere(prob, ce_X=ce_cochains(other, M.truncation + 1))
-    with pytest.raises(ValueError):
-        reduce_to_odd_sphere(prob, ce_X=ce_cochains(M, M.truncation))

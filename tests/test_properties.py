@@ -21,7 +21,8 @@ from rht.gca import Cdga, FreeGCA, Poly
 from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
-from rht.mapmodel import suspension_model, split_odd_generator
+from rht.mapmodel import (suspension_model, split_odd_generator,
+                          reduce_to_odd_sphere)
 from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
                            KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
                            koszul_sequence, regular_sequence_check,
@@ -251,9 +252,13 @@ def test_split_rejects_decomposable_class():
     decomposable = [x for x in A.names
                     if x not in A.generator_names and x != A.unit
                     and A.degree_of[x] % 2 == 1 and not A.d(x)]
-    if decomposable:
-        with pytest.raises(SplitError):
-            split_odd_generator(A, decomposable[0])
+    with pytest.raises(SplitError):
+        split_odd_generator(A, decomposable[0])
+    # t0t1t2 in degree 17: one Lie generator in degree 18 keeps A (x) L
+    # connected, and the reduction refuses the class as the splitting does
+    M = tensor_map_model(A, Dgl([("l", 18)], {}, {}, 40))
+    with pytest.raises(SplitError):
+        reduce_to_odd_sphere(ce_cochains(M, M.truncation + 1), decomposable[0])
 
 
 def random_koszul_model(rng):

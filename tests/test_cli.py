@@ -475,3 +475,38 @@ def test_tampered_certificate_lines_fail_at_their_file_line(capsys, ws_file,
                 "(the model is truncated at %d)" % (b, top, top + 1))
 
 
+
+
+def test_tampered_bar_obstruction_fields_keep_their_outcomes(capsys, ws_file,
+                                                             tmp_path):
+    cert = tmp_path / "nf.cert"
+    run_cli(capsys, "formality", ws_file, "nonformal", "--max-degree", "20",
+            "--certificate-out", str(cert))
+    text = cert.read_text()
+    last_gen = "generator z18_2 degree 18 lower 1\n"
+    # p and the bigraded block must admit a barred model: each violation is
+    # a parse failure at the block header, line 12
+    cases = [
+        ("p 3\n", "p 0\n", "p must be >= 1"),
+        ("p 3\n", "p 5\n", "generator degrees must exceed p"),
+        (last_gen, last_gen + "generator z99 degree 21 lower 0\n",
+         "suspension needs the full differential of Y (truncated: ['z99'])"),
+        (last_gen, last_gen + "generator z5_0_bar degree 5 lower 0\n",
+         "bar name collision for 'z5_0'"),
+        ("d z13_0 = z5_0*z9_0\n", "d z13_0 = z5_0*z9_0 + z14_0\n",
+         "suspension model needs a minimal Sullivan algebra"),
+    ]
+    for old, new, message in cases:
+        assert old in text
+        ok, info = replay_certificate_text(text.replace(old, new, 1))
+        assert (ok, info) == (False, "parse failure: line 12: " + message)
+    # an even p and a witness that is not barred parse, and fail replay
+    for old, new in (("p 3\n", "p 4\n"),
+                     ("witness z9_0_bar\n", "witness z9_0\n")):
+        assert old in text
+        assert replay_certificate_text(text.replace(old, new, 1)) == (
+            False, "bar-linearity-obstruction certificate FAILED replay")
+    # another even barred generator of positive lower degree is a witness too
+    assert replay_certificate_text(
+        text.replace("witness z9_0_bar\n", "witness z13_0_bar\n", 1)) == (
+        True, "bar-linearity-obstruction certificate replayed")

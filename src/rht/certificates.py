@@ -10,8 +10,8 @@ bigraded block, and every parse error names its file line.
 from .gca import TruncationError
 from .quotient import ModelCohomology
 from .formality import (FormalityVerdict, FreeCohomologyCert, KoszulCert,
-                        BarObstructionCert, BigradedModel, FORMAL, NONFORMAL,
-                        barred_bigraded_model)
+                        BarObstructionCert, BigradedModel, FORMAL, NONFORMAL)
+from .mapmodel import suspension_bar_names
 from .workspace import (ALGEBRA_BODY, Lines, WorkspaceError,
                         algebra_body_lines, assigned, parse_algebra_body,
                         parse_int, parse_polynomial, print_algebra)
@@ -129,8 +129,9 @@ def _parse_verdict(lines):
         _check_bound(jb, bound, y_model)
         j, B = _bigraded(lines, y_model, ModelCohomology(y_model, bound),
                          bound)
-        barred = _at(j, barred_bigraded_model, B, p)
-        cert = BarObstructionCert(y_model, B, barred, witness, bound)
+        # B and p must admit a barred model, which replay never builds
+        _at(j, suspension_bar_names, B.cdga, p)
+        cert = BarObstructionCert(y_model, B, p, witness, bound)
     return FormalityVerdict(verdict, bound, cert)
 
 

@@ -9,7 +9,10 @@ Every verdict carries evidence that re-verifies from scratch:
     produce nor replay computes the model's cohomology;
   * BarObstructionCert -- a structural non-formality witness on a barred
     bigraded model (only for odd sphere dimension: the even case cannot
-    conclude and returns nothing);
+    conclude and returns nothing).  The barred model is bar-linear by
+    construction and its witness is read off the bigraded model B, so the
+    certificate holds B and p, and neither it nor its replay builds the
+    barred model; the pipeline builds it only for the lemma-3.6 scan;
   * Lemma36Entry -- scan evidence, never a verdict by itself.
 
 Unknown is always an honest outcome; no checker ever turns an exhausted
@@ -177,31 +180,25 @@ class KoszulCert:
 class BarObstructionCert:
     kind = "bar-linearity-obstruction"
 
-    def __init__(self, y_model, bigraded, barred, witness, bound):
+    def __init__(self, y_model, bigraded, p, witness, bound):
         self.y_model = y_model        # minimal Cdga of Y
         self.bigraded = bigraded      # BigradedModel of H*(Y)
-        self.barred = barred          # its barred model, carries p
-        self.witness = witness        # barred even generator of positive lower degree
+        self.p = int(p)               # the odd sphere dimension
+        self.witness = witness        # see bar_witnesses
         self.bound = int(bound)
-        self.p = barred.p
 
     def replay(self):
-        """The target model is checked where it is parsed, and the barred
-        model is built from the bigraded block and p, so it is valid once B
-        is: replay checks B (structure, and rho a quasi-isomorphism up to
-        the bound), that p is odd, bar-linearity and the witness."""
-        if self.p % 2 == 0:
+        """The target model is checked where it is parsed, and so is that
+        the bigraded block B and p admit a barred model.  The barred model
+        is never built: it is bar-linear by construction, and the degree
+        and lower degree of a barred generator are read off B.  Replay
+        checks that p is odd, that the witness obeys bar_witnesses, and B
+        (structure, and rho a quasi-isomorphism up to the bound)."""
+        if self.p % 2 == 0 or \
+                self.witness not in bar_witnesses(self.bigraded, self.p):
             return False
         H = ModelCohomology(self.y_model, self.bound)
-        if not self.bigraded.validate(H, self.bound):
-            return False
-        if not bar_linearity_report(self.barred):
-            return False
-        w = self.witness
-        alg = self.barred.cdga
-        return (w in self.barred.barred_names
-                and alg.gen_degree(w) % 2 == 0
-                and self.barred.lower[w] >= 1)
+        return bool(self.bigraded.validate(H, self.bound))
 
 
 def replay_verdict(verdict):
@@ -442,6 +439,12 @@ def bigraded_model(H, N):
     generators surject onto H's algebra generators; each further stage kills
     the kernel of H(current model) -> H, slot by slot in the resolution
     grading.
+
+    The model grows in one algebra, built again only after generators were
+    added.  Generator indices are append-only and d of a generator never
+    changes, so the d and the lower weight of a monomial never change
+    either: each is computed once, and kept for the degrees the next stage
+    reads.  Each rho image is lifted to H's ambient algebra once.
     """
     if H.rank(0) != 1:
         raise ValueError("H^0 must be Q")
@@ -449,78 +452,101 @@ def bigraded_model(H, N):
         raise ValueError("H^1 must vanish")
     gens = []          # (name, degree)
     lower = {}
+    low = []           # lower degree by generator index
     dimages = {}
     rho_images = {}
+    lifts = {}         # rho_images lifted to H.ambient
     counters = {}
+    d_of = {}          # degree -> {monomial: d(monomial).terms}
+    weight_of = {}     # degree -> {monomial: lower weight}
+    cur = rho = None
+    slots = {}         # degree -> {k: monomials of lower weight k} of cur
+    reps = {}          # k -> slot-(n, k) representatives of cur
 
-    def fresh(deg):
+    def new_generator(deg, k):
         i = counters.get(deg, 0)
         counters[deg] = i + 1
-        return "z%d_%d" % (deg, i)
+        name = "z%d_%d" % (deg, i)
+        gens.append((name, deg))
+        lower[name] = k
+        low.append(k)
+        return name
 
-    def build():
-        return Cdga(gens, dimages, N + 1)
+    def rebuild_if_grown():
+        """cur, and rho on it, on the generators so far."""
+        nonlocal cur, rho, slots, reps
+        if cur is None or len(cur.names) < len(gens):
+            cur = Cdga(gens, dimages, N + 1)
+            rho = RhoMorphism(cur, H, lift=CdgaMorphism(cur, H.ambient, lifts))
+            slots, reps = {}, {}
+
+    def slot(deg, k):
+        if deg not in slots:
+            weights = weight_of.setdefault(deg, {})
+            by_k = slots[deg] = {}
+            for m in cur.degree_basis(deg):
+                w = weights.get(m)
+                if w is None:
+                    w = weights[m] = sum(low[i] * e for i, e in m)
+                by_k.setdefault(w, []).append(m)
+        return slots[deg].get(k, [])
+
+    def d_columns(deg, k):
+        """d from slot (deg, k) into slot (deg + 1, k - 1)."""
+        pos = {m: i for i, m in enumerate(slot(deg + 1, k - 1))}
+        known = d_of.setdefault(deg, {})
+        cols = []
+        for m in slot(deg, k):
+            dm = known.get(m)
+            if dm is None:
+                dm = known[m] = cur.d(Poly._of({m: QONE})).terms
+            cols.append({pos[mm]: c for mm, c in dm.items()})
+        return cols
+
+    def slot_reps(k):
+        """Representatives of the slot-(n, k) cohomology, as Polys."""
+        if k not in reps:
+            basis = slot(n, k)
+            vecs = homology(d_columns(n, k), d_columns(n - 1, k + 1),
+                            len(basis))[0] if basis else []
+            reps[k] = [Poly._of({basis[i]: c for i, c in v.items()})
+                       for v in vecs]
+        return reps[k]
 
     for n in range(2, N + 1):
-        cur = build()
-
-        def weight(m):
-            return sum(lower[cur.names[i]] * e for i, e in m)
-
-        def slot(deg, k):
-            return [m for m in cur.degree_basis(deg) if weight(m) == k]
-
-        def d_columns(source, target):
-            pos = {m: i for i, m in enumerate(target)}
-            return [{pos[mm]: c for mm, c in cur.d(Poly({m: QONE})).items()}
-                    for m in source]
-
-        def slot_reps(k):
-            """Representatives of the slot-(n, k) cohomology, as Polys."""
-            basis = slot(n, k)
-            if not basis:
-                return []
-            vecs, _ = homology(d_columns(basis, slot(n + 1, k - 1)),
-                               d_columns(slot(n - 1, k + 1), basis),
-                               len(basis))
-            return [Poly({basis[i]: c for i, c in v.items()}) for v in vecs]
-
+        rebuild_if_grown()
+        reps = {}      # stage n's own
         # surjectivity: new lower-0 generators hit a basis of coker(rho*)
-        reps0 = slot_reps(0)
-        rho = RhoMorphism(cur, H, rho_images)
         span = EchelonSpan(H.rank(n))
-        for rep in reps0:
+        for rep in slot_reps(0):
             span.add(rho.apply_poly(rep, degree=n).coords)
         for e in H.basis_elements(n):
             if span.add(e.coords):
-                name = fresh(n)
-                gens.append((name, n))
-                lower[name] = 0
+                name = new_generator(n, 0)
                 rho_images[name] = e
+                lifts[name] = H.element_poly(e)
 
         # injectivity: kill surviving kernel classes, slot by slot
-        cur = build()
-        rho = RhoMorphism(cur, H, rho_images)
-        max_k = max((lower[g] for g, _ in gens), default=0) + 1
+        rebuild_if_grown()
         killers = []
-        for k in range(0, max_k + 1):
-            reps = slot_reps(k)
-            if k == 0 and reps:
+        for k in range(0, max(low, default=0) + 2):
+            kreps = slot_reps(k)
+            if k == 0 and kreps:
                 # in slot 0 only the classes in the kernel of rho* are killed
                 combos = kernel_basis([rho.apply_poly(rep, degree=n).coords
-                                       for rep in reps])
-                reps = [Poly(combine((reps[j].terms, c)
-                                     for j, c in combo.items()))
-                        for combo in combos]
-            killers.extend((k + 1, rep) for rep in reps)
+                                       for rep in kreps])
+                kreps = [Poly(combine((kreps[j].terms, c)
+                                      for j, c in combo.items()))
+                         for combo in combos]
+            killers.extend((k + 1, rep) for rep in kreps)
         for klower, c in killers:
-            name = fresh(n - 1)
-            gens.append((name, n - 1))
-            lower[name] = klower
-            dimages[name] = c
+            dimages[new_generator(n - 1, klower)] = c
+        # the next stage reads degrees n to n + 2
+        for cache in (d_of, weight_of, slots):
+            cache.pop(n - 1, None)
 
-    cdga = build()
-    return BigradedModel(cdga, lower, rho_images, H)
+    rebuild_if_grown()
+    return BigradedModel(cur, lower, rho_images, H)
 
 
 def barred_bigraded_model(B, p):
@@ -544,27 +570,14 @@ def barred_bigraded_model(B, p):
                          barred_names=[bar_name(n) for n in B.cdga.names])
 
 
-def bar_word_length(model, monomial):
-    barred = set(model.barred_names)
-    return sum(e for i, e in monomial
-               if model.cdga.names[i] in barred)
-
-
-def bar_linearity_report(barred):
-    """d(Z) bar-free and d(Zbar) exactly bar-linear, generator by generator."""
-    alg = barred.cdga
-    barset = set(barred.barred_names)
-    for name in alg.names:
-        img = alg.differential.images.get(name, Poly())
-        if not img:
-            continue
-        want = 1 if name in barset else 0
-        for m in img.monomials():
-            if bar_word_length(barred, m) != want:
-                return CheckReport.violation(
-                    "bar-linearity",
-                    "d(%s) has a term of bar-length != %d" % (name, want))
-    return CheckReport.good()
+def bar_witnesses(B, p):
+    """The witness rule of the bar obstruction: the bar names of the
+    generators z of B, in B's order, with |z| - p even and lower(z) >= 1.
+    The bar of z has degree |z| - p and lower degree lower(z), so these are
+    the even generators of positive lower degree of the barred model."""
+    alg = B.cdga
+    return [bar_name(z) for z, deg in alg.generators
+            if (deg - p) % 2 == 0 and B.lower[z] >= 1]
 
 
 def bar_obstruction(barred, y_model, bound):
@@ -579,21 +592,18 @@ def bar_obstruction(barred, y_model, bound):
     """
     if barred.base is None or barred.p is None:
         raise ValueError("bar_obstruction needs a barred bigraded model")
-    notes = []
-    if barred.p % 2 == 0:
-        return None, ["p = %d is even: the bar argument cannot conclude"
-                      % barred.p]
-    rep = bar_linearity_report(barred)
-    if not rep:
-        return None, [str(rep)]
-    alg = barred.cdga
-    witnesses = [n for n in barred.barred_names
-                 if alg.gen_degree(n) % 2 == 0 and barred.lower[n] >= 1]
+    return bigraded_bar_obstruction(barred.base, barred.p, y_model, bound)
+
+
+def bigraded_bar_obstruction(B, p, y_model, bound):
+    """bar_obstruction for the barred model of B over the p-sphere, read
+    off B alone: the first name of bar_witnesses(B, p) is the witness."""
+    if p % 2 == 0:
+        return None, ["p = %d is even: the bar argument cannot conclude" % p]
+    witnesses = bar_witnesses(B, p)
     if not witnesses:
         return None, ["no even barred generator of positive lower degree"]
-    witness = witnesses[0]
-    cert = BarObstructionCert(y_model, barred.base, barred, witness, bound)
-    return cert, notes
+    return BarObstructionCert(y_model, B, p, witnesses[0], bound), []
 
 
 class Lemma36Entry:
@@ -776,11 +786,11 @@ def formality_pipeline(prob, N):
         ydeg = free_cohomology_check(H_y, H_y.truncation)
         if ydeg is None:
             B = bigraded_model(H_y, H_y.truncation)
-            barred = barred_bigraded_model(B, p_eff)
-            cert, ob_notes = bar_obstruction(barred, y_model=y_model,
-                                             bound=H_y.truncation)
+            cert, ob_notes = bigraded_bar_obstruction(B, p_eff, y_model,
+                                                      H_y.truncation)
             notes.extend(ob_notes)
             if cert is not None:
+                barred = barred_bigraded_model(B, p_eff)
                 scan = lemma36_scan(barred, min(N, barred.cdga.truncation - 1))
                 missing = [e.w for e in scan if e.status == "missing"]
                 notes.append("lemma-3.6 scan: missing witnesses for %s"

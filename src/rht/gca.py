@@ -276,15 +276,18 @@ class FreeGCA:
         an odd letter has e = 1.  If truncation is given, any output term
         above it raises TruncationError instead of being dropped.
         """
-        # the loop of linalg.combine, written out: one term per image term
+        # the loop of linalg.combine, written out: one term per image term,
+        # with no product by 1 and signs applied by negation
         out = {}
-        ddeg = deriv.degree
+        odd_deriv = deriv.degree % 2
         for m, c in p.items():
             prefix_deg = 0
             for k, (i, e) in enumerate(m):
                 img = deriv.images.get(self.names[i])
                 if img:
-                    coeff = -c * e if ddeg % 2 and prefix_deg % 2 else c * e
+                    coeff = c if e == 1 else c * e
+                    if odd_deriv and prefix_deg % 2:
+                        coeff = -coeff
                     rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
                     # each product is injective: one output term per image term
                     for mi, ci in img.items():
@@ -292,9 +295,11 @@ class FreeGCA:
                         if s1:
                             s, mm = self.mul_monomials(left, rest)
                             if s:
-                                t = coeff * ci
-                                out[mm] = out.get(mm, QZERO) + (
-                                    t if s == s1 else -t)
+                                t = coeff if ci == 1 else coeff * ci
+                                if s != s1:
+                                    t = -t
+                                prev = out.get(mm)
+                                out[mm] = t if prev is None else prev + t
                 prefix_deg += e * self.degrees[i]
         out = {m: c for m, c in out.items() if c}
         if truncation is not None:

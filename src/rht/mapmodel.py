@@ -147,13 +147,11 @@ class SuspensionModel:
         self.bar_of = bar_of
 
 
-def suspension_model(Y, p, truncation=None):
-    """Sullivan model of maps from the p-sphere into the space modelled by Y.
-
-    Y must be minimal with generator degrees > p (so the new generators stay
-    in positive degree).  d(Sv) = (-1)^p S(dv).
-    """
-    p = int(p)
+def suspension_bar_names(Y, p):
+    """The bar name of each generator of Y, once Y and p admit a suspension
+    model: p >= 1, Y minimal with every generator degree above p (so the
+    bars stay in positive degree), no truncated generator and no bar name
+    that is already a name of Y.  ValueError or TruncationError otherwise."""
     if p < 1:
         raise ValueError("p must be >= 1")
     if not Y.is_minimal():
@@ -166,26 +164,35 @@ def suspension_model(Y, p, truncation=None):
         raise TruncationError(
             "suspension needs the full differential of Y (truncated: %s)"
             % sorted(Y.truncated_gens))
-    N = Y.truncation if truncation is None else int(truncation)
-    gens = list(Y.generators)
     bar_of = {}
-    for name, deg in Y.generators:
+    for name in Y.names:
         b = bar_name(name)
         if b in Y.index:
             raise ValueError("bar name collision for %r" % name)
         bar_of[name] = b
-        gens.append((b, deg - p))
+    return bar_of
+
+
+def suspension_model(Y, p, truncation=None):
+    """Sullivan model of maps from the p-sphere into the space modelled by Y,
+    for Y and p that suspension_bar_names accepts.  d(Sv) = (-1)^p S(dv).
+    """
+    p = int(p)
+    bar_of = suspension_bar_names(Y, p)
+    N = Y.truncation if truncation is None else int(truncation)
+    gens = list(Y.generators) + [(bar_of[name], deg - p)
+                                 for name, deg in Y.generators]
     carrier = Cdga(gens, {}, max(N, max(d for _, d in gens) + 1))
     S = Derivation(carrier, -p, {n: carrier.gen(bar_of[n]) for n in Y.names})
-    sign = (-1) ** p
     images = {}
     for name in Y.names:
         img = Y.differential.images.get(name, Poly())
         if img:
             images[name] = img  # same monomial encoding: Y's generators come first
-        bimg = carrier.apply_derivation(S, img).scale(sign)
+        bimg = carrier.apply_derivation(S, img)
         if bimg:
-            images[bar_of[name]] = bimg
+            images[bar_of[name]] = bimg if p % 2 == 0 else Poly._of(
+                {m: -c for m, c in bimg.items()})
     model = Cdga(gens, images, N)
     S = Derivation(model, -p, {n: model.gen(bar_of[n]) for n in Y.names})
     return SuspensionModel(model, S, p, Y, bar_of)

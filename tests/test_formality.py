@@ -3,6 +3,8 @@ from random import Random
 
 import pytest
 
+import rht.formality
+import rht.mapmodel
 from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
 from rht.dgl import Dgl, FiniteCdga, free_lie
 from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
@@ -13,8 +15,8 @@ from rht.formality import (free_cohomology_check, regular_sequence_check,
                            bigraded_model, barred_bigraded_model, lemma36_scan,
                            bar_obstruction, formality_pipeline, replay_verdict,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
-                           bar_linearity_report, BigradedModel,
-                           FormalityVerdict)
+                           BigradedModel, FormalityVerdict)
+from bigraded_oracle import bar_linearity_report
 
 F = Fraction
 
@@ -275,8 +277,16 @@ def test_bar_obstruction_replay_checks_the_bigraded_block_only(monkeypatch):
     check = Cdga.check
     monkeypatch.setattr(Cdga, "check", lambda alg: checked.append(
         any(n.endswith("_bar") for n in alg.names)) or check(alg))
+
+    def never(*args):
+        raise AssertionError("replay built a barred model")
+
+    for module, name in ((rht.mapmodel, "suspension_model"),
+                         (rht.formality, "suspension_model"),
+                         (rht.formality, "barred_bigraded_model")):
+        monkeypatch.setattr(module, name, never)
     # parsing checks the target model, replay checks the bigraded block, and
-    # the barred algebra rebuilt from that block and p is never checked
+    # the barred model is never built: the witness is read off the block
     assert replay_certificate_text(text)[0]
     assert checked == [False, False]
     # a tampered in-process bigraded block fails replay: with d z9_0 = 0

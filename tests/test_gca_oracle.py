@@ -28,10 +28,12 @@ def random_algebra(rng):
                     for k in range(rng.randint(1, 7))])
 
 
-def random_poly(rng, alg, degree):
-    """A random polynomial of the given degree with up to four terms."""
+def random_poly(rng, alg, degree, units=False):
+    """A random polynomial of the given degree with up to four terms, its
+    coefficients +-1 with units."""
     basis = alg.degree_basis(degree)
-    return Poly({m: F(rng.randint(-4, 4), rng.randint(1, 3))
+    return Poly({m: F(rng.choice((1, -1))) if units
+                 else F(rng.randint(-4, 4), rng.randint(1, 3))
                  for m in rng.sample(basis, min(len(basis), 4))})
 
 
@@ -52,6 +54,21 @@ def test_degree_basis_and_dim_match_oracle():
             assert dim == len(basis) == want, (alg.generators, n)
 
 
+def assert_derivation_matches_oracle(rng, alg, D, units=False):
+    for _ in range(3):
+        p = random_poly(rng, alg, rng.randint(0, 16), units)
+        truncation = rng.choice([None, rng.randint(0, 20)])
+        try:
+            want = oracle.apply_derivation(alg, D, p, truncation)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                alg.apply_derivation(D, p, truncation)
+            continue
+        got = alg.apply_derivation(D, p, truncation)
+        assert list(got.terms.items()) == list(want.terms.items()), \
+            (alg.generators, D.degree, D.images, p)
+
+
 def test_apply_derivation_matches_oracle():
     rng = Random(20261)
     for _ in range(CASES):
@@ -61,19 +78,23 @@ def test_apply_derivation_matches_oracle():
         for name, d in alg.generators:
             if d + deg >= 0 and rng.random() < 0.7:
                 images[name] = random_poly(rng, alg, d + deg)
-        D = Derivation(alg, deg, images)
-        for _ in range(3):
-            p = random_poly(rng, alg, rng.randint(0, 16))
-            truncation = rng.choice([None, rng.randint(0, 20)])
-            try:
-                want = oracle.apply_derivation(alg, D, p, truncation)
-            except TruncationError:
-                with pytest.raises(TruncationError):
-                    alg.apply_derivation(D, p, truncation)
-                continue
-            got = alg.apply_derivation(D, p, truncation)
-            assert list(got.terms.items()) == list(want.terms.items()), \
-                (alg.generators, deg, images, p)
+        assert_derivation_matches_oracle(rng, alg, Derivation(alg, deg, images))
+    # S of a suspension model: each generator to its bar, of degree -p, with
+    # coefficient 1; and images and inputs with coefficients +-1
+    rng = Random(20263)
+    for _ in range(CASES):
+        p = rng.randint(1, 5)
+        base = [("g%d" % k, p + rng.randint(1, 6))
+                for k in range(rng.randint(1, 4))]
+        alg = FreeGCA(base + [(g + "_bar", d - p) for g, d in base])
+        S = Derivation(alg, -p, {g: alg.gen(g + "_bar") for g, _ in base})
+        assert_derivation_matches_oracle(rng, alg, S, units=rng.random() < 0.5)
+        alg = random_algebra(rng)
+        deg = rng.randint(-3, 3)
+        images = {name: random_poly(rng, alg, d + deg, units=True)
+                  for name, d in alg.generators if d + deg >= 0}
+        assert_derivation_matches_oracle(rng, alg, Derivation(alg, deg, images),
+                                         units=True)
 
 
 def random_word(rng, alg):

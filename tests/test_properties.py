@@ -17,19 +17,22 @@ Generators of random valid inputs:
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from rht.gca import Cdga, FreeGCA, Poly
 from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
-from rht.mapmodel import (suspension_model, split_odd_generator,
-                          reduce_to_odd_sphere)
+from rht.mapmodel import (suspension_model, suspension_bar_names,
+                          split_odd_generator, reduce_to_odd_sphere)
 from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
                            KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
                            koszul_sequence, regular_sequence_check,
                            bigraded_model, barred_bigraded_model,
-                           bar_linearity_report)
+                           bar_witnesses)
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.quotient import QuotientRing, ModelCohomology
+from bigraded_oracle import bar_linearity_report
 
 F = Fraction
 CASES = 200
@@ -189,12 +192,12 @@ def test_suspension_model_identities():
                 assert not alg.apply_derivation(S, alg.apply_derivation(S, pp))
 
 
-def random_bigraded_model(rng):
-    """Bigraded model of a random presented ring (two or three even
-    generators of degree 4 or 6, two or three random relations of degree 8
-    or 10, often not a complete intersection, so generators of lower degree
-    2 appear) or of the cohomology of a random minimal Sullivan algebra;
-    every generator has degree > 3."""
+def random_cohomology_ring(rng):
+    """(H, N): a random presented ring (two or three even generators of
+    degree 4 or 6, two or three random relations of degree 8 or 10, often
+    not a complete intersection, so its bigraded model has generators of
+    lower degree 2) or the cohomology of a random minimal Sullivan algebra,
+    truncated at N; its bigraded model has every generator in degree > 3."""
     N = rng.randint(13, 17)
     if rng.random() < 0.6:
         gens = FreeGCA([("x%d" % i, rng.choice([4, 4, 6]))
@@ -204,7 +207,12 @@ def random_bigraded_model(rng):
         H = QuotientRing(gens, [f for f in rels if f is not None], N)
     else:
         H = ModelCohomology(random_minimal_sullivan(rng, 3), N)
-    return bigraded_model(H, N)
+    return H, N
+
+
+def random_bigraded_model(rng):
+    """Bigraded model of random_cohomology_ring."""
+    return bigraded_model(*random_cohomology_ring(rng))
 
 
 def test_barred_bigraded_model_is_valid_by_construction():
@@ -225,6 +233,36 @@ def test_barred_bigraded_model_is_valid_by_construction():
     # d of a lower-2 generator involves generators with nonzero d, which is
     # where a wrong sign in d(zbar) = (-1)^p S(dz) breaks d^2 = 0
     assert lower_two >= 20, lower_two
+
+
+def test_bar_witnesses_are_the_even_barred_generators_of_positive_lower():
+    # the witness rule reads B alone; on the barred model it must name the
+    # even generators of positive lower degree, in order.  Where p admits
+    # no barred model, the parser's check raises what the builder raises.
+    rng = Random(1515)
+    built, witnessed, refused = {}, {}, {}
+    for _ in range(CASES // 2):
+        B = random_bigraded_model(rng)
+        for p in (1, 2, 3, 5):
+            try:
+                barred = barred_bigraded_model(B, p)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    suspension_bar_names(B.cdga, p)
+                assert str(got.value) == str(exc)
+                refused[p] = refused.get(p, 0) + 1
+                continue
+            alg = barred.cdga
+            want = [n for n in barred.barred_names
+                    if alg.gen_degree(n) % 2 == 0 and barred.lower[n] >= 1]
+            assert bar_witnesses(B, p) == want, (B.cdga.generators, p)
+            built[p] = built.get(p, 0) + 1
+            witnessed[p] = witnessed.get(p, 0) + bool(want)
+    # most models have a generator of degree 4 or 5, so p = 5 is mostly
+    # refused (93 of 100 cases) and p <= 3 never
+    assert set(refused) == {5} and refused[5] >= 50, refused
+    assert built[5] >= 5 and min(witnessed.values()) >= 1, (built, witnessed)
+    assert min(witnessed[p] for p in (1, 2, 3)) >= 30, witnessed
 
 
 def test_split_odd_generator_retraction_exact():

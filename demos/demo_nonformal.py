@@ -9,9 +9,10 @@ from random import Random
 
 from rht.gca import Cdga
 from rht.quotient import ModelCohomology
-from rht.formality import (bigraded_model, barred_bigraded_model,
-                           bar_obstruction, lemma36_scan, formality_pipeline)
-from rht.mapmodel import MapSpaceProblem
+from rht.formality import (BigradedModel, bigraded_model,
+                           bigraded_bar_obstruction, lemma36_scan,
+                           formality_pipeline)
+from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.dgl import FiniteCdga
 
 gens = [("x1", 5), ("x2", 5), ("y", 9)]
@@ -31,8 +32,13 @@ for n in B.cdga.names:
           % (n, B.cdga.gen_degree(n), B.lower[n],
              ", d = " + B.cdga.poly_str(img) if img else ""))
 
-barred = barred_bigraded_model(B, 3)
-cert, notes = bar_obstruction(barred, y_model=Y, bound=20)
+# the barred model: the suspension of B, each bar in the lower degree of
+# its generator
+susp = suspension_model(B.cdga, 3)
+lower = dict(B.lower)
+lower.update((susp.bar_of[n], k) for n, k in B.lower.items())
+barred = BigradedModel(susp.cdga, lower, None, ModelCohomology(susp.cdga))
+cert, notes = bigraded_bar_obstruction(B, 3, Y, 20)
 print("\nobstruction witness:", cert.witness,
       "(degree %d, lower %d)" % (barred.cdga.gen_degree(cert.witness),
                                  barred.lower[cert.witness]))
@@ -48,6 +54,6 @@ print("\npipeline verdict:", verdict.verdict,
       "| certificate:", verdict.certificate.kind)
 
 # for the EVEN sphere the same machinery correctly refuses to conclude
-barred2 = barred_bigraded_model(bigraded_model(ModelCohomology(Y, 16), 16), 2)
-cert2, notes2 = bar_obstruction(barred2, y_model=Y, bound=16)
+B2 = bigraded_model(ModelCohomology(Y, 16), 16)
+cert2, notes2 = bigraded_bar_obstruction(B2, 2, Y, 16)
 print("same target, 2-sphere instead:", cert2, "-", notes2[0])

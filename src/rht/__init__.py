@@ -10,8 +10,9 @@ from .mapmodel import (MapSpaceProblem, check_hypotheses, suspension_model,
 from .quotient import QuotientRing, ModelCohomology
 from .formality import (formality_pipeline, free_cohomology_check,
                         regular_sequence_check, koszul_formality,
-                        bigraded_model, barred_bigraded_model, lemma36_scan,
-                        bar_obstruction, replay_verdict, FormalityVerdict)
+                        bigraded_model, lemma36_scan,
+                        bigraded_bar_obstruction, replay_verdict,
+                        FormalityVerdict)
 
 __all__ = [
     "Poly", "FreeGCA", "Derivation", "Cdga", "CdgaMorphism", "TruncationError",
@@ -23,6 +24,6 @@ __all__ = [
     "split_odd_generator", "reduce_to_odd_sphere",
     "QuotientRing", "ModelCohomology",
     "formality_pipeline", "free_cohomology_check", "regular_sequence_check",
-    "koszul_formality", "bigraded_model", "barred_bigraded_model",
-    "lemma36_scan", "bar_obstruction", "replay_verdict", "FormalityVerdict",
+    "koszul_formality", "bigraded_model", "lemma36_scan",
+    "bigraded_bar_obstruction", "replay_verdict", "FormalityVerdict",
 ]

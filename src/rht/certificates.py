@@ -170,6 +170,13 @@ def _bigraded(lines, y_model, H, bound):
     for i, line in rho_lines:
         gname, rhs = assigned(i, line, cdga.index, "generator")
         rep = parse_polynomial(rhs, y_model, i)
+        if not rep:
+            raise WorkspaceError(i, "rho %s = 0: a generator that rho kills "
+                                 "has no rho line" % gname)
+        degree, want = _at(i, y_model.poly_degree, rep), cdga.gen_degree(gname)
+        if degree != want:
+            raise WorkspaceError(i, "rho %s has degree %d, but %s has degree "
+                                 "%d" % (gname, degree, gname, want))
         rho_images[gname] = _at(i, H.poly_class, rep)
     return start, BigradedModel(cdga, lower, rho_images, H)
 

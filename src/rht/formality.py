@@ -11,8 +11,9 @@ Every verdict carries evidence that re-verifies from scratch:
     bigraded model (only for odd sphere dimension: the even case cannot
     conclude and returns nothing).  The barred model is bar-linear by
     construction and its witness is read off the bigraded model B, so the
-    certificate holds B and p, and neither it nor its replay builds the
-    barred model; the pipeline builds it only for the lemma-3.6 scan;
+    certificate holds B and p, and nothing here builds the barred model:
+    produce, replay and the pipeline's lemma-3.6 scan note all read it off
+    B through the one rule bar_witnesses(B, p);
   * Lemma36Entry -- scan evidence, never a verdict by itself.
 
 Unknown is always an honest outcome; no checker ever turns an exhausted
@@ -69,8 +70,8 @@ class FormalityVerdict:
 class RhoMorphism:
     """Multiplicative map from a Cdga to a degreewise ring, zero target d.
 
-    images maps generator names to RingElements (missing/None means zero).
-    The map is computed through its lift, the CdgaMorphism into the ring's
+    images maps generator names to RingElements (missing/None means zero),
+    each of its generator's degree (ValueError otherwise).  The map is computed through its lift, the CdgaMorphism into the ring's
     ambient algebra that sends each generator to the polynomial of its image:
     a polynomial is substituted first and its class read off once.  A lift
     can also be given directly; H(phi) of a CdgaMorphism phi is the rho with
@@ -81,10 +82,16 @@ class RhoMorphism:
         self.cdga = cdga
         self.ring = ring
         if lift is None:
-            lift = CdgaMorphism(cdga, ring.ambient,
-                                {name: ring.element_poly(img)
-                                 for name, img in (images or {}).items()
-                                 if img is not None})
+            polys = {}
+            for name, img in (images or {}).items():
+                if img is None:
+                    continue
+                if img.degree != cdga.gen_degree(name):
+                    raise ValueError("rho image of %s has degree %d, not %d"
+                                     % (name, img.degree,
+                                        cdga.gen_degree(name)))
+                polys[name] = ring.element_poly(img)
+            lift = CdgaMorphism(cdga, ring.ambient, polys)
         self.lift = lift
 
     def apply_poly(self, p, degree=None):
@@ -357,15 +364,11 @@ class BigradedModel:
     ring, read off the first time rho_images is asked for.
     """
 
-    def __init__(self, cdga, lower, rho_images, ring, p=None, base=None,
-                 barred_names=()):
+    def __init__(self, cdga, lower, rho_images, ring):
         self.cdga = cdga
         self.lower = dict(lower)
         self._rho_images = None if rho_images is None else dict(rho_images)
         self.ring = ring
-        self.p = p
-        self.base = base
-        self.barred_names = tuple(barred_names)
 
     @property
     def rho_images(self):
@@ -549,27 +552,6 @@ def bigraded_model(H, N):
     return BigradedModel(cur, lower, rho_images, H)
 
 
-def barred_bigraded_model(B, p):
-    """Suspension of a bigraded model, lower grading (Zbar)_n = bar((Z)_n).
-
-    A plain builder, valid by construction for a valid B: S commutes with d
-    up to (-1)^p on Lambda(Z), so d^2 = 0 carries over to d(zbar) =
-    (-1)^p S(dz), and S keeps lower weight and word length, so homogeneity
-    and minimality carry over too.  The cohomology target is recomputed from
-    the barred algebra itself (it is not inherited); rho kills everything of
-    positive lower degree.  Whether rho is a quasi-isomorphism is exactly the
-    formality question, so callers inspect it separately.
-    """
-    susp = suspension_model(B.cdga, p)
-    alg = susp.cdga
-    lower = dict(B.lower)
-    for name in B.cdga.names:
-        lower[bar_name(name)] = B.lower[name]
-    ring = ModelCohomology(alg, alg.truncation - 1)
-    return BigradedModel(alg, lower, None, ring, p=int(p), base=B,
-                         barred_names=[bar_name(n) for n in B.cdga.names])
-
-
 def bar_witnesses(B, p):
     """The witness rule of the bar obstruction: the bar names of the
     generators z of B, in B's order, with |z| - p even and lower(z) >= 1.
@@ -580,24 +562,17 @@ def bar_witnesses(B, p):
             if (deg - p) % 2 == 0 and B.lower[z] >= 1]
 
 
-def bar_obstruction(barred, y_model, bound):
+def bigraded_bar_obstruction(B, p, y_model, bound):
     """NonFormal certificate from bar-linearity, or None with a reason.
 
     Emitted only when p is odd (for even p the argument cannot conclude) and
-    the barred side has an even generator in positive lower degree; any
-    power of that generator has bar-length >= 2 while every differential is
-    bar-linear, so no Lemma-3.6 witness can exist.  The certificate embeds
-    the bigraded model up to bound + 1, and replay checks rho on it up to
-    bound.
+    the barred model of B over the p-sphere has an even generator in
+    positive lower degree; any power of that generator has bar-length >= 2
+    while every differential is bar-linear, so no Lemma-3.6 witness can
+    exist.  The witness is the first name of bar_witnesses(B, p), read off
+    B alone.  The certificate embeds B up to bound + 1, and replay checks
+    rho on it up to bound.
     """
-    if barred.base is None or barred.p is None:
-        raise ValueError("bar_obstruction needs a barred bigraded model")
-    return bigraded_bar_obstruction(barred.base, barred.p, y_model, bound)
-
-
-def bigraded_bar_obstruction(B, p, y_model, bound):
-    """bar_obstruction for the barred model of B over the p-sphere, read
-    off B alone: the first name of bar_witnesses(B, p) is the witness."""
     if p % 2 == 0:
         return None, ["p = %d is even: the bar argument cannot conclude" % p]
     witnesses = bar_witnesses(B, p)
@@ -687,6 +662,20 @@ def lemma36_scan(B, N, rng=None, random_combos=0):
                 entries.append(scan_element(
                     "random(%s)" % alg.poly_str(poly), poly, degw))
     return entries
+
+
+def barred_scan_missing(B, p, N):
+    """The generators that lemma36_scan of the barred model of B over the
+    p-sphere reports missing up to N < B.cdga.truncation, in that model's
+    order (B's names, then their bars), read off B: the barred model is
+    never built.  An odd bar has a bar-linear d, with no w^n term of an
+    unbarred w, so B's own entries are those of lemma36_scan(B, N); and no
+    d has a w^n term, n >= 2, of an even bar w, so every bar of
+    bar_witnesses(B, p) that the scan reaches (2|w| <= N) is missing."""
+    missing = [e.w for e in lemma36_scan(B, N) if e.status == "missing"]
+    bar_degree = {bar_name(z): deg - p for z, deg in B.cdga.generators}
+    return missing + [w for w in bar_witnesses(B, p)
+                      if 2 * bar_degree[w] <= N]
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -790,9 +779,8 @@ def formality_pipeline(prob, N):
                                                       H_y.truncation)
             notes.extend(ob_notes)
             if cert is not None:
-                barred = barred_bigraded_model(B, p_eff)
-                scan = lemma36_scan(barred, min(N, barred.cdga.truncation - 1))
-                missing = [e.w for e in scan if e.status == "missing"]
+                missing = barred_scan_missing(
+                    B, p_eff, min(N, B.cdga.truncation - 1))
                 notes.append("lemma-3.6 scan: missing witnesses for %s"
                              % (missing or "nothing in range"))
                 if reduction_note:

@@ -10,6 +10,11 @@ Halperin-Stasheff construction; the tests require the library to give the
 same generators, lower degrees, d images (with the same key order) and rho
 images.
 
+``barred_bigraded_model`` builds the barred model of a bigraded model B
+over the p-sphere, which the library never builds: the obstruction's
+witness, its replay and the lemma-3.6 scan note are all read off B.  The
+tests compare those readings with this model.
+
 ``bar_linearity_report`` checks the barred model generator by generator:
 d(Z) bar-free and d(Zbar) exactly bar-linear.  The library never runs it,
 because both hold by construction; the tests run it on every barred model
@@ -18,9 +23,12 @@ they build.
 
 from fractions import Fraction
 
-from rht.formality import RhoMorphism
+from rht.formality import (BigradedModel, RhoMorphism,
+                           bigraded_bar_obstruction)
 from rht.gca import Cdga, CheckReport, Poly
 from rht.linalg import EchelonSpan, combine, homology, kernel_basis
+from rht.mapmodel import suspension_model
+from rht.quotient import ModelCohomology
 
 QONE = Fraction(1)
 
@@ -104,6 +112,41 @@ def bigraded_model(H, N):
             dimages[name] = c
 
     return build(), lower, rho_images
+
+
+class BarredModel(BigradedModel):
+    """The barred model of base over the p-sphere; barred_names are the
+    bars of base's generators, in base's order."""
+
+    def __init__(self, cdga, lower, ring, p, base, barred_names):
+        super().__init__(cdga, lower, None, ring)
+        self.p = p
+        self.base = base
+        self.barred_names = tuple(barred_names)
+
+
+def barred_bigraded_model(B, p):
+    """Suspension of a bigraded model, lower grading (Zbar)_n = bar((Z)_n).
+
+    A plain builder, valid by construction for a valid B: S commutes with d
+    up to (-1)^p on Lambda(Z), so d^2 = 0 carries over to d(zbar) =
+    (-1)^p S(dz), and S keeps lower weight and word length, so homogeneity
+    and minimality carry over too.  The cohomology target is recomputed from
+    the barred algebra itself (it is not inherited); rho kills everything of
+    positive lower degree.
+    """
+    susp = suspension_model(B.cdga, p)
+    alg = susp.cdga
+    lower = dict(B.lower)
+    for name in B.cdga.names:
+        lower[susp.bar_of[name]] = B.lower[name]
+    return BarredModel(alg, lower, ModelCohomology(alg, alg.truncation - 1),
+                       int(p), B, [susp.bar_of[n] for n in B.cdga.names])
+
+
+def bar_obstruction(barred, y_model, bound):
+    """bigraded_bar_obstruction of the base and p of a barred model."""
+    return bigraded_bar_obstruction(barred.base, barred.p, y_model, bound)
 
 
 def bar_word_length(model, monomial):

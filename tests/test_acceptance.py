@@ -20,11 +20,11 @@ from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.quotient import ModelCohomology, free_gca_ranks
 from rht.formality import (formality_pipeline, koszul_formality,
                            regular_sequence_check, bigraded_model,
-                           barred_bigraded_model, lemma36_scan,
-                           replay_verdict)
+                           lemma36_scan, replay_verdict)
 from rht.workspace import parse_text
 from rht.certificates import replay_certificate_text
 
+from bigraded_oracle import barred_bigraded_model
 from test_dgl import oracle_free_lie_dims
 import test_properties as props
 

@@ -510,3 +510,66 @@ def test_tampered_bar_obstruction_fields_keep_their_outcomes(capsys, ws_file,
     assert replay_certificate_text(
         text.replace("witness z9_0_bar\n", "witness z13_0_bar\n", 1)) == (
         True, "bar-linearity-obstruction certificate replayed")
+
+
+# Y = K(Q,3)^3 has free cohomology, so F(S^1, Y) is formal; this certificate
+# claims NONFORMAL through rho images of the wrong degrees
+FORGED_RHO_CERT = """\
+rht-certificate bar-linearity-obstruction
+verdict nonformal
+bound 7
+p 1
+witness z_bar
+algebra target_model
+truncation 10
+generator a degree 3
+generator b degree 3
+generator c degree 3
+bigraded base
+generator u degree 3 lower 0
+generator v degree 3 lower 0
+generator w degree 3 lower 0
+generator e degree 6 lower 0
+generator z degree 5 lower 1
+d z = u*v
+rho u = b
+rho v = a*b
+rho w = c
+rho e = b
+end-bigraded
+"""
+
+
+def test_rho_images_fail_at_their_line_unless_of_their_generators_degree(
+        capsys, tmp_path):
+    ws = tmp_path / "k3.rht"
+    ws.write_text("algebra K\ntruncation 10\ngenerator a degree 3\n"
+                  "generator b degree 3\ngenerator c degree 3\n\n"
+                  "problem k X=S1 Y=K p=1\n")
+    code, out, _ = run_cli(capsys, "formality", str(ws), "k",
+                           "--max-degree", "7", "--certificate-out",
+                           str(tmp_path / "k.cert"))
+    assert code == 0 and "FORMAL" in out
+    cases = [(FORGED_RHO_CERT, 19, "rho v has degree 6, but v has degree 3")]
+    # the c = -5/6 certificate at N = 16, with one rho line changed
+    ws.write_text(NONFORMAL_WS.replace("d y = x1*x2", "d y = -5/6*x1*x2"))
+    cert = tmp_path / "c.cert"
+    run_cli(capsys, "formality", str(ws), "nonformal", "--max-degree", "16",
+            "--certificate-out", str(cert))
+    text = cert.read_text()
+    old = "rho z14_0 = x1*y\n"
+    assert text.splitlines().index(old.strip()) == 24
+    for image, message in (
+            ("3", "rho z14_0 has degree 0, but z14_0 has degree 14"),
+            ("x1", "rho z14_0 has degree 5, but z14_0 has degree 14"),
+            ("0", "rho z14_0 = 0: a generator that rho kills has no rho "
+                  "line")):
+        cases.append((text.replace(old, "rho z14_0 = %s\n" % image), 25,
+                       message))
+    bad = tmp_path / "bad.cert"
+    for forged, line, message in cases:
+        bad.write_text(forged)
+        code, out, _ = run_cli(capsys, "verify-certificate", str(bad))
+        assert (code, out) == (1, "parse failure: line %d: %s\n"
+                               % (line, message))
+        assert forged.splitlines()[line - 1].startswith("rho ")

@@ -12,11 +12,12 @@ from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, koszul_rho,
-                           bigraded_model, barred_bigraded_model, lemma36_scan,
-                           bar_obstruction, formality_pipeline, replay_verdict,
+                           bigraded_model, lemma36_scan, barred_scan_missing,
+                           formality_pipeline, replay_verdict,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
-                           BigradedModel, FormalityVerdict)
-from bigraded_oracle import bar_linearity_report
+                           BigradedModel, FormalityVerdict, RhoMorphism)
+from bigraded_oracle import (bar_linearity_report, bar_obstruction,
+                             barred_bigraded_model)
 
 F = Fraction
 
@@ -281,10 +282,8 @@ def test_bar_obstruction_replay_checks_the_bigraded_block_only(monkeypatch):
     def never(*args):
         raise AssertionError("replay built a barred model")
 
-    for module, name in ((rht.mapmodel, "suspension_model"),
-                         (rht.formality, "suspension_model"),
-                         (rht.formality, "barred_bigraded_model")):
-        monkeypatch.setattr(module, name, never)
+    for module in (rht.mapmodel, rht.formality):
+        monkeypatch.setattr(module, "suspension_model", never)
     # parsing checks the target model, replay checks the bigraded block, and
     # the barred model is never built: the witness is read off the block
     assert replay_certificate_text(text)[0]
@@ -345,6 +344,53 @@ def test_lemma36_scan_witnessed_branch():
     assert entry.witness == (cdga.gen("v").scale(Fraction(1, 2)), 2, Poly())
 
 
+def wedge_h(d1, d2, N):
+    """H*(S^d1 v S^d2) as a presented ring, truncated at N."""
+    alg = FreeGCA([("x", d1), ("y", d2)])
+    x, y = alg.gen("x"), alg.gen("y")
+    rels = [alg.multiply(x, y)] + [alg.multiply(g, g) for g, d in
+                                   ((x, d1), (y, d2)) if d % 2 == 0]
+    return QuotientRing(alg, rels, N)
+
+
+@pytest.mark.parametrize("d1, d2, N, p", [(2, 3, 16, 1), (3, 4, 18, 1),
+                                          (4, 5, 20, 1), (4, 5, 20, 3)])
+def test_barred_scan_missing_with_unbarred_even_generators(d1, d2, N, p):
+    # B has even generators of positive lower degree within the scan (for
+    # S^2 v S^3, x*y = 0 gives z4_0 of lower degree 1): the note takes their
+    # entries from the scan of B, since no odd bar has a w^n term
+    B = bigraded_model(wedge_h(d1, d2, N), N)
+    scan = lemma36_scan(barred_bigraded_model(B, p), N)
+    assert any(not e.w.endswith("_bar") for e in scan)
+    assert barred_scan_missing(B, p, N) == [e.w for e in scan
+                                            if e.status == "missing"]
+
+
+def test_barred_scan_missing_puts_b_entries_before_the_bars():
+    # a, b (lower 0), w (degree 4, lower 1, dw = a*b) and v (degree 7,
+    # lower 2, dv = 0): no degree-7 generator has a w^2 term, so w is
+    # missing, and the even bar of v follows it
+    alg = Cdga([("a", 2), ("b", 3), ("w", 4), ("v", 7)], {}, 17)
+    cdga = Cdga(alg.generators,
+                {"w": alg.multiply(alg.gen("a"), alg.gen("b"))}, 17)
+    B = BigradedModel(cdga, {"a": 0, "b": 0, "w": 1, "v": 2}, {}, None)
+    assert barred_scan_missing(B, 1, 16) == ["w", "v_bar"]
+    scan = lemma36_scan(barred_bigraded_model(B, 1), 16)
+    assert [e.w for e in scan if e.status == "missing"] == ["w", "v_bar"]
+
+
+def test_rho_images_must_have_their_generators_degree():
+    y = odd_wedge_y(24)
+    H = ModelCohomology(y, 20)
+    B = bigraded_model(H, 20)
+    images = dict(B.rho_images, z14_0=H.poly_class(y.gen("x1")))
+    with pytest.raises(ValueError,
+                       match="rho image of z14_0 has degree 5, not 14"):
+        RhoMorphism(B.cdga, H, images)
+    with pytest.raises(ValueError, match="rho image of z14_0"):
+        BigradedModel(B.cdga, B.lower, images, H).validate(upto=20)
+
+
 # -- pipeline ----------------------------------------------------------------
 
 def test_pipeline_section4_is_formal_koszul():
@@ -374,6 +420,21 @@ def test_pipeline_nonformal_case():
     assert verdict.certificate.kind == "bar-linearity-obstruction"
     assert replay_verdict(verdict)
     assert any("missing" in s for s in verdict.notes)
+
+
+def test_produce_builds_one_suspension_model(monkeypatch):
+    # the suspension of Y is the mapping-space model, and it is the only
+    # suspension the pipeline builds: the lemma-3.6 note is read off B
+    suspended = []
+    build = rht.formality.suspension_model
+    monkeypatch.setattr(rht.formality, "suspension_model",
+                        lambda Y, p: suspended.append(Y) or build(Y, p))
+    y = odd_wedge_y(31)
+    verdict = formality_pipeline(MapSpaceProblem(FiniteCdga.sphere(3), 3,
+                                                 y_cdga=y), 30)
+    serialize_verdict(verdict)
+    assert verdict.is_nonformal
+    assert suspended == [y]
 
 
 def test_pipeline_reduction_path_for_general_x():

@@ -28,11 +28,11 @@ from rht.mapmodel import (suspension_model, suspension_bar_names,
 from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
                            KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
                            koszul_sequence, regular_sequence_check,
-                           bigraded_model, barred_bigraded_model,
-                           bar_witnesses)
+                           bigraded_model, bar_witnesses, lemma36_scan,
+                           barred_scan_missing)
 from rht.certificates import replay_certificate_text, serialize_verdict
 from rht.quotient import QuotientRing, ModelCohomology
-from bigraded_oracle import bar_linearity_report
+from bigraded_oracle import bar_linearity_report, barred_bigraded_model
 
 F = Fraction
 CASES = 200
@@ -263,6 +263,30 @@ def test_bar_witnesses_are_the_even_barred_generators_of_positive_lower():
     assert set(refused) == {5} and refused[5] >= 50, refused
     assert built[5] >= 5 and min(witnessed.values()) >= 1, (built, witnessed)
     assert min(witnessed[p] for p in (1, 2, 3)) >= 30, witnessed
+
+
+def test_barred_scan_missing_is_the_scan_of_the_barred_model():
+    # the pipeline's lemma-3.6 note is read off B; it must name what the
+    # scan of the barred model reports missing, in the same order, at the
+    # top bound and at a random one
+    rng = Random(1616)
+    compared, nonempty = 0, 0
+    for _ in range(CASES // 2):
+        B = random_bigraded_model(rng)
+        top = B.cdga.truncation - 1
+        for p in (1, 3, 5):
+            try:
+                barred = barred_bigraded_model(B, p)
+            except ValueError:
+                continue
+            for N in (top, rng.randint(8, top)):
+                want = [e.w for e in lemma36_scan(barred, N)
+                        if e.status == "missing"]
+                assert barred_scan_missing(B, p, N) == want, (
+                    B.cdga.generators, p, N)
+                compared += 1
+                nonempty += bool(want)
+    assert compared >= 150 and nonempty >= 50, (compared, nonempty)
 
 
 def test_split_odd_generator_retraction_exact():

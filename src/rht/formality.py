@@ -71,9 +71,10 @@ class RhoMorphism:
     """Multiplicative map from a Cdga to a degreewise ring, zero target d.
 
     images maps generator names to RingElements (missing/None means zero),
-    each of its generator's degree (ValueError otherwise).  The map is computed through its lift, the CdgaMorphism into the ring's
-    ambient algebra that sends each generator to the polynomial of its image:
-    a polynomial is substituted first and its class read off once.  A lift
+    each of its generator's degree (ValueError otherwise).  The map is
+    computed through its lift, the CdgaMorphism into the ring's ambient
+    algebra that sends each generator to the polynomial of its image: a
+    polynomial is substituted first and its class read off once.  A lift
     can also be given directly; H(phi) of a CdgaMorphism phi is the rho with
     lift phi into ModelCohomology(phi.target).
     """

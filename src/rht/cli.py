@@ -129,8 +129,8 @@ def cmd_map_model(args):
     hyp = check_hypotheses(prob)
     if not hyp.ok:
         raise ValueError("hypotheses violated: %s" % "; ".join(hyp.messages))
-    model, _, ce = mapping_space_model(prob)
-    if ce is None:
+    model, _, lie = mapping_space_model(prob)
+    if lie is None:
         note = ("suspension model with d(Sv) = (-1)^p S(dv), p = %d"
                 % prob.p)
     else:
@@ -147,10 +147,10 @@ def cmd_map_model(args):
     lines = ["# model of F(X, Y) for problem %s (%s)" % (args.problem, note)]
     lines += warnings
     lines.append(print_algebra(model, "model_%s" % args.problem).rstrip("\n"))
-    if ce is not None:
+    if lie is not None:
         lines.append("")
         lines.append("# underlying Lie model")
-        lines.append(print_dgl(ce.dgl, "lie_%s" % args.problem).rstrip("\n"))
+        lines.append(print_dgl(lie, "lie_%s" % args.problem).rstrip("\n"))
     emit(payload, args.format, lines)
     return EXIT_OK
 

@@ -682,13 +682,12 @@ def barred_scan_missing(B, p, N):
 # -- the pipeline ------------------------------------------------------------
 
 def mapping_space_model(prob, N=None):
-    """(Sullivan model of F(X, Y), notes, CeResult or None).
+    """(Sullivan model of F(X, Y), notes, tensor Lie model or None).
 
     Sphere X with a minimal Sullivan Y-model takes the suspension route;
     a Lie model of Y takes the tensor route through the cochain functor, and
-    the CeResult is returned with it (its dgl is the tensor Lie model).
-    With N, the model must support checks up to degree N (ValueError
-    otherwise).
+    the tensor Lie model A (x) L is returned with it.  With N, the model
+    must support checks up to degree N (ValueError otherwise).
     """
     notes = []
     if prob.y_cdga is not None:
@@ -708,7 +707,7 @@ def mapping_space_model(prob, N=None):
             "Y Lie model truncation supports checks only up to degree %d"
             % (res.cdga.truncation - 1))
     notes.append("tensor route: %d generators" % len(res.cdga.names))
-    return res.cdga, notes, res
+    return res.cdga, notes, M
 
 
 def y_cohomology_ring(prob, N):
@@ -724,7 +723,10 @@ def formality_pipeline(prob, N):
 
     Order: free-cohomology rank match, Koszul route, then (odd p, via the
     sphere reduction if X is not itself a sphere) the bigraded bar
-    obstruction.  All inconclusive -> Unknown(N).  A Formal and a NonFormal
+    obstruction.  On the Lie route a non-sphere X reduces to the odd sphere
+    of hyp.t once split_odd_generator accepts t: its q.check() is the one
+    check the reduction makes, and nothing else is built for it.  All
+    inconclusive -> Unknown(N).  A Formal and a NonFormal
     certificate for the same input raises ConsistencyError.  N must be at
     least 1.
     """
@@ -733,7 +735,7 @@ def formality_pipeline(prob, N):
     hyp = check_hypotheses(prob)
     if not hyp.ok:
         raise ValueError("hypotheses violated: %s" % "; ".join(hyp.messages))
-    model, notes, ce_model = mapping_space_model(prob, N)
+    model, notes, _ = mapping_space_model(prob, N)
     formal_verdict = None
     nonformal_verdict = None
 
@@ -762,10 +764,10 @@ def formality_pipeline(prob, N):
             p_eff = prob.p
     elif prob.y_dgl is not None and hyp.t is not None:
         try:
-            red = reduce_to_odd_sphere(ce_model, hyp.t)
-            p_eff = red.sphere_degree
-            reduction_note = ("reduced to the %d-sphere: Q o I = Id and "
-                              "g o f = Id verified" % p_eff)
+            p_eff = reduce_to_odd_sphere(prob.x_model, hyp.t)
+            reduction_note = ("reduced to the %d-sphere: q, the retraction "
+                              "onto the class %s, is a cochain algebra map"
+                              % (p_eff, hyp.t))
         except SplitError as exc:
             notes.append("reduction unavailable: %s" % exc)
     if p_eff is None and formal_verdict is None:

@@ -10,16 +10,16 @@ For odd p this is the classical -S(dv); for even p the sign flips (it must:
 with -S(dv) and p even, d^2 != 0 already on three-generator examples, while
 the displayed model of maps out of the 2-sphere uses +S(dy)).
 
-The Lie-level route (tensor model, odd-generator splitting, reduction to an
-odd sphere) lives here as well.
+The Lie-level route's odd-generator splitting lives here as well.  The
+reduction to an odd sphere is that splitting: q, the retraction of X onto
+the odd class t, is the one map whose check can fail; A (x) L itself is
+built in formality.mapping_space_model.
 """
 
 from fractions import Fraction
 
 from .gca import Cdga, Derivation, Poly, CheckReport, TruncationError
-from .dgl import (FiniteCdga, FiniteCdgaMorphism, check_x_basis_size,
-                  tensor_map_model, tensor_morphism, restrict_dgl)
-from .cefunctor import ce_cochains, ce_of_morphism
+from .dgl import FiniteCdga, FiniteCdgaMorphism, check_x_basis_size
 from .linalg import homology
 
 QONE = Fraction(1)
@@ -222,44 +222,15 @@ def split_odd_generator(A, t):
     return i, q
 
 
-class Reduction:
-    """The odd-sphere reduction package: Lie maps I, Q and cochain maps f, g.
+def reduce_to_odd_sphere(A, t):
+    """The degree of the odd sphere that the class t splits off X.
 
-    g o f = Id on C*(Lambda t (x) L), so the sphere side is a retract of
-    C*(A (x) L): a retract of a formal CDGA is formal, so a nonformal sphere
-    side makes F(X, Y) nonformal.
+    A is the finite X-model and t the class check_hypotheses chose.  The
+    reduction is the splitting: once q is a cochain algebra map, S^|t| is a
+    retract of X, so F(S^|t|, Y) is a retract of F(X, Y) (its Lie model
+    Lambda t (x) L is one of A (x) L through i (x) Id and q (x) Id, which are
+    DGL maps by construction), and a retract of a formal space is formal.
+    split_odd_generator's SplitError is the only way this can fail.
     """
-
-    def __init__(self, I, Q, f, g, sphere_degree):
-        self.I = I
-        self.Q = Q
-        self.f = f
-        self.g = g
-        self.sphere_degree = sphere_degree
-
-
-def reduce_to_odd_sphere(ce_X, t):
-    """Split the odd class t off X and carry the splitting to cochains.
-
-    ce_X is ce_cochains of the tensor model A (x) L, as
-    formality.mapping_space_model builds it; A and L are read from its
-    factorization.  I = i (x) Id and Q = q (x) Id are DGL maps by
-    construction, since phi (x) Id preserves the bracket and D of A (x) L
-    whenever phi is a multiplicative cochain map of degree 0; the witness
-    checked here is Q o I = Id and, on cochains, g o f = Id.  Returns a
-    Reduction whose f, g are the CDGA morphisms of the retract argument.
-    """
-    M_A = ce_X.dgl
-    A, L, _ = M_A.factorization
-    i, q = split_odd_generator(A, t)
-    M_T = restrict_dgl(tensor_map_model(i.source, L), M_A.truncation)
-    I = tensor_morphism(i, M_T, M_A)
-    Q = tensor_morphism(q, M_A, M_T)
-    if not Q.compose(I).is_identity():
-        raise SplitError(CheckReport.violation("retraction", "Q o I != Id"))
-    ce_T = ce_cochains(M_T, ce_X.cdga.truncation)
-    f = ce_of_morphism(Q, ce_X, ce_T)   # C*(M_T) -> C*(M_A)
-    g = ce_of_morphism(I, ce_T, ce_X)   # C*(M_A) -> C*(M_T)
-    if not g.compose(f).is_identity():
-        raise SplitError(CheckReport.violation("retraction", "g o f != Id"))
-    return Reduction(I, Q, f, g, A.degree_of[t])
+    split_odd_generator(A, t)
+    return A.degree_of[t]

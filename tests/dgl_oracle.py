@@ -16,9 +16,11 @@ the plain sums ``rht.dgl`` used before ``rht.linalg.combine``, kept here so
 the oracle shares no arithmetic with the code it checks.
 
 ``reduction_images`` and ``fibration_images`` build the maps that a map of
-X-models induces on A (x) L by hand, as ``reduce_to_odd_sphere`` and
+X-models induces on A (x) L by hand, as the odd-sphere reduction and
 ``fibration_model`` did before ``rht.dgl.tensor_morphism``: one loop per map,
 the factorization of the restricted sphere model rebuilt from tensor names.
+The reduction has since become the split of t alone; its I = i (x) Id and
+Q = q (x) Id are built by the tests, to check the retract argument.
 """
 
 from fractions import Fraction

@@ -1,11 +1,14 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
 from rht import dgl
 from rht.gca import Cdga, Poly
-from rht.dgl import Dgl, FiniteCdga, free_lie, tensor_map_model
-from rht.cefunctor import ce_cochains
+from rht.dgl import (Dgl, FiniteCdga, free_lie, restrict_dgl,
+                     tensor_map_model, tensor_morphism)
+from rht.cefunctor import ce_cochains, ce_of_morphism
 from rht.formality import formality_pipeline
 from rht.mapmodel import (MapSpaceProblem, check_hypotheses, suspension_model,
                           split_odd_generator, reduce_to_odd_sphere,
@@ -284,30 +287,42 @@ def test_split_with_d_nonzero_and_qd_zero():
         assert q.apply(B.d(a)) == {}
 
 
-def tensor_cochains(A, L):
-    """ce_cochains of A (x) L at its truncation + 1, as the pipeline builds it."""
-    M = tensor_map_model(A, L)
-    return ce_cochains(M, M.truncation + 1)
+def retract_package(A, L, t):
+    """The retract argument for the split of t off A, built from the public
+    maps: I = i (x) Id and Q = q (x) Id between the tensor models, and
+    f = C*(Q), g = C*(I) between their cochains at the pipeline's truncation."""
+    i, q = split_odd_generator(A, t)
+    M_A = tensor_map_model(A, L)
+    M_T = restrict_dgl(tensor_map_model(i.source, L), M_A.truncation)
+    I = tensor_morphism(i, M_T, M_A)
+    Q = tensor_morphism(q, M_A, M_T)
+    ce_A = ce_cochains(M_A, M_A.truncation + 1)
+    ce_T = ce_cochains(M_T, M_A.truncation + 1)
+    f = ce_of_morphism(Q, ce_A, ce_T)   # C*(M_T) -> C*(M_A)
+    g = ce_of_morphism(I, ce_T, ce_A)   # C*(M_A) -> C*(M_T)
+    return I, Q, f, g
 
 
 def test_reduce_to_odd_sphere_identity_case():
-    # X = S^3 itself: the reduction is the identity package
+    # X = S^3 itself: the retract package is the identity
     L = free_lie([("l", 5)], 16)
-    red = reduce_to_odd_sphere(tensor_cochains(FiniteCdga.sphere(3), L), "t")
-    assert red.Q.compose(red.I).is_identity()
-    assert red.I.is_identity() and red.Q.is_identity()
-    assert red.g.compose(red.f).is_identity()
+    T = FiniteCdga.sphere(3)
+    assert reduce_to_odd_sphere(T, "t") == 3
+    I, Q, f, g = retract_package(T, L, "t")
+    assert Q.compose(I).is_identity()
+    assert I.is_identity() and Q.is_identity()
+    assert g.compose(f).is_identity()
 
 
 def test_reduce_to_odd_sphere_product_model():
     # X = S^3 x S^2 with t the 3-sphere class, Y abelian in degree 6
     A = split_test_model()
     L = Dgl([("l", 6), ("k", 7)], {("l", "k"): {}}, {}, 17)
-    red = reduce_to_odd_sphere(tensor_cochains(A, L), "t")
-    assert red.sphere_degree == 3
-    assert red.Q.compose(red.I).is_identity()
-    assert red.g.compose(red.f).is_identity()
-    assert red.f.check() and red.g.check()
+    assert reduce_to_odd_sphere(A, "t") == 3
+    I, Q, f, g = retract_package(A, L, "t")
+    assert Q.compose(I).is_identity()
+    assert g.compose(f).is_identity()
+    assert f.check() and g.check()
 
 
 def test_check_hypotheses_picks_lowest_odd_class_when_unspecified():
@@ -316,12 +331,17 @@ def test_check_hypotheses_picks_lowest_odd_class_when_unspecified():
     assert check_hypotheses(MapSpaceProblem(A, 5, y_dgl=L)).t == "t"
 
 
+def rht_modules():
+    import rht
+    return [rht] + [importlib.import_module("rht." + m.name)
+                    for m in pkgutil.iter_modules(rht.__path__)]
+
+
 def test_pipeline_builds_the_tensor_model_once(monkeypatch):
-    # the Lie route builds A (x) L and its cochains in mapping_space_model
-    # and hands both to the reduction: tensor models of X and of the 3-sphere,
-    # cochains of those two and of L
+    # the Lie route builds A (x) L and its cochains in mapping_space_model,
+    # and the cochains of L for the bar obstruction; the reduction is the
+    # split of t and builds no Lie or cochain map
     import rht.formality
-    import rht.mapmodel
     counts = {"tensor_map_model": 0, "ce_cochains": 0}
 
     def counted(name, fn):
@@ -330,13 +350,23 @@ def test_pipeline_builds_the_tensor_model_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (rht.formality, rht.mapmodel):
-        monkeypatch.setattr(module, "tensor_map_model",
-                            counted("tensor_map_model", tensor_map_model))
-        monkeypatch.setattr(module, "ce_cochains",
-                            counted("ce_cochains", ce_cochains))
+    def refused(name):
+        def wrapper(*args, **kwargs):
+            raise AssertionError("the pipeline called %s" % name)
+        return wrapper
+
+    replacements = {
+        "tensor_map_model": counted("tensor_map_model", tensor_map_model),
+        "ce_cochains": counted("ce_cochains", ce_cochains),
+        "tensor_morphism": refused("tensor_morphism"),
+        "restrict_dgl": refused("restrict_dgl"),
+        "ce_of_morphism": refused("ce_of_morphism")}
+    for module in rht_modules():
+        for name, fn in replacements.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
     L = free_lie([("a1", 6), ("a2", 6)], 24)
     prob = MapSpaceProblem(split_test_model(), 5, y_dgl=L, t="t")
     verdict = rht.formality.formality_pipeline(prob, 14)
     assert any("reduced to the 3-sphere" in n for n in verdict.notes)
-    assert counts == {"tensor_map_model": 2, "ce_cochains": 3}
+    assert counts == {"tensor_map_model": 1, "ce_cochains": 2}

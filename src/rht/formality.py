@@ -724,9 +724,9 @@ def formality_pipeline(prob, N):
     Order: free-cohomology rank match, Koszul route, then (odd p, via the
     sphere reduction if X is not itself a sphere) the bigraded bar
     obstruction.  On the Lie route a non-sphere X reduces to the odd sphere
-    of hyp.t once split_odd_generator accepts t: its q.check() is the one
-    check the reduction makes, and nothing else is built for it.  All
-    inconclusive -> Unknown(N).  A Formal and a NonFormal
+    of hyp.t when split_odd_generator accepts t; check_hypotheses chose t
+    odd and closed, so q.check() is the one check there that can fail, and
+    the reduction builds nothing else.  All inconclusive -> Unknown(N).  A Formal and a NonFormal
     certificate for the same input raises ConsistencyError.  N must be at
     least 1.
     """

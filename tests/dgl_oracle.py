@@ -19,8 +19,9 @@ the oracle shares no arithmetic with the code it checks.
 X-models induces on A (x) L by hand, as the odd-sphere reduction and
 ``fibration_model`` did before ``rht.dgl.tensor_morphism``: one loop per map,
 the factorization of the restricted sphere model rebuilt from tensor names.
-The reduction has since become the split of t alone; its I = i (x) Id and
-Q = q (x) Id are built by the tests, to check the retract argument.
+The library's reduction is the split of t alone and builds no map on A (x) L;
+the tests build its I = i (x) Id and Q = q (x) Id with ``tensor_morphism``
+to check the retract argument.
 """
 
 from fractions import Fraction

@@ -20,6 +20,7 @@ from .linalg import combine
 
 QONE = Fraction(1)
 HALF = Fraction(1, 2)
+MHALF = -HALF
 
 
 class CeResult:
@@ -89,7 +90,9 @@ def ce_cochains(L, N):
             s, m = carrier.mul_monomials(((carrier.index[gen_of[x]], 1),),
                                          ((carrier.index[gen_of[y]], 1),))
             if s:
-                terms.append(({m: HALF * c * s}, (-1) ** (deg[x] + 1)))
+                # s (-1)^(|x|+1) / 2, one Fraction product per term
+                half = HALF if (s > 0) == (deg[x] % 2 == 1) else MHALF
+                terms.append(({m: half * c}, 1))
         img = combine(terms)
         if img:
             images[gen_of[z]] = Poly(img)

@@ -26,7 +26,6 @@ from types import MappingProxyType
 from .gca import CheckReport, Poly
 from .linalg import EchelonSpan, combine
 
-QZERO = Fraction(0)
 QONE = Fraction(1)
 EMPTY = MappingProxyType({})
 
@@ -205,14 +204,21 @@ class Dgl:
                     acc = {}
                     for w, v in bc.items():
                         for z, x in row_a.get(w, EMPTY).items():
-                            acc[z] = acc.get(z, QZERO) + v * x
+                            t = v * x
+                            prev = acc.get(z)
+                            acc[z] = t if prev is None else prev + t
                     for u, v in ab.items():
+                        v = -v
                         for z, x in table[u].get(c, EMPTY).items():
-                            acc[z] = acc.get(z, QZERO) - v * x
+                            t = v * x
+                            prev = acc.get(z)
+                            acc[z] = t if prev is None else prev + t
                     for w, v in ac.items():
                         v = v if odd else -v
                         for z, x in row_b.get(w, EMPTY).items():
-                            acc[z] = acc.get(z, QZERO) + v * x
+                            t = v * x
+                            prev = acc.get(z)
+                            acc[z] = t if prev is None else prev + t
                     if any(acc.values()):
                         return CheckReport.violation(
                             "jacobi", "Jacobi fails on (%s,%s,%s)" % (a, b, c))
@@ -482,12 +488,22 @@ class FiniteCdgaMorphism(BasisMorphism):
 # -- free graded Lie algebras inside the tensor algebra -------------------
 
 def tensor_commutator(e1, d1, e2, d2):
-    """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra."""
-    sign = -1 if (d1 * d2) % 2 == 0 else 1
-    return combine(chain(
-        (({w1 + w2: c2 for w2, c2 in e2.items()}, c1) for w1, c1 in e1.items()),
-        (({w2 + w1: c1 for w1, c1 in e1.items()}, sign * c2)
-         for w2, c2 in e2.items())))
+    """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra, for tensors
+    {word: coefficient} of degrees d1 and d2.  The coefficients are summed
+    as they are: int tensors give an int tensor, Fraction ones a Fraction
+    one.  Keys come in the order of the terms of uv, then of vu."""
+    odd = (d1 * d2) % 2
+    out = {}
+    for u, v, flip in ((e1, e2, False), (e2, e1, not odd)):
+        for wu, cu in u.items():
+            if flip:
+                cu = -cu
+            for wv, cv in v.items():
+                w = wu + wv
+                t = cu * cv
+                prev = out.get(w)
+                out[w] = t if prev is None else prev + t
+    return {w: c for w, c in out.items() if c}
 
 
 def _tensor_coordinates(reps, names_by_degree):
@@ -539,6 +555,13 @@ def free_lie(generators, truncation):
     and eliminating linear dependence; the bracket table is read back as
     coordinates over the basis tensors.  Simple and provably correct at desk
     scale, no Lyndon-word machinery.
+
+    Iterated commutators of the letters {(i,): 1} have integer
+    coefficients, so the spanning tensors are int tensors throughout.
+    Fractions appear only in the basis tensors L.tensor_reps, each a
+    spanning tensor e divided by its coefficient at its least word, and in
+    the bracket table: the coordinates of the int commutator [e_a, e_b]
+    divided by the two leading coefficients.
     """
     N = int(truncation)
     gens = [(name, int(deg)) for name, deg in generators]
@@ -559,7 +582,7 @@ def free_lie(generators, truncation):
 
     # spanning elements, layered by bracket length; [span S, span T] spans
     # [S,T], so pruning each layer to an independent set is harmless
-    layers = {1: [(deg, {(i,): QONE}) for i, (_, deg) in enumerate(gens)]}
+    layers = {1: [(deg, {(i,): 1}) for i, (_, deg) in enumerate(gens)]}
     max_len = N // min(deg for _, deg in gens) if gens else 0
     for k in range(2, max_len + 1):
         layer = []
@@ -576,6 +599,7 @@ def free_lie(generators, truncation):
     # degreewise bases; generators keep their names, higher brackets are b<deg>_<i>
     basis = []
     reps = {}
+    spanning = {}
     per_degree_count = {}
     for deg in range(1, N + 1):
         candidates = []
@@ -591,9 +615,10 @@ def free_lie(generators, truncation):
                 i = per_degree_count.get(deg, 0)
                 name = "b%d_%d" % (deg, i)
                 per_degree_count[deg] = i + 1
-            lead = min(e)
+            lead = e[min(e)]
             basis.append((name, deg))
-            reps[name] = {w: c / e[lead] for w, c in e.items()}
+            spanning[name] = (e, lead)
+            reps[name] = {w: Fraction(c, lead) for w, c in e.items()}
 
     # bracket table as coordinates over the basis tensors
     names_by_degree = {}
@@ -603,17 +628,22 @@ def free_lie(generators, truncation):
     brackets = {}
     order = {name: i for i, (name, _) in enumerate(basis)}
     for a, da in basis:
+        ea, lead_a = spanning[a]
         for b, db in basis:
             if order[b] < order[a] or da + db > N:
                 continue
-            e = tensor_commutator(reps[a], da, reps[b], db)
+            eb, lead_b = spanning[b]
+            e = tensor_commutator(ea, da, eb, db)
             if not e:
                 continue
             combo = coords(da + db, e)
             if combo is None:
                 raise DglError("free Lie bracket escaped the computed basis")
             if combo:
-                brackets[(a, b)] = combo
+                # [rep_a, rep_b] = e / (lead_a lead_b)
+                scale = lead_a * lead_b
+                brackets[(a, b)] = combo if scale == 1 else {
+                    z: c / scale for z, c in combo.items()}
     L = Dgl(basis, brackets, {}, N)
     L.tensor_reps = reps
     return L
@@ -664,7 +694,9 @@ def free_lie_differential(L, generator_images):
                     sign = -1 if prefix_deg % 2 else 1
                     for w, c in img.items():
                         key = word[:i] + w + word[i + 1:]
-                        out[key] = out.get(key, QZERO) + sign * coeff * c
+                        t = sign * coeff * c
+                        prev = out.get(key)
+                        out[key] = t if prev is None else prev + t
                 prefix_deg += L.degree_of[gen_letter[letter]]
         return {k: c for k, c in out.items() if c}
 

@@ -199,8 +199,9 @@ class FreeGCA:
             for m2, c2 in q.items():
                 s, m = self.mul_monomials(m1, m2)
                 if s:
-                    out[m] = out.get(m, QZERO) + (c1 * c2 if s > 0
-                                                  else -(c1 * c2))
+                    t = c1 * c2 if s > 0 else -(c1 * c2)
+                    prev = out.get(m)
+                    out[m] = t if prev is None else prev + t
         return Poly._of({m: c for m, c in out.items() if c})
 
     def power(self, p, k):

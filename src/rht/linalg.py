@@ -49,12 +49,22 @@ QONE = Fraction(1)
 def combine(pairs):
     """The sum of c * v over the (v, c) pairs, each v a sparse vector
     ``{key: value}``: a new dict of ``Fraction``s, keys in order of first
-    appearance, with the zeros dropped once at the end."""
+    appearance, with the zeros dropped once at the end.  A weight of 1 is
+    not multiplied by and a key's first term is not added to 0; a value
+    that is not yet a ``Fraction`` is made one at the end."""
     out = {}
     for v, c in pairs:
-        for k, x in v.items():
-            out[k] = out.get(k, QZERO) + c * x
-    return {k: x for k, x in out.items() if x}
+        if c == 1:
+            for k, x in v.items():
+                prev = out.get(k)
+                out[k] = x if prev is None else prev + x
+        else:
+            for k, x in v.items():
+                t = c * x
+                prev = out.get(k)
+                out[k] = t if prev is None else prev + t
+    return {k: x if type(x) is Fraction else QZERO + x
+            for k, x in out.items() if x}
 
 
 def _int_row(vec):

@@ -27,6 +27,7 @@ to check the retract argument.
 from fractions import Fraction
 
 import dense_oracle
+from rht.dgl import Dgl, _independent, _tensor_coordinates
 from rht.gca import CheckReport, FreeGCA, Poly
 
 QZERO = Fraction(0)
@@ -46,32 +47,19 @@ def lc(pairs=None):
     return out
 
 
-def _tensor_concat(e1, e2):
+def tensor_commutator(e1, d1, e2, d2):
+    """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra, as a dict of
+    Fractions keyed in order of first appearance (the terms of uv, then of
+    vu), zeros dropped at the end."""
+    sign = -1 if (d1 * d2) % 2 == 0 else 1
     out = {}
     for w1, c1 in e1.items():
         for w2, c2 in e2.items():
-            w = w1 + w2
-            s = out.get(w, QZERO) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
-def tensor_commutator(e1, d1, e2, d2):
-    """[u,v] = uv - (-1)^{|u||v|} vu inside the tensor algebra."""
-    sign = -1 if (d1 * d2) % 2 == 0 else 1
-    left = _tensor_concat(e1, e2)
-    right = _tensor_concat(e2, e1)
-    out = dict(left)
-    for w, c in right.items():
-        s = out.get(w, QZERO) + sign * c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
+            out[w1 + w2] = out.get(w1 + w2, QZERO) + Fraction(c1) * c2
+    for w2, c2 in e2.items():
+        for w1, c1 in e1.items():
+            out[w2 + w1] = out.get(w2 + w1, QZERO) + sign * Fraction(c2) * c1
+    return {w: c for w, c in out.items() if c}
 
 
 def lc_add(a, b):
@@ -304,6 +292,59 @@ def free_lie_differential_images(L, generator_images):
             if combo:
                 images[name] = combo
     return images
+
+
+def free_lie_reference(generators, truncation):
+    """rht.dgl.free_lie as it was with Fraction tensors throughout: the
+    same layers, candidate order and independence test, the basis tensors
+    e / e[lead] and the bracket table read off [rep_a, rep_b]."""
+    N = int(truncation)
+    gens = [(name, int(deg)) for name, deg in generators]
+    layers = {1: [(deg, {(i,): QONE}) for i, (_, deg) in enumerate(gens)]}
+    max_len = N // min(deg for _, deg in gens) if gens else 0
+    for k in range(2, max_len + 1):
+        by_deg = {}
+        for i in range(1, k):
+            for d1, e1 in layers.get(i, []):
+                for d2, e2 in layers.get(k - i, []):
+                    if d1 + d2 > N:
+                        continue
+                    e = tensor_commutator(e1, d1, e2, d2)
+                    if e:
+                        by_deg.setdefault(d1 + d2, []).append((d1 + d2, e))
+        layers[k] = [de for d in sorted(by_deg)
+                     for de in _independent(by_deg[d])]
+    basis, reps, per_degree_count = [], {}, {}
+    for deg in range(1, N + 1):
+        candidates = [(k, e) for k in sorted(layers)
+                      for d, e in layers[k] if d == deg]
+        for k, e in _independent(candidates):
+            if k == 1:
+                name = gens[next(iter(e))[0]][0]
+            else:
+                i = per_degree_count.get(deg, 0)
+                name = "b%d_%d" % (deg, i)
+                per_degree_count[deg] = i + 1
+            lead = min(e)
+            basis.append((name, deg))
+            reps[name] = {w: c / e[lead] for w, c in e.items()}
+    names_by_degree = {}
+    for name, deg in basis:
+        names_by_degree.setdefault(deg, []).append(name)
+    coords = _tensor_coordinates(reps, names_by_degree)
+    brackets = {}
+    for i, (a, da) in enumerate(basis):
+        for b, db in basis[i:]:
+            if da + db > N:
+                continue
+            e = tensor_commutator(reps[a], da, reps[b], db)
+            combo = coords(da + db, e) if e else {}
+            assert combo is not None, "escaped the basis"
+            if combo:
+                brackets[(a, b)] = combo
+    L = Dgl(basis, brackets, {}, N)
+    L.tensor_reps = reps
+    return L
 
 
 def _tensor_name(a, x, unit):

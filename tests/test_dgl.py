@@ -3,10 +3,11 @@ from itertools import product as iproduct
 
 import pytest
 
+from dgl_oracle import tensor_commutator
 from rht.dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
                      free_lie, free_lie_differential, add_differential,
                      tensor_map_model,
-                     fibration_model, tensor_commutator, ConnectivityError)
+                     fibration_model, ConnectivityError)
 from rht.gca import Cdga
 from rht.linalg import EchelonSpan
 
@@ -18,7 +19,8 @@ QONE = F(1)
 #
 # Enumerate every fully parenthesized bracketing of every word of generators
 # and take the degreewise rank of the resulting tensors.  This shares nothing
-# with free_lie's layered spanning construction.
+# with free_lie's layered spanning construction, and its commutator is the
+# plain Fraction sum of dgl_oracle, not rht.dgl's.
 
 def _all_bracketings(letters, degrees):
     if len(letters) == 1:

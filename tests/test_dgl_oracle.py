@@ -8,8 +8,10 @@ give exactly what the oracle gives: the same brackets, the same
 (ok, kind, message) and the same cochain images.  free_lie and
 free_lie_differential read coordinates from one tagged span per degree; they
 must store the bracket table and differential that one dense solve per
-bracket or image gives.  tensor_morphism must give the maps I, Q, proj and
-sect that the hand-built loops give, and be a functor.
+bracket or image gives, and free_lie on int tensors must store exactly what
+the Fraction construction of free_lie_reference stores.  tensor_morphism
+must give the maps I, Q, proj and sect that the hand-built loops give, and
+be a functor.
 """
 
 from fractions import Fraction
@@ -220,6 +222,39 @@ def test_free_lie_differential_with_shared_words_matches_the_oracle():
     assert set(L.tensor_reps["b6_2"]) & set(L.tensor_reps["b6_4"])
     assert free_lie_differential(L, images).differential == \
         oracle.free_lie_differential_images(L, images)
+
+
+def _free_lie_data(L):
+    """Names, degrees, basis tensors and stored brackets, with key order
+    and coefficient types."""
+    def items(combo):
+        return [(k, c, type(c)) for k, c in combo.items()]
+    return ([(n, L.degree_of[n]) for n in L.names],
+            [(n, items(L.tensor_reps[n])) for n in L.names],
+            [(pair, items(combo)) for pair, combo in L.brackets.items()])
+
+
+def test_free_lie_matches_the_fraction_reference():
+    # free_lie works on int tensors; it must store exactly what the Fraction
+    # construction stored
+    rng = Random(509)
+    inputs = [([("a1", 6), ("a2", 6)], 40)]
+    for _ in range(40):
+        degs = [rng.randint(1, 7) for _ in range(rng.randint(1, 3))]
+        gens = [("g%d" % i, d) for i, d in enumerate(degs)]
+        # brackets of at most eight letters (six on three generators) keep
+        # the reference quick
+        letters = 8 if len(degs) < 3 else 6
+        N = min(rng.randint(max(degs), 24),
+                max(max(degs), letters * min(degs)))
+        inputs.append((gens, N))
+    assert {d % 2 for gens, _ in inputs for _, d in gens} == {0, 1}
+    for gens, N in inputs:
+        data = _free_lie_data(free_lie(gens, N))
+        assert data == _free_lie_data(oracle.free_lie_reference(gens, N)), \
+            (gens, N)
+        assert {t for _, combo in data[1] + data[2] for _, _, t in combo} \
+            <= {F}
 
 
 def lie_reduction_x(c):

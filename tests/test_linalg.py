@@ -58,6 +58,20 @@ def test_combine_drops_cancelled_keys_once():
     # a key that cancels and comes back keeps its first place
     assert list(combine([({"x": 1}, 1), ({"y": 1}, 1), ({"x": 1}, -1),
                          ({"x": 2}, 1)])) == ["x", "y"]
+    # ints at weight 1, int x int and weight -1 still give Fractions
+    for pairs, want in (([({"a": 3, "b": F(1, 2)}, 1)],
+                         {"a": F(3), "b": F(1, 2)}),
+                        ([({"a": 3}, 2), ({"a": 1, "b": -4}, 1)],
+                         {"a": F(7), "b": F(-4)}),
+                        ([({"a": F(1, 3), "b": 2}, -1)],
+                         {"a": F(-1, 3), "b": F(-2)})):
+        got = combine(pairs)
+        assert got == want and list(got) == list(want)
+        assert all(type(x) is Fraction for x in got.values())
+    # a key whose first term is 0 keeps its place
+    got = combine([({"x": 0, "y": 1}, 1), ({"z": 1}, 1), ({"x": 5}, 1)])
+    assert list(got) == ["x", "y", "z"] and got["x"] == 5
+    assert all(type(x) is Fraction for x in got.values())
 
 
 def test_solve_identity_and_inconsistent():

@@ -208,11 +208,10 @@ class Dgl:
                             prev = acc.get(z)
                             acc[z] = t if prev is None else prev + t
                     for u, v in ab.items():
-                        v = -v
                         for z, x in table[u].get(c, EMPTY).items():
                             t = v * x
                             prev = acc.get(z)
-                            acc[z] = t if prev is None else prev + t
+                            acc[z] = -t if prev is None else prev - t
                     for w, v in ac.items():
                         v = v if odd else -v
                         for z, x in row_b.get(w, EMPTY).items():

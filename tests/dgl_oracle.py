@@ -14,6 +14,9 @@ before its tagged spans: one dense solve per bracket or image, against the
 basis tensors of the target degree.  ``lc`` and ``tensor_commutator`` are
 the plain sums ``rht.dgl`` used before ``rht.linalg.combine``, kept here so
 the oracle shares no arithmetic with the code it checks.
+``free_lie_reference`` is ``free_lie`` as it was before it worked on int
+tensors: Fraction tensors from the generators on, the basis tensors
+e / e[lead] and the bracket table read off their commutators.
 
 ``reduction_images`` and ``fibration_images`` build the maps that a map of
 X-models induces on A (x) L by hand, as the odd-sphere reduction and

@@ -555,6 +555,13 @@ def free_lie(generators, truncation):
     coordinates over the basis tensors.  Simple and provably correct at desk
     scale, no Lyndon-word machinery.
 
+    The candidates of a degree are a basis as they stand: layer k holds
+    commutators of k letters, which live on words of length k, so tensors
+    of different layers have disjoint supports; and every layer is an
+    independent set per degree, layer 1 being distinct letters and each
+    later one pruned.  Their union is independent, so it is never
+    eliminated a second time.
+
     Iterated commutators of the letters {(i,): 1} have integer
     coefficients, so the spanning tensors are int tensors throughout.
     Fractions appear only in the basis tensors L.tensor_reps, each a
@@ -606,7 +613,7 @@ def free_lie(generators, truncation):
             for d, e in layers[k]:
                 if d == deg:
                     candidates.append((k, e))
-        for k, e in _independent(candidates):
+        for k, e in candidates:
             if k == 1:
                 word = next(iter(e))
                 name = gens[word[0]][0]

@@ -22,6 +22,8 @@ search into a verdict.
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import add
 
 from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
@@ -242,24 +244,73 @@ def regular_sequence_check(algebra, seq, N):
     total degree N?  Checks that multiplication by f_i is injective on every
     degree <= N - |f_i| of the partial quotient Q[evens]/(f_<i), that is,
     that its columns are independent; a nonzero f_1 is injective because
-    Q[evens] is a domain.  Truncation-relative."""
+    Q[evens] is a domain.  Truncation-relative.
+
+    One span per degree n holds the degree-n part of (f_<i), over the
+    monomial basis.  Q_k = Q[evens]_k/(f_<i)_k has the non-pivot monomials
+    of the degree-k span as its basis, so multiplication by f_i is injective
+    on Q_k exactly when the products f_i * m over those monomials m are
+    independent modulo the degree-(k + |f_i|) span.  The same products
+    also span (f_<=i) there: a pivot monomial is a combination of basis
+    monomials modulo (f_<i)_k, so f_i times it is one modulo (f_<i).  They
+    are built as integer rows: f_i is scaled once to a primitive integer
+    polynomial, which changes neither the kernel nor injectivity, and in an
+    even ring the product of two monomials adds their exponents, with no
+    sign.  The witness of a failing (i, k) is the first kernel vector of
+    the residues of those rows, read on the basis monomials of Q_k."""
     if any(d % 2 for d in algebra.degrees):
         raise ValueError("regular sequences live in an even polynomial ring")
     degrees = [algebra.poly_degree(f) for f in seq]  # raises if inhomogeneous
+    spans, exponents = {}, {}
+
+    def span(n):
+        if n not in spans:
+            spans[n] = EchelonSpan(algebra.dim(n))
+        return spans[n]
+
+    def vector(m):
+        v = [0] * len(algebra.degrees)
+        for g, e in m:
+            v[g] = e
+        return tuple(v)
+
+    def exponent_vectors(n):
+        """The degree-n basis as exponent vectors, and their positions."""
+        if n not in exponents:
+            vecs = [vector(m) for m in algebra.degree_basis(n)]
+            exponents[n] = vecs, {v: j for j, v in enumerate(vecs)}
+        return exponents[n]
+
     for i, (f, df) in enumerate(zip(seq, degrees)):
         if df is None:
             return False, RegularSequenceWitness(i, 0, Poly.unit())
-        if i == 0:
-            continue
-        ring = QuotientRing(algebra, seq[:i], N)
+        last = i == len(seq) - 1
+        if last and not i:
+            break
+        den = lcm(*[c.denominator for c in f.terms.values()])
+        ints = [(int(c * den), t) for t, c in f.items()]
+        g = gcd(*[c for c, _ in ints])
+        terms = [(c // g, vector(t)) for c, t in ints]
+        pending = []
         for k in range(0, N - df + 1):
-            mat = ring.multiplication_matrix(f, k)
-            span = EchelonSpan(ring.rank(k + df))
-            if not all(span.add(col) for col in mat):
-                basis = ring.basis_monomials(k)
-                ker = kernel_basis(mat)[0]
-                bad = Poly({basis[j]: c for j, c in ker.items()})
-                return False, RegularSequenceWitness(i, k, bad)
+            pivots = set(span(k).pivots)
+            vecs = exponent_vectors(k)[0]
+            free = [j for j in range(len(vecs)) if j not in pivots]
+            pos, target = exponent_vectors(k + df)[1], span(k + df)
+            rows = [{pos[tuple(map(add, vecs[j], t))]: c for c, t in terms}
+                    for j in free]
+            if i:
+                fresh = EchelonSpan(target.dim)
+                if not all(fresh.add_residue(r, target) for r in rows):
+                    ker = kernel_basis([target.residue(r) for r in rows])[0]
+                    basis = algebra.degree_basis(k)
+                    bad = Poly({basis[free[j]]: c for j, c in ker.items()})
+                    return False, RegularSequenceWitness(i, k, bad)
+            if not last:
+                pending.append((target, rows))
+        for target, rows in pending:
+            for r in rows:
+                target.add(r)
     return True, None
 
 

@@ -10,7 +10,8 @@ names are public:
   * ``combine(pairs)``, the sum of c * v over (v, c) pairs, the one way
     sparse vectors are added;
   * ``EchelonSpan``, the one elimination kernel: a growing subspace, with
-    membership, residues modulo the span and its rank;
+    membership, residues modulo the span, its rank, and insertion of the
+    residues of vectors modulo another span;
   * ``kernel_basis(columns)``, the kernel of a matrix given by its columns;
   * ``homology(d_out, d_in, dim)``, representatives of ker / im at one
     degree of a graded complex, and the tagged span that reads classes.
@@ -30,6 +31,15 @@ all determined by the input alone, never by the order in which rows were
 eliminated, so they are deterministic and safe to freeze in tests.  Basis
 rows and kernel vectors are handed out with their entries in ascending
 index.
+
+Keeping the span reduced means clearing each new pivot out of the rows
+that hold it.  A column index names those rows, so that an insert visits
+them alone rather than every row: after every insert,
+
+    _cols == {c: {p : c in row p, c != p}}
+
+over the stored rows, with no empty sets.  A pivot column is held by its
+own row only, so it never appears as a key.
 
 Coordinates of a vector over independent vectors v_1..v_k are read from a
 tagged span: add each v_j with a 1 appended in an extra column j, take the
@@ -70,6 +80,8 @@ def combine(pairs):
 def _int_row(vec):
     """(row, den) with row an integer ``{col: int}`` dict and row[c] / den
     the value at c, for the nonzero values of the sparse vector vec."""
+    if all(type(x) is int for x in vec.values()):
+        return {c: x for c, x in vec.items() if x}, 1
     vals = []
     den = 1
     for c, x in vec.items():
@@ -107,6 +119,7 @@ class EchelonSpan:
     def __init__(self, dim):
         self.dim = dim
         self._rows = {}
+        self._cols = {}
 
     def _row(self, vec):
         """Validated integer form (row, den) of an input column."""
@@ -137,29 +150,55 @@ class EchelonSpan:
         return {c: x for c, x in w.items() if x}, scale
 
     def _insert(self, row):
-        """Insert an integer row; returns True if it enlarged the span."""
+        """Insert an integer row; returns True if it enlarged the span.
+
+        Only the rows that hold the new pivot q are rewritten, and the
+        column index names exactly those; each rewrite changes the row at
+        the columns of the new row alone, so the index is updated there."""
         w, _ = self._reduce(row)
         if not w:
             return False
         q = min(w)
         w = _primitive(w, q)
         a = w[q]
-        rows = self._rows
-        for p, r in rows.items():
-            b = r.get(q)
-            if b:
-                h = gcd(a, b)
-                a1, b1 = a // h, b // h
-                new = {c: a1 * x for c, x in r.items()}
-                for c, x in w.items():
-                    new[c] = new.get(c, 0) - b1 * x
-                rows[p] = _primitive({c: x for c, x in new.items() if x}, p)
+        rows, cols = self._rows, self._cols
+        for p in cols.pop(q, ()):
+            r = rows[p]
+            b = r[q]
+            h = gcd(a, b)
+            a1, b1 = a // h, b // h
+            new = {c: a1 * x for c, x in r.items()}
+            for c, x in w.items():
+                new[c] = new.get(c, 0) - b1 * x
+            new = rows[p] = _primitive({c: x for c, x in new.items() if x}, p)
+            for c in w:
+                if c == q:
+                    continue
+                if c in new:
+                    if c not in r:
+                        cols.setdefault(c, set()).add(p)
+                elif c in r:
+                    held = cols[c]
+                    held.discard(p)
+                    if not held:
+                        del cols[c]
         rows[q] = w
+        for c in w:
+            if c != q:
+                cols.setdefault(c, set()).add(q)
         return True
 
     def add(self, vec):
         """Insert vec; returns True if it enlarged the span."""
         return self._insert(self._row(vec)[0])
+
+    def add_residue(self, vec, base):
+        """Insert the residue of vec modulo the span base, of the same dim;
+        returns True if it enlarged this span, that is, if vec is
+        independent of base and this span together.  base is left as it
+        is, so a span filled this way holds residues modulo base alone."""
+        w = base._reduce(self._row(vec)[0])[0]
+        return bool(w) and self._insert(w)
 
     def residue(self, vec):
         """The unique vector of vec + span that is zero at every pivot, as
@@ -207,13 +246,8 @@ def kernel_basis(columns):
     span = EchelonSpan(ncols)
     for i in sorted(by_row):
         span._insert(_int_row(by_row[i])[0])
-    rows = span._rows
+    rows, hits = span._rows, span._cols
     # free column f gives e_f - sum over pivots p of (r_p[f] / lead_p) e_p
-    hits = {}
-    for p, r in rows.items():
-        for c in r:
-            if c != p:
-                hits.setdefault(c, []).append(p)
     ker = EchelonSpan(ncols)
     for f in range(ncols):
         if f in rows:

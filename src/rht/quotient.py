@@ -131,14 +131,6 @@ class QuotientRing(DegreewiseRing):
         basis = self._degree_data(e.degree)[3]
         return Poly({basis[k]: c for k, c in e.coords.items()})
 
-    def multiplication_matrix(self, f, n):
-        """Multiplication by f: Q_n -> Q_{n+|f|} in quotient bases, one
-        sparse column per basis monomial of Q_n."""
-        bpos = self._degree_data(n + self.algebra.poly_degree(f))[4]
-        return [{bpos[mm]: c for mm, c in
-                 self.reduce(self.algebra.multiply(Poly({m: QONE}), f)).items()}
-                for m in self.basis_monomials(n)]
-
 
 class ModelCohomology(DegreewiseRing):
     """H^*(A, d) of a Cdga, as a degreewise ring on representative classes."""

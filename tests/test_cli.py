@@ -213,6 +213,25 @@ def test_section4_below_the_degree_of_dy(capsys, tmp_path):
         True, "koszul-regular-sequence certificate replayed")
 
 
+def test_section4_with_a_square_differential_is_not_regular(capsys,
+                                                            tmp_path):
+    # d y = x1^2 makes x1 a zero divisor of Q[x1, x2, x1_bar, x2_bar]/(x1^2),
+    # so d y_bar = 2 x1*x1_bar kills x1 in degree 4: UNKNOWN, exit 2, with
+    # the regularity witness in the notes and no certificate
+    path = tmp_path / "sq.rht"
+    path.write_text(cli.SECTION4_WORKSPACE.replace("d y = x1*x2",
+                                                   "d y = x1^2"))
+    cert = tmp_path / "sq.cert"
+    code, out, err = run_cli(capsys, "formality", str(path), "section4",
+                             "--max-degree", "22",
+                             "--certificate-out", str(cert))
+    assert (code, err) == (2, "")
+    assert "at N = 22: UNKNOWN" in out
+    assert "note: sequence (y, y_bar) is not regular: index 1 degree 4" \
+        in out.splitlines()
+    assert not cert.exists()
+
+
 def test_env_var_default_degree(capsys, ws_file, tmp_path, monkeypatch):
     monkeypatch.setenv("RHT_MAX_DEGREE", "12")
     cert = tmp_path / "t.cert"

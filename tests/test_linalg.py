@@ -141,6 +141,60 @@ def test_echelon_span_incremental():
     assert not span.contains(sparse([F(0), F(1), F(0)]))
 
 
+def recomputed_index(span):
+    """{c: {p : c in row p, c != p}}, read off the rows themselves."""
+    want = {}
+    for p, r in span._rows.items():
+        for c in r:
+            if c != p:
+                want.setdefault(c, set()).add(p)
+    return want
+
+
+def random_vector(rng, dim):
+    return {c: F(rng.randint(-3, 3), rng.randint(1, 2))
+            for c in rng.sample(range(dim), rng.randint(1, min(dim, 4)))}
+
+
+def test_column_index_tracks_rewritten_rows():
+    # every insert that clears its new pivot out of older rows rewrites
+    # them; after each one the index must name exactly the rows holding
+    # each non-pivot column, for add and for add_residue alike
+    rng = Random(4411)
+    rewrites = residues = 0
+    for _ in range(200):
+        dim = rng.randint(1, 10)
+        base, span = EchelonSpan(dim), EchelonSpan(dim)
+        for _ in range(rng.randint(1, 12)):
+            target = span if rng.random() < 0.3 else base
+            before = dict(target._rows)
+            if target is span:
+                v = random_vector(rng, dim)
+                r = base.residue(v)
+                want = bool(r) and not span.contains(r)
+                assert span.add_residue(v, base) == want
+                residues += want
+            else:
+                base.add(random_vector(rng, dim))
+            rewrites += any(target._rows[p] is not r
+                            for p, r in before.items())
+            assert base._cols == recomputed_index(base)
+            assert span._cols == recomputed_index(span)
+    assert rewrites >= 200 and residues >= 50, (rewrites, residues)
+
+
+def test_add_residue_keeps_the_base():
+    base = EchelonSpan(3)
+    base.add({0: 1, 1: 1})
+    span = EchelonSpan(3)
+    assert span.add_residue({0: 2}, base)
+    assert not span.add_residue({1: 1}, base)
+    assert not span.add_residue({0: 1, 1: 1}, base)
+    assert span.add_residue({2: 5}, base)
+    assert span.rows == [{1: F(1)}, {2: F(1)}]
+    assert base.rows == [{0: F(1), 1: F(1)}]
+
+
 def test_public_names_resolve():
     namespace = {}
     exec("from rht import *", namespace)

@@ -4,7 +4,7 @@ import pytest
 
 from rht.gca import Cdga, FreeGCA, Poly
 from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
-from rht.formality import bigraded_model
+from rht.formality import bigraded_model, regular_sequence_check
 
 F = Fraction
 
@@ -51,13 +51,13 @@ def test_quotient_rejects_inhomogeneous_relation():
         QuotientRing(alg, [bad], 10)
 
 
-def test_quotient_multiplication_matrix_regularity_witness():
+def test_quotient_regularity_witness():
     # in Q[x]/(x^2), multiplication by x is not injective in degree 2
     alg = FreeGCA([("x", 2)])
     x = alg.gen("x")
-    ring = QuotientRing(alg, [alg.power(x, 2)], 10)
-    m = ring.multiplication_matrix(x, 2)
-    assert m == [{}]
+    ok, witness = regular_sequence_check(alg, [alg.power(x, 2), x], 10)
+    assert not ok
+    assert (witness.index, witness.degree, witness.element_poly) == (1, 2, x)
 
 
 def test_quotient_product_zero_in_ring_is_zero():

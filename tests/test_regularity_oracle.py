@@ -1,0 +1,89 @@
+"""regular_sequence_check against the plain check in regularity_oracle.
+
+The library keeps one span per degree for the multiples of f_1..f_{i-1},
+builds f_i times the quotient basis monomials as integer rows and tests
+them modulo that span; the oracle builds a quotient ring per relation and
+multiplication matrices in quotient bases.  On seeded even rings with one
+to three relations, regular or not, and on the section-4 sequence, both
+must give the same (ok, index, degree, element_poly), the witness with the
+same key order.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import regularity_oracle as oracle
+from rht.formality import koszul_sequence, regular_sequence_check
+from rht.gca import FreeGCA, Poly
+from rht.mapmodel import suspension_model
+from test_formality import section4_y
+
+F = Fraction
+CASES = 300
+
+
+def outcome(result):
+    ok, witness = result
+    if witness is None:
+        return ok, None
+    return (ok, witness.index, witness.degree,
+            list(witness.element_poly.terms.items()))
+
+
+def random_poly(rng, alg, degree):
+    basis = alg.degree_basis(degree)
+    if not basis:
+        return Poly()
+    return Poly({m: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                 for m in rng.sample(basis, min(len(basis), 3))})
+
+
+def random_relation(rng, alg, factors):
+    """A random homogeneous relation; a product of two shared factors a
+    third of the time, so that zero divisors appear past degree 0, and
+    rarely 0 or a nonzero constant."""
+    r = rng.random()
+    if r < 0.03:
+        return Poly()
+    if r < 0.05:
+        return Poly.unit(F(rng.randint(1, 4), rng.randint(1, 3)))
+    if r < 0.4:
+        return alg.multiply(rng.choice(factors), rng.choice(factors))
+    return random_poly(rng, alg, rng.choice([2, 4, 4, 6, 6, 8]))
+
+
+def random_case(rng):
+    alg = FreeGCA([("x%d" % i, rng.choice([2, 2, 4, 6]))
+                   for i in range(rng.randint(1, 4))])
+    factors = [f for f in (random_poly(rng, alg, rng.choice([2, 4]))
+                           for _ in range(3)) if f] or [alg.gen("x0")]
+    seq = [random_relation(rng, alg, factors)
+           for _ in range(rng.randint(1, 3))]
+    return alg, seq, rng.randint(6, 16)
+
+
+def test_regularity_matches_oracle_on_seeded_rings():
+    rng = Random(1919)
+    seen = {"regular": 0, "not regular": 0, "third relation": 0,
+            "above degree 0": 0}
+    for _ in range(CASES):
+        alg, seq, N = random_case(rng)
+        got = outcome(regular_sequence_check(alg, seq, N))
+        assert got == outcome(oracle.regular_sequence_check(alg, seq, N)), \
+            (alg.generators, [alg.poly_str(f) for f in seq], N)
+        if got[0]:
+            seen["regular"] += 1
+        else:
+            seen["not regular"] += 1
+            seen["third relation"] += got[1] == 2
+            seen["above degree 0"] += got[2] > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_regularity_matches_oracle_on_section4():
+    even_alg, seq, _ = koszul_sequence(suspension_model(section4_y(), 2).cdga)
+    for N in (23, 41, 57):
+        got = regular_sequence_check(even_alg, seq, N)
+        assert got == (True, None)
+        assert outcome(got) == outcome(
+            oracle.regular_sequence_check(even_alg, seq, N))

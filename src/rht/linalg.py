@@ -80,8 +80,6 @@ def combine(pairs):
 def _int_row(vec):
     """(row, den) with row an integer ``{col: int}`` dict and row[c] / den
     the value at c, for the nonzero values of the sparse vector vec."""
-    if all(type(x) is int for x in vec.values()):
-        return {c: x for c, x in vec.items() if x}, 1
     vals = []
     den = 1
     for c, x in vec.items():

@@ -291,6 +291,9 @@ def regular_sequence_check(algebra, seq, N):
         ints = [(int(c * den), t) for t, c in f.items()]
         g = gcd(*[c for c, _ in ints])
         terms = [(c // g, vector(t)) for c, t in ints]
+        # f_i's rows enter the spans after its last k, so that every Q_k it
+        # is tested on is taken modulo (f_<i), and only if a later
+        # relation reads them
         pending = []
         for k in range(0, N - df + 1):
             pivots = set(span(k).pivots)

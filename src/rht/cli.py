@@ -225,54 +225,76 @@ def cmd_verify_certificate(args):
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
+# name: (help, handler, positional arguments, options), in the order the
+# full parser lists them
+COMMANDS = {
+    "parse": ("validate a workspace file and echo it", cmd_parse,
+              ("file",), ()),
+    "cohomology": ("degreewise cohomology ranks", cmd_cohomology,
+                   ("file", "algebra"), ("--max-degree", "--format")),
+    "map-model": ("print the model of F(X, Y)", cmd_map_model,
+                  ("file", "problem"), ("--format",)),
+    "formality": ("decide and certify formality", cmd_formality,
+                  ("file", "problem"),
+                  ("--max-degree", "--format", "--certificate-out")),
+    "reproduce-section4": ("run the built-in explicit example end to end",
+                           cmd_reproduce_section4, (),
+                           ("--max-degree", "--format", "--certificate-out")),
+    "verify-certificate": ("replay a certificate file", cmd_verify_certificate,
+                           ("certificate",), ()),
+}
+
+OPTIONS = {
+    "--max-degree": {"type": int, "default": None},
+    "--format": {"choices": ("table", "json"), "default": "table"},
+    "--certificate-out": {"default": None},
+}
+
+
+def add_command_arguments(parser, name):
+    """The arguments and handler of subcommand name, added to parser."""
+    _, func, positionals, options = COMMANDS[name]
+    for arg in positionals:
+        parser.add_argument(arg)
+    for opt in options:
+        parser.add_argument(opt, **OPTIONS[opt])
+    parser.set_defaults(func=func)
+
+
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="rht",
         description="exact-arithmetic mapping-space models and formality "
                     "certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="validate a workspace file and echo it")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("cohomology", help="degreewise cohomology ranks")
-    p.add_argument("file")
-    p.add_argument("algebra")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("map-model", help="print the model of F(X, Y)")
-    p.add_argument("file")
-    p.add_argument("problem")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=cmd_map_model)
-
-    p = sub.add_parser("formality", help="decide and certify formality")
-    p.add_argument("file")
-    p.add_argument("problem")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--certificate-out", default=None)
-    p.set_defaults(func=cmd_formality)
-
-    p = sub.add_parser("reproduce-section4",
-                       help="run the built-in explicit example end to end")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--certificate-out", default=None)
-    p.set_defaults(func=cmd_reproduce_section4)
-
-    p = sub.add_parser("verify-certificate", help="replay a certificate file")
-    p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify_certificate)
+    for name, (help_text, _, _, _) in COMMANDS.items():
+        add_command_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def parse_args(argv):
+    """The arguments of argv, parsed as make_parser() parses them.
+
+    Each argparse parser costs a terminal-size query per argument, so a
+    named subcommand gets a parser of its own, with the prog, usage, help
+    and errors of its subparser in the full one.  The full parser is built
+    for top-level help, for no or an unknown command, and to report the
+    arguments the subcommand leaves over, which it reports with its own
+    usage."""
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        return make_parser().parse_args(argv)
+    parser = argparse.ArgumentParser(prog="rht %s" % name)
+    add_command_arguments(parser, name)
+    parser.set_defaults(command=name)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:
+        return make_parser().parse_args(argv)
+    return args
+
+
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if hasattr(args, "max_degree"):
             if args.max_degree is None:

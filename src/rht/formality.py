@@ -443,7 +443,21 @@ class BigradedModel:
         return [n for n in self.cdga.names if self.lower[n] >= 1]
 
     def validate(self, ring=None, upto=None):
-        """All structural invariants plus rho being a quasi-isomorphism."""
+        """All structural invariants plus rho being a quasi-isomorphism up
+        to upto, decided by ranks and by rho onto each degree.
+
+        validate_structure has checked that d is a derivation of degree +1
+        with d^2 = 0 that lowers the lower weight by one, that d vanishes on
+        the lower-degree-0 generators and that rho kills every other
+        generator.  So rank H^n(B) = dim B^n - rank d^n - rank d^{n-1},
+        and the monomials of lower weight 0 are cocycles while rho kills
+        every other monomial: the weight-0 part of a cocycle is a cocycle
+        (its d would have weight -1) and carries all of its image.  The
+        image of rho* in degree n is then the span of rho(m) over the
+        weight-0 monomials m of degree n, and with rank H^n(B) equal to
+        rank ring_n, rho* is onto exactly when it is an isomorphism.  Each
+        degree fails exactly where RhoMorphism.is_quasi_iso fails, with no
+        cohomology of B computed."""
         rep = self.validate_structure()
         if not rep:
             return rep
@@ -453,11 +467,29 @@ class BigradedModel:
         rep = rho.is_cochain_map()
         if not rep:
             return rep
-        qis, bad = rho.is_quasi_iso(upto)
-        if not qis:
-            return CheckReport.violation(
-                "quasi-iso", "rho fails at degree %d" % bad)
+        alg = self.cdga
+        rank_in = 0  # rank of d into degree n
+        for n in range(0, upto + 1):
+            span = EchelonSpan(alg.dim(n + 1))
+            rank_out = sum(span.add(col) for col in alg.d_columns(n) if col)
+            rk = ring.rank(n)
+            if alg.dim(n) - rank_out - rank_in != rk or \
+                    not self._rho_onto(rho, n, rk):
+                return CheckReport.violation(
+                    "quasi-iso", "rho fails at degree %d" % n)
+            rank_in = rank_out
         return CheckReport.good()
+
+    def _rho_onto(self, rho, n, rank):
+        """Whether rho of the weight-0 monomials of degree n spans ring_n,
+        of the given rank."""
+        span = EchelonSpan(rank)
+        for m in self.cdga.degree_basis(n):
+            if span.rank() == rank:
+                break
+            if not self.lower_weight(m):
+                span.add(rho.apply_poly(Poly._of({m: QONE})).coords)
+        return span.rank() == rank
 
     def validate_structure(self):
         alg = self.cdga

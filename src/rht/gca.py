@@ -9,6 +9,10 @@ basis, representative, matrix and printed polynomial in this module follows
 that one order, which makes them deterministic.  A count table prunes every
 empty branch of ``degree_basis``, so a basis costs about its size times the
 generators scanned per branch, and ``dim`` counts without enumerating.
+A ``Cdga`` derives d of each monomial once and keeps it, cancelled sums
+included, so that ``d``, ``d_columns`` and ``check`` read one
+differentiation and a sum keeps the key order of a single pass over its
+polynomial.
 """
 
 from fractions import Fraction
@@ -268,47 +272,58 @@ class FreeGCA:
 
     # -- derivations ----------------------------------------------------
 
+    def derive_monomial(self, deriv, m):
+        """D(m) of one monomial: one term per exponent pair (i, e), e *
+        sign * m[:k] * D(x_i) * x_i^{e-1} * m[k+1:], since the e positions
+        of an even letter give equal terms and an odd letter has e = 1.
+        Terms are summed in order of first appearance, and a sum that
+        cancels stays as a zero, so that combining these dicts over the
+        monomials of p puts every key of D(p) where a single pass over p
+        first meets it."""
+        # one output term per image term, with no product by 1 and signs
+        # applied by negation
+        out = {}
+        odd_deriv = deriv.degree % 2
+        prefix_deg = 0
+        for k, (i, e) in enumerate(m):
+            img = deriv.images.get(self.names[i])
+            if img:
+                sign = -1 if odd_deriv and prefix_deg % 2 else 1
+                rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
+                # each product is injective: one output term per image term
+                for mi, ci in img.items():
+                    s1, left = self.mul_monomials(m[:k], mi)
+                    if s1:
+                        s, mm = self.mul_monomials(left, rest)
+                        if s:
+                            t = ci if e == 1 else e * ci
+                            if s * s1 != sign:
+                                t = -t
+                            prev = out.get(mm)
+                            out[mm] = t if prev is None else prev + t
+            prefix_deg += e * self.degrees[i]
+        return out
+
     def apply_derivation(self, deriv, p, truncation=None):
         """Graded Leibniz extension of a generator-level derivation.
 
-        D(uv) = D(u)v + (-1)^{|D||u|} u D(v).  On a monomial this is one term
-        per exponent pair (i, e): e * sign * m[:k] * D(x_i) * x_i^{e-1} *
-        m[k+1:], since the e positions of an even letter give equal terms and
-        an odd letter has e = 1.  If truncation is given, any output term
+        D(uv) = D(u)v + (-1)^{|D||u|} u D(v), summed over the monomials of
+        p from derive_monomial.  If truncation is given, any output term
         above it raises TruncationError instead of being dropped.
         """
-        # the loop of linalg.combine, written out: one term per image term,
-        # with no product by 1 and signs applied by negation
-        out = {}
-        odd_deriv = deriv.degree % 2
-        for m, c in p.items():
-            prefix_deg = 0
-            for k, (i, e) in enumerate(m):
-                img = deriv.images.get(self.names[i])
-                if img:
-                    coeff = c if e == 1 else c * e
-                    if odd_deriv and prefix_deg % 2:
-                        coeff = -coeff
-                    rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
-                    # each product is injective: one output term per image term
-                    for mi, ci in img.items():
-                        s1, left = self.mul_monomials(m[:k], mi)
-                        if s1:
-                            s, mm = self.mul_monomials(left, rest)
-                            if s:
-                                t = coeff if ci == 1 else coeff * ci
-                                if s != s1:
-                                    t = -t
-                                prev = out.get(mm)
-                                out[mm] = t if prev is None else prev + t
-                prefix_deg += e * self.degrees[i]
-        out = {m: c for m, c in out.items() if c}
+        out = combine((self.derive_monomial(deriv, m), c)
+                      for m, c in p.items())
         if truncation is not None:
-            for m in out:
-                if self.monomial_degree(m) > truncation:
-                    raise TruncationError(
-                        "derivation output exceeds truncation %d" % truncation)
+            self.check_truncation(out, truncation)
         return Poly._of(out)
+
+    def check_truncation(self, terms, truncation):
+        """TruncationError if a monomial of terms has degree above
+        truncation."""
+        for m in terms:
+            if self.monomial_degree(m) > truncation:
+                raise TruncationError(
+                    "derivation output exceeds truncation %d" % truncation)
 
     # -- printing --------------------------------------------------------
 
@@ -424,9 +439,34 @@ class Cdga(FreeGCA):
         self._cohomology_cache = {}
         self._class_basis_cache = {}
         self._dcol_cache = {}
+        self._d_of = {}
+
+    def _derived(self, m):
+        """(d(m), whether a term of it lies above the truncation), d(m) as
+        derive_monomial gives it, sums that cancel kept as zeros.
+
+        d of each monomial is derived once per algebra and kept, so d,
+        d_columns and check share one differentiation.  The flag only says
+        where to test a sum: a term above the truncation may cancel in it."""
+        entry = self._d_of.get(m)
+        if entry is None:
+            dm = self.derive_monomial(self.differential, m)
+            entry = self._d_of[m] = (dm, any(
+                self.monomial_degree(mm) > self.truncation for mm in dm))
+        return entry
 
     def d(self, p):
-        return self.differential(p, truncation=self.truncation)
+        """d(p); TruncationError if a term of it lies above the truncation."""
+        pairs = []
+        high = False
+        for m, c in p.items():
+            dm, above = self._derived(m)
+            pairs.append((dm, c))
+            high = high or above
+        out = combine(pairs)
+        if high:
+            self.check_truncation(out, self.truncation)
+        return Poly._of(out)
 
     def check(self):
         """Verify degree +1 and d^2 = 0 on generators, up to truncation."""
@@ -476,8 +516,13 @@ class Cdga(FreeGCA):
         if n + 1 > self.truncation:
             raise TruncationError("d out of degree %d exceeds truncation" % n)
         pos = {m: i for i, m in enumerate(self.degree_basis(n + 1))}
-        cols = [{pos[mm]: c for mm, c in self.d(Poly({m: QONE})).items()}
-                for m in self.degree_basis(n)]
+        cols = []
+        for m in self.degree_basis(n):
+            dm, above = self._derived(m)
+            if above:
+                self.check_truncation([mm for mm, c in dm.items() if c],
+                                      self.truncation)
+            cols.append({pos[mm]: c for mm, c in dm.items() if c})
         self._dcol_cache[n] = cols
         return cols
 

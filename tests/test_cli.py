@@ -276,6 +276,42 @@ def test_non_positive_bound_error_names_no_line(capsys, ws_file, monkeypatch,
     assert err == "error: %s must be a positive integer\n" % want
 
 
+def parse_outcome(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, namespace or None) of parse."""
+    try:
+        args, code = parse(list(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, None if args is None else vars(args)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], [], ["bogus"], ["formality", "w.rht"],
+    ["formality", "w.rht", "p", "--max-degree", "abc"],
+    ["formality", "w.rht", "p", "--format", "xml"],
+    ["formality", "w.rht", "p", "extra"],
+    ["formality", "w.rht", "p", "--max-degree", "7", "--format", "json",
+     "--certificate-out", "o.cert"],
+    ["reproduce-section4", "--max-degree=9"],
+    ["cohomology", "w.rht", "Y", "--", "-1"],
+    ["verify-certificate", "c.cert"],
+] + [[name, "-h"] for name in cli.COMMANDS])
+def test_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # usage, help, errors, exit codes and parsed arguments are those of
+    # make_parser(), which parse_args builds only when it must
+    monkeypatch.setenv("COLUMNS", "80")
+    want = parse_outcome(capsys, cli.make_parser().parse_args, argv)
+    assert parse_outcome(capsys, cli.parse_args, argv) == want
+
+
+def test_a_named_subcommand_builds_its_parser_alone(monkeypatch, capsys,
+                                                   ws_file):
+    monkeypatch.setattr(cli, "make_parser",
+                        lambda: pytest.fail("the full parser was built"))
+    assert run_cli(capsys, "parse", ws_file)[0] == 0
+
+
 def test_large_exponent_fails_fast(tmp_path):
     # d y = x1^100000 has the wrong degree; it must be rejected without
     # expanding the power into 100000 letters

@@ -1,15 +1,20 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import rht.formality
 import rht.mapmodel
+from rht import cli
 from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
 from rht.dgl import Dgl, FiniteCdga, free_lie
 from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
 from rht.mapmodel import MapSpaceProblem, suspension_model
-from rht.certificates import replay_certificate_text, serialize_verdict
+from rht.certificates import (parse_certificate, replay_certificate_text,
+                              serialize_verdict)
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, koszul_rho,
                            bigraded_model, lemma36_scan, barred_scan_missing,
@@ -20,6 +25,7 @@ from bigraded_oracle import (bar_linearity_report, bar_obstruction,
                              barred_bigraded_model)
 
 F = Fraction
+DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
 
 
 def section4_y(truncation=26):
@@ -292,6 +298,43 @@ def test_bar_obstruction_replay_checks_the_bigraded_block_only(monkeypatch):
     # the relation x1*x2 = 0 is no longer killed and rho fails in degree 9
     cert.bigraded.cdga.differential.images["z9_0"] = Poly()
     assert not cert.replay()
+
+
+BAROBS_WORKSPACE = """\
+algebra Y
+truncation 26
+generator x1 degree 5
+generator x2 degree 5
+generator y degree 9
+d y = %s*x1*x2
+
+problem odd X=S3 Y=Y p=3
+"""
+
+
+@pytest.mark.parametrize("coef", ["1", "-5/6"])
+def test_bar_obstruction_replay_computes_no_cohomology_of_b(monkeypatch,
+                                                            tmp_path, coef):
+    # the barobs_s3 benchmark certificate, at its pinned sha256: replay
+    # decides rho on B by ranks and by rho onto each degree, so it never
+    # asks for the cohomology of B
+    ws = tmp_path / "odd.rht"
+    ws.write_text(BAROBS_WORKSPACE % coef)
+    path = tmp_path / "odd.cert"
+    assert cli.main(["formality", str(ws), "odd", "--max-degree", "30",
+                     "--certificate-out", str(path)]) == 3
+    text = path.read_text(encoding="utf-8")
+    with open(DIGESTS, encoding="utf-8") as fh:
+        pinned = json.load(fh)["barobs_s3"][coef]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned
+    cert = parse_certificate(text).certificate
+
+    def never(*args):
+        raise AssertionError("replay computed the cohomology of B")
+
+    monkeypatch.setattr(cert.bigraded.cdga, "cohomology", never)
+    monkeypatch.setattr(RhoMorphism, "is_quasi_iso", never)
+    assert cert.replay() is True
 
 
 def test_lemma36_scan_missing_everywhere_on_nonformal_case():

@@ -16,7 +16,7 @@ from random import Random
 import pytest
 
 import gca_oracle as oracle
-from rht.gca import Derivation, FreeGCA, Poly, TruncationError
+from rht.gca import Cdga, Derivation, FreeGCA, Poly, TruncationError
 from rht.quotient import free_gca_ranks
 
 F = Fraction
@@ -143,3 +143,108 @@ def test_dim_counts_without_enumerating(monkeypatch):
                         lambda n: pytest.fail("dim enumerated"))
     assert alg.dim(60) == free_gca_ranks(alg.degrees, 60)[60]
     assert alg._basis_cache == {}
+
+
+class UncachedCdga(Cdga):
+    """A Cdga whose d is the oracle's derivation of the whole polynomial,
+    with no monomial cache: d, d_columns and check as they were computed
+    before the cache."""
+
+    def d(self, p):
+        return oracle.apply_derivation(self, self.differential, p,
+                                       self.truncation)
+
+
+def random_cdga(rng):
+    """(generators, d images, truncation) over odd and even generators; a
+    tenth of the images have the wrong degree, so d^2 != 0, degree
+    violations and terms above the truncation all occur."""
+    alg = random_algebra(rng)
+    truncation = rng.randint(4, 14)
+    images = {}
+    for name, d in alg.generators:
+        if d + 1 <= truncation and rng.random() < 0.7:
+            wrong = rng.random() < 0.1
+            degree = d + rng.choice((0, 2)) if wrong else d + 1
+            if alg.degree_basis(degree):
+                images[name] = random_poly(rng, alg, degree)
+    return alg.generators, images, truncation
+
+
+def outcome(f, *args):
+    """f(*args) with each Poly or column as its list of items, or the
+    type and text of the TruncationError or KeyError it raised."""
+    try:
+        got = f(*args)
+    except (TruncationError, KeyError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Poly):
+        return list(got.items())
+    return [list(col.items()) for col in got]
+
+
+def test_cdga_d_is_read_from_one_derivation_per_monomial():
+    # Cdga.d sums d of each monomial, derived once per algebra; d, check
+    # and d_columns must give what deriving the whole polynomial gives,
+    # key order and TruncationError included, on the first call and on
+    # the calls that read the cache
+    rng = Random(20264)
+    seen = {}
+
+    def count(key):
+        seen[key] = seen.get(key, 0) + 1
+
+    for _ in range(CASES):
+        gens, images, truncation = random_cdga(rng)
+        alg = Cdga(gens, images, truncation)
+        ref = UncachedCdga(gens, images, truncation)
+        rep = alg.check()
+        assert repr(rep) == repr(ref.check()), (gens, images)
+        count(rep.kind)
+        for _ in range(4):
+            p = random_poly(rng, alg, rng.randint(0, truncation + 1))
+            want = outcome(ref.d, p)
+            assert outcome(alg.apply_derivation, alg.differential, p,
+                           truncation) == want
+            for _ in range(2):
+                assert outcome(alg.d, p) == want, (gens, images, p)
+            count(want[0] if isinstance(want, tuple) else "d")
+        for n in range(truncation + 1):
+            want = outcome(ref.d_columns, n)
+            assert outcome(alg.d_columns, n) == want, (gens, images, n)
+            count(want[0] if isinstance(want, tuple) else "columns")
+        if any(not all(dm.values()) for dm, _ in alg._d_of.values()):
+            count("a sum cancelled in d of one monomial")
+    assert min(seen.values()) >= 5 and len(seen) == 8, seen
+
+
+def test_cdga_d_tests_the_sum_against_the_truncation():
+    # d(x*a) has degree 6 > 5, but in d(x*a - x*b) it cancels; a
+    # TruncationError is raised again on every call, never cached
+    gens = [("x", 2), ("a", 3), ("b", 3)]
+    carrier = FreeGCA(gens)
+    x2 = carrier.power(carrier.gen("x"), 2)
+    alg = Cdga(gens, {"a": x2, "b": x2}, 5)
+    xa = alg.multiply(alg.gen("x"), alg.gen("a"))
+    xb = alg.multiply(alg.gen("x"), alg.gen("b"))
+    for _ in range(2):
+        with pytest.raises(TruncationError):
+            alg.d(xa)
+        assert alg.d(xa - xb) == Poly()
+
+
+def test_cdga_d_keeps_the_place_of_a_sum_cancelled_in_one_monomial():
+    # in d(u*v) the two terms t*u*v cancel, and d(w) brings t*u*v back:
+    # d(u*v + w) lists it where deriving u*v first meets it, before v*s
+    gens = [("t", 1), ("u", 2), ("v", 2), ("s", 3), ("w", 4)]
+    carrier = FreeGCA(gens)
+    t, u, v, s = (carrier.gen(n) for n in "tuvs")
+    uv = carrier.multiply(u, v)
+    images = {"u": carrier.multiply(u, t) + s, "v": -carrier.multiply(v, t),
+              "w": carrier.multiply(uv, t)}
+    alg, ref = Cdga(gens, images, 8), UncachedCdga(gens, images, 8)
+    p = uv + carrier.gen("w")
+    for _ in range(2):
+        assert outcome(alg.d, p) == outcome(ref.d, p)
+    assert [alg.monomial_str(m) for m in alg.d(p).monomials()] == \
+        ["t*u*v", "v*s"]

@@ -19,7 +19,7 @@ from random import Random
 
 import pytest
 
-from rht.gca import Cdga, FreeGCA, Poly
+from rht.gca import Cdga, CheckReport, FreeGCA, Poly
 from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
@@ -29,9 +29,9 @@ from rht.formality import (koszul_formality, replay_verdict, RhoMorphism,
                            KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
                            koszul_sequence, regular_sequence_check,
                            bigraded_model, bar_witnesses, lemma36_scan,
-                           barred_scan_missing)
+                           barred_scan_missing, BigradedModel)
 from rht.certificates import replay_certificate_text, serialize_verdict
-from rht.quotient import QuotientRing, ModelCohomology
+from rht.quotient import QuotientRing, ModelCohomology, RingElement
 from bigraded_oracle import bar_linearity_report, barred_bigraded_model
 
 F = Fraction
@@ -287,6 +287,106 @@ def test_barred_scan_missing_is_the_scan_of_the_barred_model():
                 compared += 1
                 nonempty += bool(want)
     assert compared >= 150 and nonempty >= 50, (compared, nonempty)
+
+
+def cohomology_validate(B):
+    """BigradedModel.validate through the cohomology of B: the structure,
+    the cochain map, then RhoMorphism.is_quasi_iso up to the truncation."""
+    rep = B.validate_structure()
+    if rep:
+        rho = B.rho()
+        rep = rho.is_cochain_map()
+        if rep:
+            qis, bad = rho.is_quasi_iso(B.cdga.truncation - 1)
+            if not qis:
+                rep = CheckReport.violation(
+                    "quasi-iso", "rho fails at degree %d" % bad)
+    return rep
+
+
+def without_generator(B, name):
+    """B with the generator name, which no d reads, and its d dropped."""
+    alg = B.cdga
+    keep = [(n, d) for n, d in alg.generators if n != name]
+    moved = {alg.index[n]: j for j, (n, _) in enumerate(keep)}
+    images = {n: Poly({tuple((moved[i], e) for i, e in m): c
+                       for m, c in img.items()})
+              for n, img in alg.differential.images.items() if n != name}
+    return BigradedModel(Cdga(keep, images, alg.truncation),
+                         {n: k for n, k in B.lower.items() if n != name},
+                         {n: e for n, e in B.rho_images.items() if n != name},
+                         B.ring)
+
+
+def bigraded_mutants(rng, B):
+    """(kind, model): B, and B with a dropped generator, one d term of
+    flipped sign, and a removed, swapped or scaled rho image."""
+    alg, rho = B.cdga, B.rho_images
+    images = alg.differential.images
+    read = {i for img in images.values() for m in img.monomials()
+            for i, _ in m}
+    out = [("none", B), ("dropped", without_generator(B, rng.choice(
+        [n for i, n in enumerate(alg.names) if i not in read])))]
+    if images:
+        name = rng.choice(sorted(images))
+        flip = rng.choice(list(images[name].monomials()))
+        flipped = dict(images, **{name: Poly(
+            {m: -c if m == flip else c for m, c in images[name].items()})})
+        out.append(("sign", BigradedModel(
+            Cdga(alg.generators, flipped, alg.truncation), B.lower, rho,
+            B.ring)))
+    name = rng.choice(sorted(rho))
+    out.append(("removed", BigradedModel(
+        alg, B.lower, {n: e for n, e in rho.items() if n != name}, B.ring)))
+    pairs = [(a, b) for a in sorted(rho) for b in sorted(rho)
+             if a < b and rho[a].degree == rho[b].degree]
+    if pairs:
+        a, b = rng.choice(pairs)
+        out.append(("swapped", BigradedModel(
+            alg, B.lower, dict(rho, **{a: rho[b], b: rho[a]}), B.ring)))
+    s = rng.choice([2, -1, F(1, 3)])
+    out.append(("scaled", BigradedModel(alg, B.lower, dict(rho, **{
+        name: RingElement(rho[name].degree,
+                          {k: s * c for k, c in rho[name].coords.items()})}),
+        B.ring)))
+    return out
+
+
+def test_rank_check_matches_the_cohomology_check():
+    # validate decides rho by ranks and by rho onto each degree; it must
+    # report what the check through the cohomology of B reports, failing
+    # degree included, on seeded bigraded models and their mutants
+    rng = Random(2020)
+    outcomes = {}
+    onto = 0  # failures where the ranks agree and rho* is not onto
+    for _ in range(CASES // 2):
+        for kind, B in bigraded_mutants(rng, random_bigraded_model(rng)):
+            got = B.validate()
+            want = cohomology_validate(B)
+            assert (got.ok, got.kind, got.message) == \
+                (want.ok, want.kind, want.message), (kind, B.cdga.generators)
+            key = (kind, got.kind)
+            outcomes[key] = outcomes.get(key, 0) + 1
+            if got.kind == "quasi-iso":
+                n = int(got.message.split()[-1])
+                onto += B.cdga.cohomology(n)[0] == B.ring.rank(n)
+    assert outcomes[("none", None)] == CASES // 2
+    assert outcomes[("dropped", "quasi-iso")] >= 50, outcomes
+    assert outcomes[("sign", "d-squared")] >= 5, outcomes
+    assert onto >= 20, onto
+
+
+def test_rank_check_fails_where_rho_is_not_onto():
+    # B = Lambda(a5, b5) and H*(Lambda(x1, x2)) have equal ranks in every
+    # degree, but rho(a) = rho(b) = x1 misses x2 in degree 5
+    H = ModelCohomology(Cdga([("x1", 5), ("x2", 5)], {}, 12), 11)
+    x1 = H.poly_class(H.cdga.gen("x1"))
+    B = BigradedModel(Cdga([("a", 5), ("b", 5)], {}, 12), {"a": 0, "b": 0},
+                      {"a": x1, "b": x1}, H)
+    assert all(B.cdga.cohomology(n)[0] == H.rank(n) for n in range(12))
+    rep = B.validate()
+    assert (rep.kind, rep.message) == ("quasi-iso", "rho fails at degree 5")
+    assert repr(rep) == repr(cohomology_validate(B))
 
 
 def test_split_odd_generator_retraction_exact():

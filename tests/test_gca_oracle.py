@@ -7,7 +7,9 @@ lists, with degrees asked in shuffled order, they must give what the oracle
 gives: the same bases in the same order, and the same derivation images with
 the same key order.  normalize_word multiplies a written product in one
 letter at a time; it must give the sign and monomial that counting the
-inversions of the odd letters gives, and the same KeyError.
+inversions of the odd letters gives, and the same KeyError.  Cdga.d sums
+d of each monomial, derived once per algebra; its d, d_columns and check
+must give what the oracle's derivation of the whole polynomial gives.
 """
 
 from fractions import Fraction

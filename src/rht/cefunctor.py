@@ -1,4 +1,4 @@
-"""Cochains on a DGL: the contravariant functor into Sullivan algebras.
+"""Cochains on a DGL: the Sullivan algebra C*(L) of a DGL L, on objects only.
 
 C*(L) has one generator v_x of degree |x|+1 per basis element x of L, and
 d = d0 + d1 with d0 linear (dual of d_L) and d1 quadratic (dual of the
@@ -15,7 +15,7 @@ this one by rescaling generators.
 
 from fractions import Fraction
 
-from .gca import Cdga, CdgaMorphism, Poly, FreeGCA
+from .gca import Cdga, Poly, FreeGCA
 from .linalg import combine
 
 QONE = Fraction(1)
@@ -31,13 +31,6 @@ class CeResult:
         self.cdga = cdga
         self.gen_of = gen_of      # DGL basis name -> CDGA generator name
         self.basis_of = basis_of  # CDGA generator name -> DGL basis name
-
-    def d0_d1_split(self, gen_name):
-        """(linear part, quadratic part) of d on a generator."""
-        img = self.cdga.differential.images.get(gen_name, Poly())
-        lin = Poly({m: c for m, c in img.items() if sum(e for _, e in m) == 1})
-        quad = Poly({m: c for m, c in img.items() if sum(e for _, e in m) == 2})
-        return lin, quad
 
 
 def ce_cochains(L, N):
@@ -99,21 +92,3 @@ def ce_cochains(L, N):
     cdga = Cdga(gens, images, N)
     return CeResult(L, cdga, gen_of, basis_of)
 
-
-def ce_of_morphism(phi, ce_source, ce_target):
-    """C*(phi): C*(target of phi) -> C*(source of phi), the transpose.
-
-    ce_source and ce_target are the CeResults for phi.source and phi.target.
-    Contravariant: ce_of_morphism(psi o phi) = ce(phi) o ce(psi).
-    """
-    src_alg = ce_target.cdga   # C*(phi.target)
-    tgt_alg = ce_source.cdga   # C*(phi.source)
-    images = {}
-    for vname in src_alg.names:
-        y = ce_target.basis_of[vname]
-        # one generator monomial per x, so the terms need no combining
-        images[vname] = Poly({((tgt_alg.index[ce_source.gen_of[x]], 1),):
-                              phi.images[x].get(y, 0)
-                              for x in phi.source.names
-                              if x in ce_source.gen_of})
-    return CdgaMorphism(src_alg, tgt_alg, images)

@@ -57,10 +57,6 @@ class FormalityVerdict:
     def is_formal(self):
         return self.verdict == FORMAL
 
-    @property
-    def is_nonformal(self):
-        return self.verdict == NONFORMAL
-
     def __repr__(self):
         kind = getattr(self.certificate, "kind", None)
         return "FormalityVerdict(%s, bound=%d, certificate=%s)" % (
@@ -105,29 +101,17 @@ class RhoMorphism:
         img = self.lift.apply(p)
         return self.ring.poly_class(img) if img else self.ring.zero(degree)
 
-    def is_cochain_map(self):
-        for name in self.cdga.names:
-            img = self.cdga.differential.images.get(name)
-            if img and not self.apply_poly(img).is_zero():
-                return CheckReport.violation(
-                    "cochain", "rho(d %s) != 0" % name)
-        return CheckReport.good()
-
-    def induced_matrix(self, n):
-        """H^n(cdga) -> ring_n, one sparse column per representative."""
-        return [self.apply_poly(rep, degree=n).coords
-                for rep in self.cdga.cohomology(n)[1]]
-
     def is_quasi_iso(self, upto):
         """(True, None) if the induced map H^n(cdga) -> ring_n is an
         isomorphism for all n <= upto, else (False, first bad degree).
         Truncation-relative."""
         for n in range(0, upto + 1):
-            rk = self.cdga.cohomology(n)[0]
+            rk, reps = self.cdga.cohomology(n)
             if rk != self.ring.rank(n):
                 return False, n
             span = EchelonSpan(rk)
-            if not all(span.add(col) for col in self.induced_matrix(n)):
+            if not all(span.add(self.apply_poly(rep, degree=n).coords)
+                       for rep in reps):
                 return False, n
         return True, None
 
@@ -209,13 +193,6 @@ class BarObstructionCert:
             return False
         H = ModelCohomology(self.y_model, self.bound)
         return bool(self.bigraded.validate(H, self.bound))
-
-
-def replay_verdict(verdict):
-    """Re-verify a verdict's certificate from scratch."""
-    if verdict.certificate is None:
-        return verdict.verdict == UNKNOWN
-    return verdict.certificate.replay()
 
 
 # -- checkers ---------------------------------------------------------------
@@ -464,10 +441,16 @@ class BigradedModel:
         ring = ring or self.ring
         upto = self.cdga.truncation - 1 if upto is None else upto
         rho = self.rho(ring)
-        rep = rho.is_cochain_map()
-        if not rep:
-            return rep
         alg = self.cdga
+        # rho d = 0 needs checking on lower degree 1 alone: d(z) has lower
+        # weight lower(z) - 1, so for lower(z) >= 2 each of its monomials
+        # has a factor that rho kills
+        for name in alg.names:
+            img = alg.differential.images.get(name)
+            if self.lower[name] == 1 and img and \
+                    not rho.apply_poly(img).is_zero():
+                return CheckReport.violation(
+                    "cochain", "rho(d %s) != 0" % name)
         rank_in = 0  # rank of d into degree n
         for n in range(0, upto + 1):
             span = EchelonSpan(alg.dim(n + 1))

@@ -123,9 +123,6 @@ class FreeGCA:
     def gen_degree(self, name):
         return self.degrees[self.index[name]]
 
-    def is_odd(self, i):
-        return self.odd[i]
-
     def gen(self, name, coeff=QONE):
         i = self.index[name]
         return Poly({((i, 1),): Fraction(coeff)})
@@ -625,35 +622,10 @@ class CdgaMorphism:
                     "cochain", "phi(d %s) != d(phi %s)" % (name, name))
         return CheckReport.good()
 
-    def compose(self, inner):
-        """self o inner (inner applied first)."""
-        if inner.target is not self.source:
-            raise ValueError("composition mismatch")
-        images = {name: self.apply(inner.images[name]) for name in inner.source.names}
-        return CdgaMorphism(inner.source, self.target, images)
-
-    @classmethod
-    def identity(cls, algebra):
-        return cls(algebra, algebra, {n: algebra.gen(n) for n in algebra.names})
-
-    def is_identity(self):
-        if self.source is not self.target and \
-                self.source.generators != self.target.generators:
-            return False
-        return all(self.images[n] == self.target.gen(n) for n in self.source.names)
-
-    def _on_cohomology(self):
-        from .quotient import ModelCohomology
-        from .formality import RhoMorphism
-        return RhoMorphism(self.source, ModelCohomology(self.target),
-                           lift=self)
-
-    def induced_on_cohomology(self, n):
-        """H^n(phi): H^n(source) -> H^n(target) in representative bases, one
-        sparse column per source representative."""
-        return self._on_cohomology().induced_matrix(n)
-
     def is_quasi_iso(self, upto):
         """(True, None) if H^n(phi) is an isomorphism for all n <= upto,
         else (False, first bad degree).  Truncation-relative."""
-        return self._on_cohomology().is_quasi_iso(upto)
+        from .quotient import ModelCohomology
+        from .formality import RhoMorphism
+        return RhoMorphism(self.source, ModelCohomology(self.target),
+                           lift=self).is_quasi_iso(upto)

@@ -10,8 +10,8 @@ names are public:
   * ``combine(pairs)``, the sum of c * v over (v, c) pairs, the one way
     sparse vectors are added;
   * ``EchelonSpan``, the one elimination kernel: a growing subspace, with
-    membership, residues modulo the span, its rank, and insertion of the
-    residues of vectors modulo another span;
+    residues modulo the span, its rank, and insertion of the residues of
+    vectors modulo another span;
   * ``kernel_basis(columns)``, the kernel of a matrix given by its columns;
   * ``homology(d_out, d_in, dim)``, representatives of ker / im at one
     degree of a graded complex, and the tagged span that reads classes.
@@ -205,9 +205,6 @@ class EchelonSpan:
         w, scale = self._reduce(row)
         den *= scale
         return {c: Fraction(x, den) for c, x in w.items()}
-
-    def contains(self, vec):
-        return not self._reduce(self._row(vec)[0])[0]
 
     @property
     def pivots(self):

@@ -107,9 +107,6 @@ class QuotientRing(DegreewiseRing):
             return 0
         return len(self._degree_data(n)[3])
 
-    def basis_monomials(self, n):
-        return list(self._degree_data(n)[3])
-
     def reduce(self, p):
         """Normal form of a homogeneous polynomial: a poly on non-pivot monomials."""
         if not p:

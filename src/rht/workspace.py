@@ -407,24 +407,3 @@ def print_dgl(dgl, name):
 
 def lincomb_str(combo):
     return signed_sum(sorted(combo.items()))
-
-
-def cdga_equal(a, b):
-    return (a.generators == b.generators and a.truncation == b.truncation
-            and all(a.differential.images.get(n, Poly()) ==
-                    b.differential.images.get(n, Poly()) for n in a.names))
-
-
-def dgl_equal(a, b):
-    if (list(zip(a.names, (a.degree_of[n] for n in a.names))) !=
-            list(zip(b.names, (b.degree_of[n] for n in b.names)))):
-        return False
-    if a.truncation != b.truncation:
-        return False
-    for x in a.names:
-        for y in a.names:
-            if a.degree_of[x] + a.degree_of[y] <= a.truncation:
-                if a.bracket(x, y) != b.bracket(x, y):
-                    return False
-    return all(a.differential.get(x, {}) == b.differential.get(x, {})
-               for x in a.names)

@@ -24,7 +24,8 @@ X-models induces on A (x) L by hand, as the odd-sphere reduction and
 the factorization of the restricted sphere model rebuilt from tensor names.
 The library's reduction is the split of t alone and builds no map on A (x) L;
 the tests build its I = i (x) Id and Q = q (x) Id with ``tensor_morphism``
-to check the retract argument.
+to check the retract argument.  ``dgl_map_report`` is the DGL-map check
+that ``tensor_morphism`` outputs are held to, on the plain sums above.
 """
 
 from fractions import Fraction
@@ -393,3 +394,34 @@ def fibration_images(M):
         if L.degree_of[x] <= M.truncation:
             sect_images[x] = {_tensor_name(A.unit, x, A.unit): QONE}
     return proj_images, sect_images
+
+
+def dgl_map_report(phi):
+    """Degree 0, d phi = phi d and phi[x,y] = [phi x, phi y] up to the
+    smaller truncation, for a map phi of DGLs given on basis elements."""
+    L, M = phi.source, phi.target
+
+    def apply(c):
+        out = {}
+        for x, v in c.items():
+            out = lc_add(out, lc_scale(phi.images[x], v))
+        return out
+
+    for x in L.names:
+        for z in phi.images[x]:
+            if M.degree_of[z] != L.degree_of[x]:
+                return CheckReport.violation(
+                    "degree", "image of %s is not degree-preserving" % x)
+    for x in L.names:
+        if apply(L.differential.get(x, {})) != d_lin(M, phi.images[x]):
+            return CheckReport.violation("cochain", "d phi != phi d at %s" % x)
+    bound = min(L.truncation, M.truncation)
+    for a in L.names:
+        for b in L.names:
+            if L.degree_of[a] + L.degree_of[b] > bound:
+                continue
+            if apply(bracket(L, a, b)) != bracket_lin(M, phi.images[a],
+                                                      phi.images[b]):
+                return CheckReport.violation(
+                    "bracket", "phi[%s,%s] != [phi %s, phi %s]" % (a, b, a, b))
+    return CheckReport.good()

@@ -64,7 +64,7 @@ def degree_basis(algebra, n):
             return
         d = algebra.degrees[gi]
         top = remaining // d
-        if algebra.is_odd(gi):
+        if algebra.odd[gi]:
             top = min(top, 1)
         for e in range(top, -1, -1):
             if e:

@@ -27,7 +27,7 @@ def multiplication_matrix(ring, f, n):
     bpos = ring._degree_data(n + alg.poly_degree(f))[4]
     return [{bpos[mm]: c for mm, c in
              ring.reduce(alg.multiply(Poly({m: QONE}), f)).items()}
-            for m in ring.basis_monomials(n)]
+            for m in ring._degree_data(n)[3]]
 
 
 def regular_sequence_check(algebra, seq, N):
@@ -45,7 +45,7 @@ def regular_sequence_check(algebra, seq, N):
             mat = multiplication_matrix(ring, f, k)
             span = EchelonSpan(ring.rank(k + df))
             if not all(span.add(col) for col in mat):
-                basis = ring.basis_monomials(k)
+                basis = ring._degree_data(k)[3]
                 ker = kernel_basis(mat)[0]
                 bad = Poly({basis[j]: c for j, c in ker.items()})
                 return False, RegularSequenceWitness(i, k, bad)

@@ -20,7 +20,7 @@ from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.quotient import ModelCohomology, free_gca_ranks
 from rht.formality import (formality_pipeline, koszul_formality,
                            regular_sequence_check, bigraded_model,
-                           lemma36_scan, replay_verdict)
+                           lemma36_scan)
 from rht.workspace import parse_text
 from rht.certificates import replay_certificate_text
 
@@ -161,7 +161,7 @@ def test_criterion_3_thom_eilenberg_maclane_case():
         assert not model.differential.images
         H = ModelCohomology(model, 12)
         assert H.ranks(12) == free_gca_ranks([2, 4], 12)
-        assert replay_verdict(verdict)
+        assert verdict.certificate.replay()
     print("\nPASS criterion 3: maps from the 2-sphere into K(Q,4) give "
           "Lambda(v4, v2bar), d = 0, Formal(FreeCohomology) in %.2fs"
           % budget.elapsed)

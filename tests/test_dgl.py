@@ -3,8 +3,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from dgl_oracle import tensor_commutator
-from rht.dgl import (Dgl, DglMorphism, FiniteCdga, FiniteCdgaMorphism,
+from dgl_oracle import dgl_map_report, tensor_commutator
+from rht.dgl import (Dgl, BasisMorphism, FiniteCdga, FiniteCdgaMorphism,
                      free_lie, free_lie_differential, add_differential,
                      tensor_map_model,
                      fibration_model, ConnectivityError)
@@ -208,8 +208,8 @@ def test_fibration_model_projection_and_section():
     L = free_lie([("a", 3), ("b", 3)], 10)
     M = tensor_map_model(A, L)
     proj, sect = fibration_model(M)
-    assert proj.check()
-    assert sect.check()
+    assert dgl_map_report(proj)
+    assert dgl_map_report(sect)
     assert proj.compose(sect).is_identity()
     # proj kills t(x)l and keeps 1(x)l
     assert proj.images["t_a"] == {}
@@ -226,11 +226,10 @@ def test_fibration_model_point_is_identity():
 
 def test_check_dgl_morphism_identity_and_scaling_violation():
     L = free_lie([("a", 3), ("b", 3)], 9)
-    assert DglMorphism.identity(L).check()
     images = {n: {n: QONE} for n in L.names}
+    assert dgl_map_report(BasisMorphism(L, L, images))
     images["b6_1"] = {"b6_1": F(5)}  # scales one bracket inconsistently
-    bad = DglMorphism(L, L, images)
-    report = bad.check()
+    report = dgl_map_report(BasisMorphism(L, L, images))
     assert not report and report.kind == "bracket"
 
 

@@ -18,7 +18,7 @@ from rht.certificates import (parse_certificate, replay_certificate_text,
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, koszul_rho,
                            bigraded_model, lemma36_scan, barred_scan_missing,
-                           formality_pipeline, replay_verdict,
+                           formality_pipeline,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
                            BigradedModel, FormalityVerdict, RhoMorphism)
 from bigraded_oracle import (bar_linearity_report, bar_obstruction,
@@ -115,7 +115,7 @@ def test_koszul_formality_on_section4_suspension():
     assert verdict.is_formal
     assert verdict.certificate.kind == "koszul-regular-sequence"
     assert verdict.certificate.odd_sequence == ["y", "y_bar"]
-    assert replay_verdict(verdict)
+    assert verdict.certificate.replay()
     qis, _ = verdict.certificate.rho.is_quasi_iso(16)
     assert qis
 
@@ -442,7 +442,7 @@ def test_pipeline_section4_is_formal_koszul():
     verdict = formality_pipeline(prob, 16)
     assert verdict.is_formal
     assert verdict.certificate.kind == "koszul-regular-sequence"
-    assert replay_verdict(verdict)
+    assert verdict.certificate.replay()
 
 
 def test_pipeline_thom_case_free_certificate():
@@ -452,16 +452,16 @@ def test_pipeline_thom_case_free_certificate():
     assert verdict.is_formal
     assert verdict.certificate.kind == "free-cohomology"
     assert verdict.certificate.generator_degrees == [2, 4]
-    assert replay_verdict(verdict)
+    assert verdict.certificate.replay()
 
 
 def test_pipeline_nonformal_case():
     prob = MapSpaceProblem(FiniteCdga.sphere(3), 3, y_cdga=odd_wedge_y(24),
                            name="nonformal")
     verdict = formality_pipeline(prob, 20)
-    assert verdict.is_nonformal
+    assert verdict.verdict == NONFORMAL
     assert verdict.certificate.kind == "bar-linearity-obstruction"
-    assert replay_verdict(verdict)
+    assert verdict.certificate.replay()
     assert any("missing" in s for s in verdict.notes)
 
 
@@ -476,7 +476,7 @@ def test_produce_builds_one_suspension_model(monkeypatch):
     verdict = formality_pipeline(MapSpaceProblem(FiniteCdga.sphere(3), 3,
                                                  y_cdga=y), 30)
     serialize_verdict(verdict)
-    assert verdict.is_nonformal
+    assert verdict.verdict == NONFORMAL
     assert suspended == [y]
 
 
@@ -494,11 +494,11 @@ def test_pipeline_reduction_path_for_general_x():
     assert L.validate()
     prob = MapSpaceProblem(A, 5, y_dgl=L, t="t")
     verdict = formality_pipeline(prob, 14)
-    assert verdict.is_nonformal
+    assert verdict.verdict == NONFORMAL
     assert verdict.certificate.kind == "bar-linearity-obstruction"
     assert verdict.certificate.p == 3
     assert any("reduced to the 3-sphere" in s for s in verdict.notes)
-    assert replay_verdict(verdict)
+    assert verdict.certificate.replay()
 
 
 @pytest.mark.parametrize("p, N, y", [
@@ -512,7 +512,7 @@ def test_a_sphere_is_recognised_by_its_shape_not_its_class_name(p, N, y):
     U = FiniteCdga([("1", 0), ("u", 3)], "1", {("u", "u"): {}})
     got = formality_pipeline(MapSpaceProblem(U, p, **y), N)
     want = formality_pipeline(MapSpaceProblem(FiniteCdga.sphere(p), p, **y), N)
-    assert got.is_nonformal
+    assert got.verdict == NONFORMAL
     assert (got.verdict, got.notes) == (want.verdict, want.notes)
     assert serialize_verdict(got) == serialize_verdict(want)
 
@@ -554,8 +554,8 @@ def test_main_theorem_coherence_at_desk_scale():
     for Y in nonfree_targets:
         prob = MapSpaceProblem(FiniteCdga.sphere(3), 3, y_cdga=Y)
         verdict = formality_pipeline(prob, 20)
-        assert verdict.is_nonformal, Y.generators
-        assert replay_verdict(verdict)
+        assert verdict.verdict == NONFORMAL, Y.generators
+        assert verdict.certificate.replay()
 
 
 def test_no_conflicting_verdicts_on_fixtures():

@@ -4,7 +4,7 @@ import pytest
 
 from rht.gca import Poly
 from rht.workspace import (parse_text, parse_polynomial, print_algebra,
-                           print_dgl, WorkspaceError, cdga_equal, dgl_equal)
+                           print_dgl, WorkspaceError)
 
 F = Fraction
 
@@ -80,7 +80,9 @@ def test_algebra_round_trip():
     Y = ws.algebras["Y"]
     text = print_algebra(Y, "Y")
     Y2 = parse_text(text).algebras["Y"]
-    assert cdga_equal(Y, Y2)
+    # the printed text holds every stored field: names, degrees, the
+    # truncation and each d
+    assert print_algebra(Y2, "Y") == text
 
 
 def test_dgl_round_trip():
@@ -97,8 +99,12 @@ d c = 0
     ws = parse_text(text)
     L = ws.dgls["L"]
     assert L.bracket("b", "a") == {"c": F(1)}  # derived mirror
-    L2 = parse_text(print_dgl(L, "L")).dgls["L"]
-    assert dgl_equal(L, L2)
+    # the printed text holds every stored field: the basis with its
+    # degrees, the truncation, the stored brackets and d
+    printed = print_dgl(L, "L")
+    L2 = parse_text(printed).dgls["L"]
+    assert print_dgl(L2, "L") == printed
+    assert L2.bracket("b", "a") == {"c": F(1)}
 
 
 def test_dgl_lincomb_rejects_quadratic():

@@ -1,4 +1,5 @@
-"""Every name a module of ``rht`` imports is used in it or exported.
+"""Every name a module of ``rht`` imports is used in it or exported, and
+every definition of ``rht`` has a caller that is not a test.
 
 Read with ``ast`` from the source files, so nothing is imported: a name
 bound by ``import`` or ``from ... import`` anywhere in a module must appear

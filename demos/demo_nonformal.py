@@ -12,7 +12,7 @@ from rht.quotient import ModelCohomology
 from rht.formality import (BigradedModel, bigraded_model,
                            bigraded_bar_obstruction, lemma36_scan,
                            formality_pipeline)
-from rht.mapmodel import MapSpaceProblem, suspension_model
+from rht.mapmodel import MapSpaceProblem, suspension_model, bar_name
 from rht.dgl import FiniteCdga
 
 gens = [("x1", 5), ("x2", 5), ("y", 9)]
@@ -36,8 +36,8 @@ for n in B.cdga.names:
 # its generator
 susp = suspension_model(B.cdga, 3)
 lower = dict(B.lower)
-lower.update((susp.bar_of[n], k) for n, k in B.lower.items())
-barred = BigradedModel(susp.cdga, lower, None, ModelCohomology(susp.cdga))
+lower.update((bar_name(n), k) for n, k in B.lower.items())
+barred = BigradedModel(susp, lower, None, ModelCohomology(susp))
 cert, notes = bigraded_bar_obstruction(B, 3, Y, 20)
 print("\nobstruction witness:", cert.witness,
       "(degree %d, lower %d)" % (barred.cdga.gen_degree(cert.witness),

@@ -21,8 +21,7 @@ H = ModelCohomology(Y, 24)
 print("   ", H.ranks())
 
 # the model of F(S^2, Y): double the generators, d(Sv) = (+1) S(dv) for p = 2
-susp = suspension_model(Y, 2)
-model = susp.cdga
+model = suspension_model(Y, 2)
 print("\nthe six-generator model of the mapping space:")
 print(print_algebra(model, "F"))
 

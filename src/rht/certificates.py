@@ -53,11 +53,9 @@ def serialize_verdict(verdict):
 
 def _print_bigraded(B, y_model):
     lines = ["bigraded base"] + algebra_body_lines(B.cdga, B.lower)
-    ring = B.ring
     for gname in B.cdga.names:
-        e = B.rho_images.get(gname)
-        if e is not None and not e.is_zero():
-            rep = ring.element_poly(e)
+        rep = B.rho_images.get(gname)
+        if rep:
             lines.append("rho %s = %s" % (gname, y_model.poly_str(rep)))
     lines.append("end-bigraded")
     return "\n".join(lines)
@@ -177,7 +175,8 @@ def _bigraded(lines, y_model, H, bound):
         if degree != want:
             raise WorkspaceError(i, "rho %s has degree %d, but %s has degree "
                                  "%d" % (gname, degree, gname, want))
-        rho_images[gname] = _at(i, H.poly_class, rep)
+        _at(i, H.poly_class, rep)  # rep must be a cocycle
+        rho_images[gname] = rep
     return start, BigradedModel(cdga, lower, rho_images, H)
 
 

@@ -98,8 +98,6 @@ def cmd_parse(args):
         extras = ""
         if decl.t:
             extras += " t=%s" % decl.t
-        if decl.m is not None:
-            extras += " m=%d" % decl.m
         print("problem %s X=%s Y=%s p=%d%s"
               % (name, decl.x_spec, decl.y_spec, decl.p, extras))
     return EXIT_OK

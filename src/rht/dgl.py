@@ -114,14 +114,6 @@ class Dgl:
         """[a,b] as a linear combination; antisymmetry fills missing mirrors."""
         return dict(self._entry(a, b))
 
-    def bracket_lin(self, ca, cb):
-        return combine((self._entry(a, b), va * vb)
-                       for a, va in ca.items() for b, vb in cb.items())
-
-    def d_lin(self, c):
-        return combine((self.differential.get(x, EMPTY), v)
-                       for x, v in c.items())
-
     # -- validation -------------------------------------------------------
 
     def validate(self):

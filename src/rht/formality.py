@@ -68,38 +68,27 @@ class FormalityVerdict:
 class RhoMorphism:
     """Multiplicative map from a Cdga to a degreewise ring, zero target d.
 
-    images maps generator names to RingElements (missing/None means zero),
-    each of its generator's degree (ValueError otherwise).  The map is
-    computed through its lift, the CdgaMorphism into the ring's ambient
-    algebra that sends each generator to the polynomial of its image: a
-    polynomial is substituted first and its class read off once.  A lift
-    can also be given directly; H(phi) of a CdgaMorphism phi is the rho with
-    lift phi into ModelCohomology(phi.target).
+    images maps generator names to representatives, polynomials of the
+    ring's ambient algebra (missing or 0 means zero), each of its
+    generator's degree (ValueError otherwise).  The map is computed through
+    its lift, the CdgaMorphism into the ambient algebra with those images: a
+    polynomial is substituted first and the column of its class read off
+    once.  H(phi) of a CdgaMorphism phi is the rho with phi's images into
+    ModelCohomology(phi.target).
     """
 
-    def __init__(self, cdga, ring, images=None, lift=None):
+    def __init__(self, cdga, ring, images):
         self.cdga = cdga
         self.ring = ring
-        if lift is None:
-            polys = {}
-            for name, img in (images or {}).items():
-                if img is None:
-                    continue
-                if img.degree != cdga.gen_degree(name):
-                    raise ValueError("rho image of %s has degree %d, not %d"
-                                     % (name, img.degree,
-                                        cdga.gen_degree(name)))
-                polys[name] = ring.element_poly(img)
-            lift = CdgaMorphism(cdga, ring.ambient, polys)
-        self.lift = lift
+        for name, img in images.items():
+            degree = ring.ambient.poly_degree(img)
+            if img and degree != cdga.gen_degree(name):
+                raise ValueError("rho image of %s has degree %d, not %d"
+                                 % (name, degree, cdga.gen_degree(name)))
+        self.lift = CdgaMorphism(cdga, ring.ambient, images)
 
-    def apply_poly(self, p, degree=None):
-        if p:
-            degree = self.cdga.poly_degree(p)
-        elif degree is None:
-            raise ValueError("rho of 0 needs an explicit degree")
-        img = self.lift.apply(p)
-        return self.ring.poly_class(img) if img else self.ring.zero(degree)
+    def apply_poly(self, p):
+        return self.ring.poly_class(self.lift.apply(p))
 
     def is_quasi_iso(self, upto):
         """(True, None) if the induced map H^n(cdga) -> ring_n is an
@@ -110,8 +99,7 @@ class RhoMorphism:
             if rk != self.ring.rank(n):
                 return False, n
             span = EchelonSpan(rk)
-            if not all(span.add(self.apply_poly(rep, degree=n).coords)
-                       for rep in reps):
+            if not all(span.add(self.apply_poly(rep)) for rep in reps):
                 return False, n
         return True, None
 
@@ -186,13 +174,16 @@ class BarObstructionCert:
         the bigraded block B and p admit a barred model.  The barred model
         is never built: it is bar-linear by construction, and the degree
         and lower degree of a barred generator are read off B.  Replay
-        checks that p is odd, that the witness obeys bar_witnesses, and B
-        (structure, and rho a quasi-isomorphism up to the bound)."""
+        checks that p is odd, that the target model is p-connected enough
+        for the theorem (every generator of degree >= p + 2, that is,
+        m >= p + 1), that the witness obeys bar_witnesses, and B
+        (structure, and rho into B.ring, the cohomology of the target model
+        up to the bound, a quasi-isomorphism)."""
         if self.p % 2 == 0 or \
+                any(deg < self.p + 2 for deg in self.y_model.degrees) or \
                 self.witness not in bar_witnesses(self.bigraded, self.p):
             return False
-        H = ModelCohomology(self.y_model, self.bound)
-        return bool(self.bigraded.validate(H, self.bound))
+        return bool(self.bigraded.validate(self.bound))
 
 
 # -- checkers ---------------------------------------------------------------
@@ -352,8 +343,7 @@ def koszul_rho(A, shape=None):
     rels = [_restrict_poly(A.differential.images[g], A, target_alg)
             for g in odd_seq]
     ring = QuotientRing(target_alg, rels, A.truncation)
-    return RhoMorphism(A, ring, {g: ring.poly_class(target_alg.gen(g))
-                                 for g in kept})
+    return RhoMorphism(A, ring, {g: target_alg.gen(g) for g in kept})
 
 
 def koszul_formality(A, N):
@@ -391,27 +381,21 @@ class BigradedModel:
     """Minimal Sullivan model of a cohomology ring with a resolution grading.
 
     lower maps generators to their resolution degree; rho_images maps the
-    lower-degree-0 generators to ring elements (everything else goes to 0).
-    Given as None, each lower-degree-0 generator goes to its own class in
-    ring, read off the first time rho_images is asked for.
+    lower-degree-0 generators to cocycle representatives in the ambient
+    algebra of ring (everything else goes to 0).  Given as None, each
+    lower-degree-0 generator is its own representative.
     """
 
     def __init__(self, cdga, lower, rho_images, ring):
         self.cdga = cdga
         self.lower = dict(lower)
-        self._rho_images = None if rho_images is None else dict(rho_images)
+        self.rho_images = ({name: cdga.gen(name) for name in cdga.names
+                            if self.lower.get(name) == 0}
+                           if rho_images is None else dict(rho_images))
         self.ring = ring
 
-    @property
-    def rho_images(self):
-        if self._rho_images is None:
-            alg = self.cdga
-            self._rho_images = {name: self.ring.poly_class(alg.gen(name))
-                                for name in alg.names if self.lower[name] == 0}
-        return self._rho_images
-
-    def rho(self, ring=None):
-        return RhoMorphism(self.cdga, ring or self.ring, self.rho_images)
+    def rho(self):
+        return RhoMorphism(self.cdga, self.ring, self.rho_images)
 
     def lower_weight(self, monomial):
         return sum(self.lower[self.cdga.names[i]] * e for i, e in monomial)
@@ -419,7 +403,7 @@ class BigradedModel:
     def w_plus(self):
         return [n for n in self.cdga.names if self.lower[n] >= 1]
 
-    def validate(self, ring=None, upto=None):
+    def validate(self, upto=None):
         """All structural invariants plus rho being a quasi-isomorphism up
         to upto, decided by ranks and by rho onto each degree.
 
@@ -438,24 +422,22 @@ class BigradedModel:
         rep = self.validate_structure()
         if not rep:
             return rep
-        ring = ring or self.ring
         upto = self.cdga.truncation - 1 if upto is None else upto
-        rho = self.rho(ring)
+        rho = self.rho()
         alg = self.cdga
         # rho d = 0 needs checking on lower degree 1 alone: d(z) has lower
         # weight lower(z) - 1, so for lower(z) >= 2 each of its monomials
         # has a factor that rho kills
         for name in alg.names:
             img = alg.differential.images.get(name)
-            if self.lower[name] == 1 and img and \
-                    not rho.apply_poly(img).is_zero():
+            if self.lower[name] == 1 and img and rho.apply_poly(img):
                 return CheckReport.violation(
                     "cochain", "rho(d %s) != 0" % name)
         rank_in = 0  # rank of d into degree n
         for n in range(0, upto + 1):
             span = EchelonSpan(alg.dim(n + 1))
             rank_out = sum(span.add(col) for col in alg.d_columns(n) if col)
-            rk = ring.rank(n)
+            rk = self.ring.rank(n)
             if alg.dim(n) - rank_out - rank_in != rk or \
                     not self._rho_onto(rho, n, rk):
                 return CheckReport.violation(
@@ -471,7 +453,7 @@ class BigradedModel:
             if span.rank() == rank:
                 break
             if not self.lower_weight(m):
-                span.add(rho.apply_poly(Poly._of({m: QONE})).coords)
+                span.add(rho.apply_poly(Poly._of({m: QONE})))
         return span.rank() == rank
 
     def validate_structure(self):
@@ -496,8 +478,7 @@ class BigradedModel:
                 if sum(e for _, e in m) < 2:
                     return CheckReport.violation(
                         "minimality", "d(%s) has a linear term" % name)
-            # images read off on demand sit on lower degree 0 only
-            if self._rho_images is not None and self._rho_images.get(name):
+            if self.rho_images.get(name):
                 return CheckReport.violation(
                     "rho", "rho does not vanish on %s in positive lower degree" % name)
         return CheckReport.good()
@@ -517,7 +498,8 @@ def bigraded_model(H, N):
     added.  Generator indices are append-only and d of a generator never
     changes, so the d and the lower weight of a monomial never change
     either: each is computed once, and kept for the degrees the next stage
-    reads.  Each rho image is lifted to H's ambient algebra once.
+    reads.  A new lower-degree-0 generator's rho image is the
+    representative of a basis class of H, lifted once.
     """
     if H.rank(0) != 1:
         raise ValueError("H^0 must be Q")
@@ -527,8 +509,7 @@ def bigraded_model(H, N):
     lower = {}
     low = []           # lower degree by generator index
     dimages = {}
-    rho_images = {}
-    lifts = {}         # rho_images lifted to H.ambient
+    rho_images = {}    # representatives in H.ambient
     counters = {}
     d_of = {}          # degree -> {monomial: d(monomial).terms}
     weight_of = {}     # degree -> {monomial: lower weight}
@@ -550,7 +531,7 @@ def bigraded_model(H, N):
         nonlocal cur, rho, slots, reps
         if cur is None or len(cur.names) < len(gens):
             cur = Cdga(gens, dimages, N + 1)
-            rho = RhoMorphism(cur, H, lift=CdgaMorphism(cur, H.ambient, lifts))
+            rho = RhoMorphism(cur, H, rho_images)
             slots, reps = {}, {}
 
     def slot(deg, k):
@@ -592,12 +573,10 @@ def bigraded_model(H, N):
         # surjectivity: new lower-0 generators hit a basis of coker(rho*)
         span = EchelonSpan(H.rank(n))
         for rep in slot_reps(0):
-            span.add(rho.apply_poly(rep, degree=n).coords)
-        for e in H.basis_elements(n):
-            if span.add(e.coords):
-                name = new_generator(n, 0)
-                rho_images[name] = e
-                lifts[name] = H.element_poly(e)
+            span.add(rho.apply_poly(rep))
+        for i in range(H.rank(n)):
+            if span.add({i: QONE}):
+                rho_images[new_generator(n, 0)] = H.element_poly(n, {i: QONE})
 
         # injectivity: kill surviving kernel classes, slot by slot
         rebuild_if_grown()
@@ -606,8 +585,7 @@ def bigraded_model(H, N):
             kreps = slot_reps(k)
             if k == 0 and kreps:
                 # in slot 0 only the classes in the kernel of rho* are killed
-                combos = kernel_basis([rho.apply_poly(rep, degree=n).coords
-                                       for rep in kreps])
+                combos = kernel_basis([rho.apply_poly(rep) for rep in kreps])
                 kreps = [Poly(combine((kreps[j].terms, c)
                                       for j, c in combo.items()))
                          for combo in combos]
@@ -766,9 +744,9 @@ def mapping_space_model(prob, N=None):
                 "give Y as a Lie model instead")
         if N is not None and prob.y_cdga.truncation < N + 1:
             raise ValueError("Y-model truncation must be at least N + 1")
-        susp = suspension_model(prob.y_cdga, prob.p)
-        notes.append("suspension route: %d generators" % len(susp.cdga.names))
-        return susp.cdga, notes, None
+        model = suspension_model(prob.y_cdga, prob.p)
+        notes.append("suspension route: %d generators" % len(model.names))
+        return model, notes, None
     M = tensor_map_model(prob.x_model, prob.y_dgl)
     res = ce_cochains(M, M.truncation + 1)
     if N is not None and res.cdga.truncation < N + 1:
@@ -780,11 +758,12 @@ def mapping_space_model(prob, N=None):
 
 
 def y_cohomology_ring(prob, N):
+    """H*(Y) up to N, or up to what a Lie model of Y supports; its cdga is
+    the Sullivan model of Y."""
     if prob.y_cdga is not None:
-        return ModelCohomology(prob.y_cdga, N), prob.y_cdga
+        return ModelCohomology(prob.y_cdga, N)
     ce = ce_cochains(prob.y_dgl, prob.y_dgl.truncation + 1)
-    bound = min(N, ce.cdga.truncation - 1)
-    return ModelCohomology(ce.cdga, bound), ce.cdga
+    return ModelCohomology(ce.cdga, min(N, ce.cdga.truncation - 1))
 
 
 def formality_pipeline(prob, N):
@@ -843,11 +822,11 @@ def formality_pipeline(prob, N):
         notes.append("no odd sphere reduction: the bar obstruction does not apply")
 
     if p_eff is not None:
-        H_y, y_model = y_cohomology_ring(prob, N)
+        H_y = y_cohomology_ring(prob, N)
         ydeg = free_cohomology_check(H_y, H_y.truncation)
         if ydeg is None:
             B = bigraded_model(H_y, H_y.truncation)
-            cert, ob_notes = bigraded_bar_obstruction(B, p_eff, y_model,
+            cert, ob_notes = bigraded_bar_obstruction(B, p_eff, H_y.cdga,
                                                       H_y.truncation)
             notes.extend(ob_notes)
             if cert is not None:

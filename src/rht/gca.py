@@ -628,4 +628,4 @@ class CdgaMorphism:
         from .quotient import ModelCohomology
         from .formality import RhoMorphism
         return RhoMorphism(self.source, ModelCohomology(self.target),
-                           lift=self).is_quasi_iso(upto)
+                           self.images).is_quasi_iso(upto)

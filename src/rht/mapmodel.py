@@ -41,11 +41,10 @@ class MapSpaceProblem:
     """The data of F(X, Y): a finite model of X, a model of Y, and p.
 
     Y may be given as a minimal Sullivan algebra (y_cdga) or a Lie model
-    (y_dgl).  The connectivity m defaults to the largest value the Y-model
-    supports.  t optionally designates an odd closed basis element of X.
+    (y_dgl).  t optionally designates an odd closed basis element of X.
     """
 
-    def __init__(self, x_model, p, y_cdga=None, y_dgl=None, m=None, t=None,
+    def __init__(self, x_model, p, y_cdga=None, y_dgl=None, t=None,
                  name=None):
         if (y_cdga is None) == (y_dgl is None):
             raise ValueError("give exactly one of y_cdga, y_dgl")
@@ -55,24 +54,21 @@ class MapSpaceProblem:
         self.y_dgl = y_dgl
         self.t = t
         self.name = name
-        if m is None:
-            if y_cdga is not None:
-                m = min(y_cdga.degrees) - 1 if y_cdga.degrees else 0
-            else:
-                m = min(y_dgl.degree_of.values()) if y_dgl.names else 0
-        self.m = int(m)
+
+    @property
+    def m(self):
+        """The connectivity of Y, read off its model: one below the lowest
+        Sullivan generator degree, or the lowest Lie basis degree."""
+        if self.y_cdga is not None:
+            return min(self.y_cdga.degrees) - 1 if self.y_cdga.degrees else 0
+        return min(self.y_dgl.degree_of.values()) if self.y_dgl.names else 0
 
 
 class HypothesisReport:
-    """The checks of check_hypotheses, the odd class t the reduction splits
-    off (None if there is none) and one message per violation."""
+    """The odd class t that check_hypotheses chose for the reduction to
+    split off (None if there is none) and one message per violation."""
 
-    def __init__(self, x_valid, y_valid, connectivity_ok, hp_nonzero, t,
-                 messages):
-        self.x_valid = x_valid
-        self.y_valid = y_valid
-        self.connectivity_ok = connectivity_ok
-        self.hp_nonzero = hp_nonzero
+    def __init__(self, t, messages):
         self.t = t
         self.messages = messages
 
@@ -84,10 +80,7 @@ class HypothesisReport:
         return self.ok
 
     def __repr__(self):
-        return ("HypothesisReport(x_valid=%s, y_valid=%s, connectivity_ok=%s, "
-                "hp_nonzero=%s, t=%r)" % (
-                    self.x_valid, self.y_valid, self.connectivity_ok,
-                    self.hp_nonzero, self.t))
+        return "HypothesisReport(t=%r, messages=%r)" % (self.t, self.messages)
 
 
 def finite_cohomology_rank(A, n):
@@ -114,37 +107,23 @@ def check_hypotheses(prob):
     construction and is not checked again."""
     check_x_basis_size(len(prob.x_model.names))
     messages = []
-    x_valid = prob.x_model.validate()
-    if not x_valid:
-        messages.append("invalid X model: %s" % x_valid.message)
-    y_valid = (prob.y_cdga.check() if prob.y_cdga is not None
-               else prob.y_dgl.validate())
-    if not y_valid:
-        messages.append("invalid Y model: %s" % y_valid.message)
-    conn = prob.m >= prob.p + 1
-    if not conn:
+    x_report = prob.x_model.validate()
+    if not x_report:
+        messages.append("invalid X model: %s" % x_report.message)
+    y_report = (prob.y_cdga.check() if prob.y_cdga is not None
+                else prob.y_dgl.validate())
+    if not y_report:
+        messages.append("invalid Y model: %s" % y_report.message)
+    if prob.m < prob.p + 1:
         messages.append("connectivity m=%d < p+1=%d" % (prob.m, prob.p + 1))
-    hp = finite_cohomology_rank(prob.x_model, prob.p) > 0
-    if not hp:
+    if not finite_cohomology_rank(prob.x_model, prob.p):
         messages.append("H^%d(X) = 0 at the declared top degree" % prob.p)
     odd = prob.x_model.odd_closed_classes()
     t = prob.t if prob.t is not None else (odd[0] if odd else None)
     if t is not None and t not in odd:
         messages.append("designated class %r is not odd and closed" % t)
         t = None
-    return HypothesisReport(bool(x_valid), bool(y_valid), conn, hp, t,
-                            messages)
-
-
-class SuspensionModel:
-    """Lambda(V + SV) with the degree -p derivation S and its differential."""
-
-    def __init__(self, cdga, S, p, origin, bar_of):
-        self.cdga = cdga
-        self.S = S
-        self.p = int(p)
-        self.origin = origin
-        self.bar_of = bar_of
+    return HypothesisReport(t, messages)
 
 
 def suspension_bar_names(Y, p):
@@ -173,16 +152,17 @@ def suspension_bar_names(Y, p):
     return bar_of
 
 
-def suspension_model(Y, p, truncation=None):
-    """Sullivan model of maps from the p-sphere into the space modelled by Y,
-    for Y and p that suspension_bar_names accepts.  d(Sv) = (-1)^p S(dv).
+def suspension_model(Y, p):
+    """Sullivan model Lambda(V + SV) of maps from the p-sphere into the space
+    modelled by Y, for Y and p that suspension_bar_names accepts, truncated
+    where Y is.  d(Sv) = (-1)^p S(dv), with S the degree -p derivation that
+    sends each v to its bar Sv.
     """
     p = int(p)
     bar_of = suspension_bar_names(Y, p)
-    N = Y.truncation if truncation is None else int(truncation)
     gens = list(Y.generators) + [(bar_of[name], deg - p)
                                  for name, deg in Y.generators]
-    carrier = Cdga(gens, {}, max(N, max(d for _, d in gens) + 1))
+    carrier = Cdga(gens, {}, max(Y.truncation, max(d for _, d in gens) + 1))
     S = Derivation(carrier, -p, {n: carrier.gen(bar_of[n]) for n in Y.names})
     images = {}
     for name in Y.names:
@@ -193,9 +173,7 @@ def suspension_model(Y, p, truncation=None):
         if bimg:
             images[bar_of[name]] = bimg if p % 2 == 0 else Poly._of(
                 {m: -c for m, c in bimg.items()})
-    model = Cdga(gens, images, N)
-    S = Derivation(model, -p, {n: model.gen(bar_of[n]) for n in Y.names})
-    return SuspensionModel(model, S, p, Y, bar_of)
+    return Cdga(gens, images, Y.truncation)
 
 
 def split_odd_generator(A, t):

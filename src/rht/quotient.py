@@ -1,9 +1,9 @@
 """Degreewise rings: presented quotient rings and cohomology rings.
 
 The bigraded-model construction and every quasi-isomorphism check talk to a
-ring through one interface, DegreewiseRing.  An element is a RingElement, a
-degree and a sparse coordinate column {index: Fraction} relative to the
-ring's own degree-n basis, zeros never stored.
+ring through one interface, DegreewiseRing.  An element of degree n is its
+sparse coordinate column {index: Fraction} relative to the ring's own
+degree-n basis, zeros never stored, so 0 is {}.
 Each ring also names an ambient free algebra: element_poly lifts an element
 to a polynomial there, and poly_class reads the class of a polynomial back.
 Products are taken on lifts, so the two rings differ only in those two maps
@@ -23,48 +23,18 @@ from .linalg import EchelonSpan, combine
 QONE = Fraction(1)
 
 
-class RingElement:
-    __slots__ = ("degree", "coords")
-
-    def __init__(self, degree, coords):
-        self.degree = int(degree)
-        self.coords = coords
-
-    def is_zero(self):
-        return not self.coords
-
-    def __eq__(self, other):
-        return (isinstance(other, RingElement) and self.degree == other.degree
-                and self.coords == other.coords)
-
-    def __repr__(self):
-        return "RingElement(%d, %s)" % (self.degree, self.coords)
-
-
 class DegreewiseRing:
     """A graded ring handled degree by degree through an ambient algebra.
 
     Subclasses set ``ambient`` and ``truncation`` and provide rank(n),
-    element_poly(e) (a lift of e to ``ambient``) and poly_class(p) (the class
-    of a nonzero homogeneous polynomial of ``ambient``).
+    element_poly(n, e) (a lift to ``ambient`` of the degree-n column e) and
+    poly_class(p) (the column of the class of a homogeneous polynomial of
+    ``ambient``, {} for 0).
     """
 
     def ranks(self, upto=None):
         upto = self.truncation if upto is None else upto
         return [self.rank(n) for n in range(0, upto + 1)]
-
-    def basis_elements(self, n):
-        return [RingElement(n, {i: QONE}) for i in range(self.rank(n))]
-
-    def zero(self, n):
-        return RingElement(n, {})
-
-    def multiply(self, e1, e2):
-        prod = self.ambient.multiply(self.element_poly(e1),
-                                     self.element_poly(e2))
-        if not prod:
-            return self.zero(e1.degree + e2.degree)
-        return self.poly_class(prod)
 
 
 class QuotientRing(DegreewiseRing):
@@ -117,16 +87,15 @@ class QuotientRing(DegreewiseRing):
         return Poly({monos[i]: res[i] for i in sorted(res)})
 
     def poly_class(self, p):
-        """Class of a homogeneous polynomial as a RingElement."""
+        """Column of the class of a homogeneous polynomial."""
         if not p:
-            raise ValueError("poly_class of 0 needs an explicit degree; use zero(n)")
-        n = self.algebra.poly_degree(p)
-        bpos = self._degree_data(n)[4]
-        return RingElement(n, {bpos[m]: c for m, c in self.reduce(p).items()})
+            return {}
+        bpos = self._degree_data(self.algebra.poly_degree(p))[4]
+        return {bpos[m]: c for m, c in self.reduce(p).items()}
 
-    def element_poly(self, e):
-        basis = self._degree_data(e.degree)[3]
-        return Poly({basis[k]: c for k, c in e.coords.items()})
+    def element_poly(self, n, e):
+        basis = self._degree_data(n)[3]
+        return Poly({basis[k]: c for k, c in e.items()})
 
 
 class ModelCohomology(DegreewiseRing):
@@ -145,19 +114,15 @@ class ModelCohomology(DegreewiseRing):
             return 0
         return self.cdga.cohomology(n)[0]
 
-    def representatives(self, n):
-        return self.cdga.cohomology(n)[1]
-
-    def element_poly(self, e):
-        reps = self.representatives(e.degree)
-        return Poly(combine((reps[k].terms, c) for k, c in e.coords.items()))
+    def element_poly(self, n, e):
+        reps = self.cdga.cohomology(n)[1]
+        return Poly(combine((reps[k].terms, c) for k, c in e.items()))
 
     def poly_class(self, p):
-        """Class of a nonzero homogeneous cocycle as a RingElement."""
+        """Column of the class of a homogeneous cocycle."""
         if not p:
-            raise ValueError("class of 0 needs an explicit degree; use zero(n)")
-        n = self.cdga.poly_degree(p)
-        return RingElement(n, self.cdga.class_coordinates(n, p))
+            return {}
+        return self.cdga.class_coordinates(self.cdga.poly_degree(p), p)
 
 
 def free_gca_ranks(degrees, upto):

@@ -13,7 +13,7 @@ Line-oriented blocks, diff-friendly, no external format dependency:
     bracket [<id>,<id>] = <combination>
     d <id> = <combination>
 
-    problem <name> X=<model> Y=<model> p=<n> [t=<id>] [m=<n>]
+    problem <name> X=<model> Y=<model> p=<n> [t=<id>]
 
 Polynomials are `coef*mon + ...` with `*` concatenation and `^` powers, e.g.
 `x1*x2`, `3/2*x^2 - y`; combinations are the linear case `coef*id + ...`.
@@ -40,6 +40,8 @@ ASSIGNMENT = re.compile(r"\S+\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.+)$")
 BLOCK_HEADS = ("algebra", "dgl", "problem")
 # the first words of the body lines of an algebra block
 ALGEBRA_BODY = ("truncation", "generator", "d")
+# the keys of a problem line
+PROBLEM_KEYS = ("X", "Y", "p", "t")
 
 
 class WorkspaceError(Exception):
@@ -50,13 +52,12 @@ class WorkspaceError(Exception):
 
 
 class ProblemDecl:
-    def __init__(self, name, x_spec, y_spec, p, t=None, m=None, line=0):
+    def __init__(self, name, x_spec, y_spec, p, t=None, line=0):
         self.name = name
         self.x_spec = x_spec
         self.y_spec = y_spec
         self.p = p
         self.t = t
-        self.m = m
         self.line = line
 
 
@@ -84,7 +85,7 @@ class Workspace:
         if y_cdga is None and y_dgl is None:
             raise WorkspaceError(decl.line, "unknown Y-model %r" % decl.y_spec)
         return MapSpaceProblem(x, decl.p, y_cdga=y_cdga, y_dgl=y_dgl,
-                               m=decl.m, t=decl.t, name=name)
+                               t=decl.t, name=name)
 
 
 def _parse_coefficient(tok, line):
@@ -352,6 +353,10 @@ def _parse_problem(ws, i, tokens):
         if "=" not in tok:
             raise WorkspaceError(i, "expected key=value, got %r" % tok)
         key, _, value = tok.partition("=")
+        if key not in PROBLEM_KEYS:
+            raise WorkspaceError(i, "unknown problem key %r" % key)
+        if key in fields:
+            raise WorkspaceError(i, "repeated problem key %r" % key)
         fields[key] = value
     for key in ("X", "Y", "p"):
         if key not in fields:
@@ -359,11 +364,8 @@ def _parse_problem(ws, i, tokens):
     p = parse_int(fields["p"], i, "p")
     if p <= 0:
         raise WorkspaceError(i, "p must be positive")
-    m = None
-    if "m" in fields:
-        m = parse_int(fields["m"], i, "m")
     ws.problems[name] = ProblemDecl(name, fields["X"], fields["Y"], p,
-                                    t=fields.get("t"), m=m, line=i)
+                                    t=fields.get("t"), line=i)
 
 
 def parse_path(path):

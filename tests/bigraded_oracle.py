@@ -4,8 +4,8 @@ test oracles.
 ``bigraded_model`` is the plain version that ``rht.formality`` replaced.
 It builds a fresh ``Cdga`` on the generators so far twice per degree, before
 and after the lower-degree-0 generators of that degree are added, and so
-recomputes every monomial basis, every d of a monomial, every lower weight
-and every rho lift at each stage.  It is slow and obviously faithful to the
+recomputes every monomial basis, every d of a monomial and every lower
+weight at each stage.  It is slow and obviously faithful to the
 Halperin-Stasheff construction; the tests require the library to give the
 same generators, lower degrees, d images (with the same key order) and rho
 images.
@@ -27,7 +27,7 @@ from rht.formality import (BigradedModel, RhoMorphism,
                            bigraded_bar_obstruction)
 from rht.gca import Cdga, CheckReport, Poly
 from rht.linalg import EchelonSpan, combine, homology, kernel_basis
-from rht.mapmodel import suspension_model
+from rht.mapmodel import bar_name, suspension_model
 from rht.quotient import ModelCohomology
 
 QONE = Fraction(1)
@@ -82,13 +82,13 @@ def bigraded_model(H, N):
         rho = RhoMorphism(cur, H, rho_images)
         span = EchelonSpan(H.rank(n))
         for rep in reps0:
-            span.add(rho.apply_poly(rep, degree=n).coords)
-        for e in H.basis_elements(n):
-            if span.add(e.coords):
+            span.add(rho.apply_poly(rep))
+        for i in range(H.rank(n)):
+            if span.add({i: QONE}):
                 name = fresh(n)
                 gens.append((name, n))
                 lower[name] = 0
-                rho_images[name] = e
+                rho_images[name] = H.element_poly(n, {i: QONE})
 
         # injectivity: kill surviving kernel classes, slot by slot
         cur = build()
@@ -99,8 +99,7 @@ def bigraded_model(H, N):
             reps = slot_reps(k)
             if k == 0 and reps:
                 # in slot 0 only the classes in the kernel of rho* are killed
-                combos = kernel_basis([rho.apply_poly(rep, degree=n).coords
-                                       for rep in reps])
+                combos = kernel_basis([rho.apply_poly(rep) for rep in reps])
                 reps = [Poly(combine((reps[j].terms, c)
                                      for j, c in combo.items()))
                         for combo in combos]
@@ -135,13 +134,12 @@ def barred_bigraded_model(B, p):
     the barred algebra itself (it is not inherited); rho kills everything of
     positive lower degree.
     """
-    susp = suspension_model(B.cdga, p)
-    alg = susp.cdga
+    alg = suspension_model(B.cdga, p)
     lower = dict(B.lower)
     for name in B.cdga.names:
-        lower[susp.bar_of[name]] = B.lower[name]
+        lower[bar_name(name)] = B.lower[name]
     return BarredModel(alg, lower, ModelCohomology(alg, alg.truncation - 1),
-                       int(p), B, [susp.bar_of[n] for n in B.cdga.names])
+                       int(p), B, [bar_name(n) for n in B.cdga.names])
 
 
 def bar_obstruction(barred, y_model, bound):

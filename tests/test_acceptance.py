@@ -103,7 +103,7 @@ def test_criterion_1_section4_reproduction(tmp_path, capsys):
         ok, info = replay_certificate_text(cert_path.read_text())
         assert ok, info
         ws = parse_text(SECTION4_FILE)
-        model = suspension_model(ws.algebras["Y"], 2).cdga
+        model = suspension_model(ws.algebras["Y"], 2)
         verdict = koszul_formality(model, 16)
         assert verdict.is_formal
         assert verdict.certificate.rho.is_quasi_iso(16) == (True, None)

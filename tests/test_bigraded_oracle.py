@@ -1,8 +1,8 @@
 """bigraded_model against the plain construction in bigraded_oracle.
 
 The library grows the model in one algebra, built again only after a stage
-added generators, and keeps the d and the lower weight of each monomial and
-the lift of each rho image from one stage to the next.  On seeded rings
+added generators, and keeps the d and the lower weight of each monomial
+from one stage to the next.  On seeded rings
 (some with generators in degrees 2 and 3, where a stage's new generators
 reach the degrees the next stage reads), the section 4 ring and the
 cohomology of the odd wedge it must give what the oracle gives: the same generators in the same order, the same lower

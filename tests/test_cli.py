@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from rht import cli, dgl
-from rht.certificates import replay_certificate_text
+from rht.certificates import (parse_certificate, replay_certificate_text,
+                              serialize_verdict)
 from test_reduction_golden import WORKSPACE as REDUCTION_WS
 
 NONFORMAL_WS = """\
@@ -92,11 +93,36 @@ def test_cohomology_errors_go_through_main(capsys, ws_file, tmp_path):
 def test_map_model_errors_go_through_main(capsys, ws_file, tmp_path):
     code, out, err = run_cli(capsys, "map-model", ws_file, "nope")
     assert (code, out, err) == (1, "", "error: unknown problem 'nope'\n")
+    # Y = Lambda(x3) is only 2-connected: m = 2 is read off Y itself
     path = tmp_path / "lowconn.rht"
-    path.write_text(NONFORMAL_WS + "problem lowconn X=S3 Y=Yodd p=3 m=2\n")
+    path.write_text(NONFORMAL_WS + "\nalgebra Ylow\ntruncation 10\n"
+                    "generator x degree 3\n\n"
+                    "problem lowconn X=S3 Y=Ylow p=3\n")
     code, out, err = run_cli(capsys, "map-model", str(path), "lowconn")
     assert (code, out, err) == (
         1, "", "error: hypotheses violated: connectivity m=2 < p+1=4\n")
+
+
+def test_problem_keys_are_refused_at_their_line(capsys, tmp_path):
+    # the section-4 Y is only 3-connected, so p = 3 breaks m >= p + 1; the
+    # connectivity is read off Y, and no key on the problem line can
+    # declare it, nor any key other than X, Y, p and t
+    path = tmp_path / "keys.rht"
+    cert = tmp_path / "keys.cert"
+    for problem, message in (
+            ("problem b X=S3 Y=Y p=3 m=10", "line 9: unknown problem key 'm'"),
+            ("problem b X=S3 Y=Y p=3 q=1", "line 9: unknown problem key 'q'"),
+            ("problem b X=S3 Y=Y p=3 p=4", "line 9: repeated problem key 'p'"),
+            ("problem b X=S3 Y=Y p=3",
+             "hypotheses violated: connectivity m=3 < p+1=4")):
+        path.write_text(cli.SECTION4_WORKSPACE.replace(
+            "problem section4 X=S2 Y=Y p=2", problem))
+        assert path.read_text().splitlines()[8] == problem
+        code, out, err = run_cli(capsys, "formality", str(path), "b",
+                                 "--max-degree", "16",
+                                 "--certificate-out", str(cert))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert not cert.exists()
 
 
 def test_formality_unknown_problem_goes_through_main(capsys, ws_file):
@@ -628,3 +654,81 @@ def test_rho_images_fail_at_their_line_unless_of_their_generators_degree(
         assert (code, out) == (1, "parse failure: line %d: %s\n"
                                % (line, message))
         assert forged.splitlines()[line - 1].startswith("rho ")
+
+
+# produced before the connectivity m was read off Y, from
+# `problem b X=S3 Y=Y p=3 m=10` on the section-4 Y at N = 16: its target
+# model has generators of degree 4 < p + 2, so m = 3 < p + 1 and the
+# theorem the certificate rests on does not apply
+UNDERCONNECTED_CERT = """\
+rht-certificate bar-linearity-obstruction
+verdict nonformal
+bound 16
+p 3
+witness z7_0_bar
+algebra target_model
+truncation 26
+generator x1 degree 4
+generator x2 degree 4
+generator y degree 7
+d y = x1*x2
+bigraded base
+generator z4_0 degree 4 lower 0
+generator z4_1 degree 4 lower 0
+generator z7_0 degree 7 lower 1
+d z7_0 = z4_0*z4_1
+rho z4_0 = x1
+rho z4_1 = x2
+end-bigraded
+"""
+
+
+def test_bar_obstruction_replay_checks_the_connectivity(capsys, tmp_path):
+    bad = tmp_path / "m10.cert"
+    bad.write_text(UNDERCONNECTED_CERT)
+    code, out, _ = run_cli(capsys, "verify-certificate", str(bad))
+    assert (code, out) == (
+        1, "bar-linearity-obstruction certificate FAILED replay\n")
+    # over the 1-sphere, m = 3 >= p + 1 holds, and the same block replays
+    assert replay_certificate_text(UNDERCONNECTED_CERT.replace(
+        "p 3\n", "p 1\n")) == (
+        True, "bar-linearity-obstruction certificate replayed")
+
+
+ODD_WS = """\
+algebra Y
+truncation 24
+generator x1 degree 5
+generator x2 degree 5
+generator y degree 9
+d y = x1*x2
+
+problem odd X=S3 Y=Y p=3
+"""
+
+
+@pytest.mark.parametrize("kind, argv, workspace", [
+    ("koszul-regular-sequence", ["reproduce-section4", "--max-degree", "16"],
+     None),
+    ("free-cohomology", ["formality", "WS", "thom", "--max-degree", "12"],
+     NONFORMAL_WS),
+    ("bar-linearity-obstruction", ["formality", "WS", "odd", "--max-degree",
+                                   "20"], ODD_WS),
+    ("bar-linearity-obstruction", ["formality", "WS", "red", "--max-degree",
+                                   "22"], REDUCTION_WS),
+], ids=["section4", "thom", "odd", "red"])
+def test_certificates_print_back_byte_for_byte(capsys, tmp_path, kind, argv,
+                                               workspace):
+    # parsing a certificate and printing it again gives the same bytes,
+    # rho lines included
+    if workspace is not None:
+        ws = tmp_path / "work.rht"
+        ws.write_text(workspace)
+        argv = [str(ws) if a == "WS" else a for a in argv]
+    cert = tmp_path / "c.cert"
+    run_cli(capsys, *argv, "--certificate-out", str(cert))
+    text = cert.read_text()
+    assert ("\nrho " in text) == (kind == "bar-linearity-obstruction")
+    verdict = parse_certificate(text)
+    assert verdict.certificate.kind == kind
+    assert serialize_verdict(verdict) == text

@@ -110,7 +110,7 @@ def test_regular_sequence_rejects_odd_ring_and_inhomogeneous():
 # -- koszul ------------------------------------------------------------------
 
 def test_koszul_formality_on_section4_suspension():
-    model = suspension_model(section4_y(18), 2).cdga
+    model = suspension_model(section4_y(18), 2)
     verdict = koszul_formality(model, 16)
     assert verdict.is_formal
     assert verdict.certificate.kind == "koszul-regular-sequence"
@@ -165,7 +165,7 @@ def test_koszul_regularity_is_checked_up_to_n_plus_one():
 
 
 def test_koszul_certificate_without_a_regular_sequence_fails_replay():
-    model = suspension_model(section4_y(18), 2).cdga
+    model = suspension_model(section4_y(18), 2)
     text = serialize_verdict(koszul_formality(model, 16))
     old = "d y_bar = x1*x2_bar + x2*x1_bar"
     assert old in text
@@ -426,7 +426,7 @@ def test_rho_images_must_have_their_generators_degree():
     y = odd_wedge_y(24)
     H = ModelCohomology(y, 20)
     B = bigraded_model(H, 20)
-    images = dict(B.rho_images, z14_0=H.poly_class(y.gen("x1")))
+    images = dict(B.rho_images, z14_0=y.gen("x1"))
     with pytest.raises(ValueError,
                        match="rho image of z14_0 has degree 5, not 14"):
         RhoMorphism(B.cdga, H, images)
@@ -560,8 +560,8 @@ def test_main_theorem_coherence_at_desk_scale():
 
 def test_no_conflicting_verdicts_on_fixtures():
     # run every applicable checker on both flagship fixtures
-    m_formal = suspension_model(section4_y(18), 2).cdga
-    m_non = suspension_model(odd_wedge_y(24), 3).cdga
+    m_formal = suspension_model(section4_y(18), 2)
+    m_non = suspension_model(odd_wedge_y(24), 3)
     for model, expect_formal in ((m_formal, True), (m_non, False)):
         H = ModelCohomology(model, 14)
         free = free_cohomology_check(H, 14)

@@ -253,9 +253,8 @@ def test_induced_map_identity_and_augmentation():
     # H^n(phi) in representative bases, read through the rho that
     # CdgaMorphism.is_quasi_iso builds: one column per representative
     def induced(phi, n):
-        rho = RhoMorphism(phi.source, ModelCohomology(phi.target), lift=phi)
-        return [rho.apply_poly(rep, degree=n).coords
-                for rep in phi.source.cohomology(n)[1]]
+        rho = RhoMorphism(phi.source, ModelCohomology(phi.target), phi.images)
+        return [rho.apply_poly(rep) for rep in phi.source.cohomology(n)[1]]
 
     alg = section4_target(truncation=12)
     assert induced(identity_morphism(alg), 8) == [{0: 1}, {1: 1}]

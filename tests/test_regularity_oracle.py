@@ -81,7 +81,7 @@ def test_regularity_matches_oracle_on_seeded_rings():
 
 
 def test_regularity_matches_oracle_on_section4():
-    even_alg, seq, _ = koszul_sequence(suspension_model(section4_y(), 2).cdga)
+    even_alg, seq, _ = koszul_sequence(suspension_model(section4_y(), 2))
     for N in (23, 41, 57):
         got = regular_sequence_check(even_alg, seq, N)
         assert got == (True, None)

@@ -2,7 +2,8 @@
 
 Every verdict carries evidence that re-verifies from scratch:
 
-  * FreeCohomologyCert -- degreewise ranks match a free algebra (Thom route);
+  * FreeCohomologyCert -- d = 0 on every generator up to the bound, so the
+    cohomology there is the free algebra itself (Thom route);
   * KoszulCert -- Koszul shape plus a regular sequence of odd differentials,
     checked up to bound + 1; by the Koszul-complex theorem that is exactly
     the quasi-isomorphism onto the quotient ring up to bound, so neither
@@ -26,7 +27,7 @@ from math import gcd, lcm
 from operator import add
 
 from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
-from .quotient import QuotientRing, ModelCohomology, free_gca_ranks
+from .quotient import QuotientRing, ModelCohomology
 from .linalg import EchelonSpan, combine, homology, kernel_basis
 from .mapmodel import (suspension_model, bar_name, check_hypotheses,
                        reduce_to_odd_sphere, SplitError)
@@ -115,9 +116,8 @@ class FreeCohomologyCert:
         self.bound = int(bound)
 
     def replay(self):
-        H = ModelCohomology(self.model, self.bound)
-        want = free_gca_ranks(self.generator_degrees, self.bound)
-        return H.ranks(self.bound) == want
+        return free_cohomology_check(self.model, self.bound) == \
+            self.generator_degrees
 
 
 class RegularSequenceWitness:
@@ -188,23 +188,19 @@ class BarObstructionCert:
 
 # -- checkers ---------------------------------------------------------------
 
-def free_cohomology_check(H, N):
-    """Greedy rank match of H against a free graded-commutative algebra.
+def free_cohomology_check(A, N):
+    """The sorted degrees of the generators of the Cdga A of degree <= N
+    when d is 0 on every one of them, else None.
 
-    H is anything with .rank(n).  Returns the matched generator degrees, or
-    None as soon as the free count overshoots.  Rank matching is exactly what
-    is certified, nothing more.
+    d = 0 up to N makes H^{<=N}(A) the free algebra on those generators, so
+    they are the witness, and no cohomology is computed.  Ranks alone are
+    no witness: a minimal model with d != 0 can have the ranks of a free
+    algebra up to N.
     """
-    if H.rank(0) != 1:
+    low = [name for name in A.names if A.gen_degree(name) <= N]
+    if any(A.differential.images.get(name) for name in low):
         return None
-    degrees = []
-    for n in range(1, N + 1):
-        have = free_gca_ranks(degrees, n)[n]
-        want = H.rank(n)
-        if have > want:
-            return None
-        degrees.extend([n] * (want - have))
-    return degrees
+    return sorted(A.gen_degree(name) for name in low)
 
 
 def regular_sequence_check(algebra, seq, N):
@@ -769,14 +765,18 @@ def y_cohomology_ring(prob, N):
 def formality_pipeline(prob, N):
     """Strongest verdict for the model of F(X, Y), with certificate.
 
-    Order: free-cohomology rank match, Koszul route, then (odd p, via the
-    sphere reduction if X is not itself a sphere) the bigraded bar
-    obstruction.  On the Lie route a non-sphere X reduces to the odd sphere
-    of hyp.t when split_odd_generator accepts t; check_hypotheses chose t
-    odd and closed, so q.check() is the one check there that can fail, and
-    the reduction builds nothing else.  All inconclusive -> Unknown(N).  A Formal and a NonFormal
-    certificate for the same input raises ConsistencyError.  N must be at
-    least 1.
+    Order: free cohomology (d = 0 on the model's generators up to N), the
+    Koszul route, then (odd p, via the sphere reduction if X is not itself
+    a sphere) the bigraded bar obstruction, which is skipped when d = 0 on
+    Y's model up to the bound, since H*(Y) is then free there.  On the
+    Sullivan route the model is minimal, and there a count of ranks proves
+    nothing: for odd p the theorem makes F(X, Y) formal only when Y's
+    minimal model has d = 0.  On the Lie route a non-sphere X reduces to
+    the odd sphere of hyp.t when split_odd_generator accepts t;
+    check_hypotheses chose t odd and closed, so q.check() is the one check
+    there that can fail, and the reduction builds nothing else.  All
+    inconclusive -> Unknown(N).  A Formal and a NonFormal certificate for
+    the same input raises ConsistencyError.  N must be at least 1.
     """
     if N < 1:
         raise ValueError("the degree bound N must be at least 1, got %d" % N)
@@ -787,14 +787,14 @@ def formality_pipeline(prob, N):
     formal_verdict = None
     nonformal_verdict = None
 
-    H_model = ModelCohomology(model, N)
-    degrees = free_cohomology_check(H_model, N)
+    degrees = free_cohomology_check(model, N)
     if degrees is not None:
         cert = FreeCohomologyCert(model, degrees, N)
         notes.append("free cohomology on generator degrees %s" % degrees)
         formal_verdict = FormalityVerdict(FORMAL, N, cert, notes)
     else:
-        notes.append("cohomology is not free (rank mismatch)")
+        notes.append("d is nonzero on a generator of degree <= %d: no "
+                     "free-cohomology witness" % N)
 
     if formal_verdict is None:
         kv = koszul_formality(model, N)
@@ -823,7 +823,7 @@ def formality_pipeline(prob, N):
 
     if p_eff is not None:
         H_y = y_cohomology_ring(prob, N)
-        ydeg = free_cohomology_check(H_y, H_y.truncation)
+        ydeg = free_cohomology_check(H_y.cdga, H_y.truncation)
         if ydeg is None:
             B = bigraded_model(H_y, H_y.truncation)
             cert, ob_notes = bigraded_bar_obstruction(B, p_eff, H_y.cdga,

@@ -595,37 +595,3 @@ class CdgaMorphism:
                     break
             terms.append((term.terms, c))
         return Poly._of(combine(terms))
-
-    def check(self):
-        """Degree preservation and phi d = d phi on generators (to truncation)."""
-        bound = min(self.source.truncation, self.target.truncation)
-        for name in self.source.names:
-            img = self.images[name]
-            if img:
-                try:
-                    got = self.target.poly_degree(img)
-                except ValueError:
-                    return CheckReport.violation(
-                        "degree", "image of %s is inhomogeneous" % name)
-                if got != self.source.gen_degree(name):
-                    return CheckReport.violation(
-                        "degree", "image of %s has degree %s != %d"
-                        % (name, got, self.source.gen_degree(name)))
-        for name in self.source.names:
-            deg = self.source.gen_degree(name)
-            if deg + 1 > bound or name in self.source.truncated_gens:
-                continue
-            lhs = self.apply(self.source.differential.images.get(name, Poly()))
-            rhs = self.target.d(self.images[name])
-            if lhs != rhs:
-                return CheckReport.violation(
-                    "cochain", "phi(d %s) != d(phi %s)" % (name, name))
-        return CheckReport.good()
-
-    def is_quasi_iso(self, upto):
-        """(True, None) if H^n(phi) is an isomorphism for all n <= upto,
-        else (False, first bad degree).  Truncation-relative."""
-        from .quotient import ModelCohomology
-        from .formality import RhoMorphism
-        return RhoMorphism(self.source, ModelCohomology(self.target),
-                           self.images).is_quasi_iso(upto)

@@ -15,9 +15,17 @@ sum in ``rht``.
 ``normalize_word`` takes the Koszul sign of a written product from the
 inversions of its odd letters, where the library multiplies the letters in
 one at a time through ``mul_monomials``.
+
+``cdga_map_report`` and ``is_quasi_iso`` check a ``rht.gca.CdgaMorphism``:
+degree preservation and phi d = d phi on the generators, and H(phi) an
+isomorphism up to a degree.  The library checks no map of free CDGAs, so
+they are test oracles: the quasi-isomorphism test reads H(phi) through the
+library's ``RhoMorphism`` into ``ModelCohomology(phi.target)``.
 """
 
-from rht.gca import QONE, QZERO, Poly, TruncationError
+from rht.formality import RhoMorphism
+from rht.gca import QONE, QZERO, CheckReport, Poly, TruncationError
+from rht.quotient import ModelCohomology
 
 
 def normalize_word(algebra, word):
@@ -103,3 +111,38 @@ def apply_derivation(algebra, deriv, p, truncation=None):
     res = Poly()
     res.terms = out
     return res
+
+
+def cdga_map_report(phi):
+    """Degree preservation and phi d = d phi on generators, up to the
+    smaller truncation."""
+    source, target = phi.source, phi.target
+    bound = min(source.truncation, target.truncation)
+    for name in source.names:
+        img = phi.images[name]
+        if img:
+            try:
+                got = target.poly_degree(img)
+            except ValueError:
+                return CheckReport.violation(
+                    "degree", "image of %s is inhomogeneous" % name)
+            if got != source.gen_degree(name):
+                return CheckReport.violation(
+                    "degree", "image of %s has degree %s != %d"
+                    % (name, got, source.gen_degree(name)))
+    for name in source.names:
+        deg = source.gen_degree(name)
+        if deg + 1 > bound or name in source.truncated_gens:
+            continue
+        lhs = phi.apply(source.differential.images.get(name, Poly()))
+        if lhs != target.d(phi.images[name]):
+            return CheckReport.violation(
+                "cochain", "phi(d %s) != d(phi %s)" % (name, name))
+    return CheckReport.good()
+
+
+def is_quasi_iso(phi, upto):
+    """(True, None) if H^n(phi) is an isomorphism for all n <= upto, else
+    (False, first bad degree).  Truncation-relative."""
+    return RhoMorphism(phi.source, ModelCohomology(phi.target),
+                       phi.images).is_quasi_iso(upto)

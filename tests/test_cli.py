@@ -197,8 +197,8 @@ def test_formality_exit_codes_and_certificates(capsys, ws_file, tmp_path):
 
 
 def test_formality_unknown_when_underpowered(capsys, ws_file, tmp_path):
-    # at N = 8 the free match already fails (degree 7) but the degree-10
-    # relation is invisible, so no checker can conclude anything
+    # at N = 8, d(y_bar) != 0 in degree 6 rules out free cohomology, but
+    # the degree-10 relation is invisible, so no checker can conclude
     code, out, _ = run_cli(capsys, "formality", ws_file, "nonformal",
                            "--max-degree", "8",
                            "--certificate-out", str(tmp_path / "u.cert"))
@@ -693,6 +693,75 @@ def test_bar_obstruction_replay_checks_the_connectivity(capsys, tmp_path):
     assert replay_certificate_text(UNDERCONNECTED_CERT.replace(
         "p 3\n", "p 1\n")) == (
         True, "bar-linearity-obstruction certificate replayed")
+
+
+TWIN_WS = """\
+algebra Y
+truncation 12
+generator a degree 3
+generator b degree 3
+generator c degree 5
+generator e degree 6
+d c = a*b
+
+problem twin X=S1 Y=Y p=1
+"""
+
+# produced when a free-cohomology verdict was a rank count: up to degree 7
+# the twin's model has the ranks of the free algebra on 2, 2, 3, 3, 7, 7,
+# but d(c_bar) != 0, and by the theorem F(S1, Y) is not formal
+RANK_COUNT_TWIN_CERT = """\
+rht-certificate free-cohomology
+verdict formal
+bound 7
+free-generators 2 2 3 3 7 7
+algebra model
+truncation 12
+generator a degree 3
+generator b degree 3
+generator c degree 5
+generator e degree 6
+generator a_bar degree 2
+generator b_bar degree 2
+generator c_bar degree 4
+generator e_bar degree 5
+d c = a*b
+d c_bar = a*b_bar - b*a_bar
+"""
+
+
+def test_twin_verdicts_follow_the_theorem(capsys, tmp_path):
+    # Y = Lambda(a3, b3, c5, e6), d c = ab, has d != 0, so F(S1, Y) is not
+    # formal: FORMAL only while d = 0 on the model (N <= 3), UNKNOWN until
+    # the bigraded model holds a witness, then NONFORMAL, and every
+    # certificate replays
+    ws = tmp_path / "twin.rht"
+    ws.write_text(TWIN_WS)
+    want = {0: "FORMAL", 2: "UNKNOWN", 3: "NONFORMAL"}
+    for N in range(1, 12):
+        cert = tmp_path / ("twin%d.cert" % N)
+        code, out, _ = run_cli(capsys, "formality", str(ws), "twin",
+                               "--max-degree", str(N),
+                               "--certificate-out", str(cert))
+        assert code == (0 if N <= 3 else 2 if N <= 5 else 3), N
+        assert ": %s\n" % want[code] in out
+        assert cert.exists() == (code != 2)
+        if code != 2:
+            assert run_cli(capsys, "verify-certificate", str(cert))[0] == 0
+
+
+def test_rank_count_certificate_of_the_twin_fails_replay(capsys, tmp_path):
+    bad = tmp_path / "twin7.cert"
+    for degrees in ("2 2 3 3 7 7", "2 2 3 3 4 5 5 6"):
+        bad.write_text(RANK_COUNT_TWIN_CERT.replace("2 2 3 3 7 7", degrees))
+        code, out, _ = run_cli(capsys, "verify-certificate", str(bad))
+        assert (code, out) == (1, "free-cohomology certificate FAILED replay\n")
+    # with d = 0 the listed degrees are the witness
+    good = RANK_COUNT_TWIN_CERT.replace(
+        "d c = a*b\nd c_bar = a*b_bar - b*a_bar\n", "").replace(
+        "2 2 3 3 7 7", "2 2 3 3 4 5 5 6")
+    assert replay_certificate_text(good) == (
+        True, "free-cohomology certificate replayed")
 
 
 ODD_WS = """\

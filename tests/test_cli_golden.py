@@ -109,7 +109,7 @@ d y_bar = x1*x2_bar + x2*x1_bar
 formality of F(X, Y) for problem section4 at N = 16: FORMAL
 certificate: koszul-regular-sequence -> %s
 note: suspension route: 6 generators
-note: cohomology is not free (rank mismatch)
+note: d is nonzero on a generator of degree <= 16: no free-cohomology witness
 """
 
 

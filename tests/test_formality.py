@@ -50,27 +50,40 @@ def section4_h():
 
 # -- free cohomology ---------------------------------------------------------
 
-class RankOnly:
-    def __init__(self, ranks):
-        self._r = ranks
-
-    def rank(self, n):
-        return self._r[n] if 0 <= n < len(self._r) else 0
+def twin_y(truncation=12):
+    """Lambda(a3, b3, c5, e6) with d c = a b: minimal with d != 0, so not a
+    product of Eilenberg-MacLane spaces."""
+    gens = [("a", 3), ("b", 3), ("c", 5), ("e", 6)]
+    alg = Cdga(gens, {}, truncation)
+    return Cdga(gens, {"c": alg.multiply(alg.gen("a"), alg.gen("b"))},
+                truncation)
 
 
 def test_free_cohomology_check_polynomial_ring():
-    ranks = free_gca_ranks([2, 4], 12)
-    got = free_cohomology_check(RankOnly(ranks), 12)
-    assert got == [2, 4]
+    # d = 0 on every generator of degree <= N: their sorted degrees
+    assert free_cohomology_check(Cdga([("y", 4), ("x", 2)], {}, 13),
+                                 12) == [2, 4]
 
 
 def test_free_cohomology_check_rejects_section4_h():
-    H = section4_h()
-    assert free_cohomology_check(H, 12) is None  # degree 8: free 3 vs actual 2
+    # d y = x1 x2 with |y| = 7, so H*(Y) is not free from degree 7 on
+    assert free_cohomology_check(section4_y(18), 6) == [4, 4]
+    assert free_cohomology_check(section4_y(18), 7) is None
 
 
 def test_free_cohomology_check_trivial():
-    assert free_cohomology_check(RankOnly([1] + [0] * 12), 12) == []
+    assert free_cohomology_check(Cdga([("x", 14)], {}, 16), 12) == []
+
+
+def test_free_cohomology_check_is_not_a_rank_count():
+    # up to degree 7 the twin's model of F(S1, Y) has the ranks of the free
+    # algebra on degrees 2, 2, 3, 3, 7, 7, yet d(c_bar) != 0 in degree 4
+    model = suspension_model(twin_y(), 1)
+    assert ModelCohomology(model, 7).ranks() == free_gca_ranks(
+        [2, 2, 3, 3, 7, 7], 7)
+    assert free_cohomology_check(model, 3) == [2, 2, 3, 3]
+    assert free_cohomology_check(model, 4) is None
+    assert free_cohomology_check(model, 7) is None
 
 
 # -- regular sequences -------------------------------------------------------
@@ -563,8 +576,7 @@ def test_no_conflicting_verdicts_on_fixtures():
     m_formal = suspension_model(section4_y(18), 2)
     m_non = suspension_model(odd_wedge_y(24), 3)
     for model, expect_formal in ((m_formal, True), (m_non, False)):
-        H = ModelCohomology(model, 14)
-        free = free_cohomology_check(H, 14)
+        free = free_cohomology_check(model, 14)
         kos = koszul_formality(model, 14)
         formal = (free is not None) or kos.is_formal
         assert formal == expect_formal

@@ -24,9 +24,11 @@ from rht.dgl import (FiniteCdga, free_lie, free_lie_differential,
                      tensor_map_model, Dgl)
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import (suspension_model, suspension_bar_names, bar_name,
-                          split_odd_generator, reduce_to_odd_sphere)
-from rht.formality import (koszul_formality, RhoMorphism,
-                           KoszulCert, FormalityVerdict, FORMAL, koszul_rho,
+                          split_odd_generator, reduce_to_odd_sphere,
+                          MapSpaceProblem)
+from rht.formality import (koszul_formality, RhoMorphism, formality_pipeline,
+                           KoszulCert, FormalityVerdict, FORMAL, NONFORMAL,
+                           koszul_rho,
                            koszul_sequence, regular_sequence_check,
                            bigraded_model, bar_witnesses, lemma36_scan,
                            barred_scan_missing, BigradedModel)
@@ -161,6 +163,35 @@ def random_minimal_sullivan(rng, p):
     if rng.random() < 0.4:
         gens.append(("e", p + 2))
     return Cdga(gens, images, 40)
+
+
+def test_verdicts_follow_the_theorem_on_odd_spheres():
+    # for odd p, F(S^p, Y) is formal only when the minimal model of Y has
+    # d = 0: a free-cohomology FORMAL at N needs d = 0 on every generator
+    # of Y of degree <= N + p (those of the model of F up to N), no N with
+    # FORMAL lies above an N with NONFORMAL, and every certificate replays
+    rng = Random(2323)
+    relations = 0
+    for case in range(40):
+        p = rng.choice([1, 3])
+        Y = random_minimal_sullivan(rng, p)
+        relations += bool(Y.differential.images)
+        prob = MapSpaceProblem(FiniteCdga.sphere(p), p, y_cdga=Y)
+        seen = {FORMAL: [], NONFORMAL: []}
+        for N in range(2, p + 13):
+            verdict = formality_pipeline(prob, N)
+            seen.get(verdict.verdict, []).append(N)
+            cert = verdict.certificate
+            if cert is None:
+                continue
+            if cert.kind == "free-cohomology":
+                assert not any(Y.differential.images.get(g) for g in Y.names
+                               if Y.gen_degree(g) <= N + p), (case, N)
+            ok, info = replay_certificate_text(serialize_verdict(verdict))
+            assert ok, (case, N, info)
+        assert max(seen[FORMAL], default=0) < min(seen[NONFORMAL],
+                                                  default=99), (case, seen)
+    assert relations >= 28
 
 
 def test_suspension_model_identities():

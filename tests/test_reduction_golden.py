@@ -42,7 +42,7 @@ STDOUT = """\
 formality of F(X, Y) for problem %s at N = 22: NONFORMAL
 certificate: bar-linearity-obstruction -> %s
 note: tensor route: 14 generators
-note: cohomology is not free (rank mismatch)
+note: d is nonzero on a generator of degree <= 22: no free-cohomology witness
 note: not of Koszul shape
 note: lemma-3.6 scan: missing witnesses for nothing in range
 note: reduced to the %d-sphere: q, the retraction onto the class %s, is a cochain algebra map
@@ -119,7 +119,7 @@ problem deca X=T Y=L p=9
 DEC_STDOUT = """\
 formality of F(X, Y) for problem dec at N = 22: UNKNOWN
 note: tensor route: 26 generators
-note: cohomology is not free (rank mismatch)
+note: d is nonzero on a generator of degree <= 22: no free-cohomology witness
 note: not of Koszul shape
 note: reduction unavailable: CheckReport(multiplicative: q(a*bc) != q(a)q(bc))
 note: no odd sphere reduction: the bar obstruction does not apply

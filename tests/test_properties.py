@@ -28,7 +28,7 @@ from rht.mapmodel import (suspension_model, suspension_bar_names, bar_name,
                           MapSpaceProblem)
 from rht.formality import (koszul_formality, RhoMorphism, formality_pipeline,
                            KoszulCert, FormalityVerdict, FORMAL, NONFORMAL,
-                           koszul_rho,
+                           UNKNOWN, koszul_rho,
                            koszul_sequence, regular_sequence_check,
                            bigraded_model, bar_witnesses, lemma36_scan,
                            barred_scan_missing, BigradedModel)
@@ -177,10 +177,10 @@ def test_verdicts_follow_the_theorem_on_odd_spheres():
         Y = random_minimal_sullivan(rng, p)
         relations += bool(Y.differential.images)
         prob = MapSpaceProblem(FiniteCdga.sphere(p), p, y_cdga=Y)
-        seen = {FORMAL: [], NONFORMAL: []}
+        seen = {FORMAL: [], NONFORMAL: [], UNKNOWN: []}
         for N in range(2, p + 13):
             verdict = formality_pipeline(prob, N)
-            seen.get(verdict.verdict, []).append(N)
+            seen[verdict.verdict].append(N)
             cert = verdict.certificate
             if cert is None:
                 continue

@@ -8,7 +8,8 @@ from rht.dgl import Dgl, FiniteCdga, tensor_map_model, fibration_model
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import MapSpaceProblem
 from rht.formality import formality_pipeline
-from rht.quotient import free_gca_ranks, ModelCohomology
+from rht.gca import FreeGCA
+from rht.quotient import ModelCohomology
 
 # L(K(Q,4)) is Q in degree 3; X = S^2 has the two-element model {1, t}
 L = Dgl([("l", 3)], {}, {}, 16)
@@ -31,5 +32,6 @@ print("\nverdict:", verdict.verdict, "| certificate:", verdict.certificate.kind)
 print("free generator degrees:", verdict.certificate.generator_degrees)
 
 H = ModelCohomology(verdict.certificate.model, 12)
+free = FreeGCA([("a", 2), ("b", 4)])
 print("ranks vs the monomial-counting oracle:",
-      H.ranks(12) == free_gca_ranks([2, 4], 12))
+      H.ranks(12) == [free.dim(n) for n in range(13)])

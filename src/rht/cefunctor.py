@@ -15,12 +15,9 @@ this one by rescaling generators.
 
 from fractions import Fraction
 
-from .gca import Cdga, Poly, FreeGCA
-from .linalg import combine
+from .gca import Cdga, Poly
 
-QONE = Fraction(1)
 HALF = Fraction(1, 2)
-MHALF = -HALF
 
 
 class CeResult:
@@ -43,50 +40,73 @@ def ce_cochains(L, N):
     if N > L.truncation + 1:
         raise ValueError("N may exceed L's truncation by at most 1")
 
+    deg = L.degree_of
     gens = []
     gen_of = {}
+    slot = {}  # x -> the index of v_x among the generators
     counters = {}
     for x in L.names:
-        d = L.degree_of[x] + 1
+        d = deg[x] + 1
         if d > N:
             continue
         i = counters.get(d, 0)
         counters[d] = i + 1
         name = "v%d_%d" % (d, i)
+        slot[x] = len(gens)
         gens.append((name, d))
         gen_of[x] = name
     basis_of = {v: x for x, v in gen_of.items()}
-    carrier = FreeGCA(gens)
-    deg = L.degree_of
+    live = [z for z in L.names if deg[z] + 2 <= N]
 
-    # z -> [(x, y, <z,[x,y]>)] over the nonzero entries of the bracket
-    # table, (x, y) in basis order
-    quadratic = {}
+    # linear part, one transpose pass over d_L with x in basis order:
+    # z -> {v_x: -<z, d_L x>}, a distinct monomial per x
+    linear = {z: {} for z in live}
+    for x in slot:
+        for z, c in L.differential.get(x, {}).items():
+            if z in linear:
+                linear[z][((slot[x], 1),)] = -c
+    # quadratic part over the nonzero entries of the bracket table, (x, y)
+    # in basis order: z -> {v_x v_y: the sum of the signed <z,[x,y]>}.  A
+    # term of another degree than |x|+|y| can only come from invalid input
+    # and is skipped; |x| + |y| + 2 <= N puts x and y in slot.
+    quadratic = {z: {} for z in live}
     for x in L.names:
+        dx = deg[x]
         for y, combo in L.table[x].items():
-            for z, c in combo.items():
-                quadratic.setdefault(z, []).append((x, y, c))
-    images = {}
-    for z in L.names:
-        if z not in gen_of or deg[z] + 2 > N:
-            continue
-        terms = []
-        for x in L.names:
-            c = L.differential.get(x, {}).get(z)
-            if c and x in gen_of:
-                terms.append(({((carrier.index[gen_of[x]], 1),): -c}, 1))
-        for x, y, c in quadratic.get(z, ()):
-            # a term of another degree can only come from invalid input;
-            # deg[x], deg[y] < deg[z] <= N - 2 puts x and y in gen_of
-            if deg[x] + deg[y] != deg[z]:
+            dz = dx + deg[y]
+            if dz + 2 > N:
                 continue
-            s, m = carrier.mul_monomials(((carrier.index[gen_of[x]], 1),),
-                                         ((carrier.index[gen_of[y]], 1),))
-            if s:
-                # s (-1)^(|x|+1) / 2, one Fraction product per term
-                half = HALF if (s > 0) == (deg[x] % 2 == 1) else MHALF
-                terms.append(({m: half * c}, 1))
-        img = combine(terms)
+            # v_x v_y as a normalized monomial m, written out: v_x is odd
+            # when |x| is even, and two odd letters swap with a sign
+            i, j = slot[x], slot[y]
+            if i == j:
+                if dx % 2 == 0:
+                    continue
+                m, s = ((i, 2),), 1
+            elif i < j:
+                m, s = ((i, 1), (j, 1)), 1
+            else:
+                m = ((j, 1), (i, 1))
+                s = -1 if dx % 2 == 0 and deg[y] % 2 == 0 else 1
+            # the term is s (-1)^(|x|+1) <z,[x,y]> / 2
+            if dx % 2 == 0:
+                s = -s
+            for z, c in combo.items():
+                if deg.get(z) != dz:
+                    continue
+                acc = quadratic[z]
+                t = c if s > 0 else -c
+                prev = acc.get(m)
+                acc[m] = t if prev is None else prev + t
+    # d(v_z): the linear monomials, then the quadratic ones in order of
+    # first appearance, each sum halved once: the sum of the (+-c)/2 is
+    # the sum of the +-c, halved, exactly over Q
+    images = {}
+    for z in live:
+        img = linear[z]
+        for m, c in quadratic[z].items():
+            if c:
+                img[m] = c * HALF
         if img:
             images[gen_of[z]] = Poly(img)
     cdga = Cdga(gens, images, N)

@@ -519,6 +519,17 @@ def free_lie(generators, truncation):
     coordinates over the basis tensors.  Simple and provably correct at desk
     scale, no Lyndon-word machinery.
 
+    Layer k, the brackets of k letters, is spanned by [v, e] for v a
+    generator and e in layer k-1 alone: by the Jacobi identity
+    [[u,w],e] = [u,[w,e]] - (-1)^{|u||w|} [w,[u,e]] and induction on the
+    length of the left factor, every bracket of k letters is a combination
+    of right-normed ones [v_1,[v_2,...,v_k]], so L_k = [V, L_{k-1}] in each
+    degree.  Spanning by every [layer i, layer k-i] gives the same layer:
+    its i = 1 candidates come first in each degree and already span, so the
+    greedy pass keeps the same independent ones among them and rejects
+    every later candidate.  Names, basis tensors and bracket table are the
+    same.
+
     The candidates of a degree are a basis as they stand: layer k holds
     commutators of k letters, which live on words of length k, so tensors
     of different layers have disjoint supports; and every layer is an
@@ -550,20 +561,20 @@ def free_lie(generators, truncation):
             kept.extend(_independent(by_deg[d]))
         return kept
 
-    # spanning elements, layered by bracket length; [span S, span T] spans
-    # [S,T], so pruning each layer to an independent set is harmless
+    # spanning elements, layered by bracket length: layer k is spanned by
+    # [generator, layer k-1]; [V, span S] spans [V, S], so pruning each
+    # layer to an independent set is harmless
     layers = {1: [(deg, {(i,): 1}) for i, (_, deg) in enumerate(gens)]}
     max_len = N // min(deg for _, deg in gens) if gens else 0
     for k in range(2, max_len + 1):
         layer = []
-        for i in range(1, k):
-            for d1, e1 in layers.get(i, []):
-                for d2, e2 in layers.get(k - i, []):
-                    if d1 + d2 > N:
-                        continue
-                    e = tensor_commutator(e1, d1, e2, d2)
-                    if e:
-                        layer.append((d1 + d2, e))
+        for d1, e1 in layers[1]:
+            for d2, e2 in layers[k - 1]:
+                if d1 + d2 > N:
+                    continue
+                e = tensor_commutator(e1, d1, e2, d2)
+                if e:
+                    layer.append((d1 + d2, e))
         layers[k] = prune(layer)
 
     # degreewise bases; generators keep their names, higher brackets are b<deg>_<i>
@@ -739,7 +750,6 @@ def tensor_map_model(A, L):
                 out[name_of[key]] = va * vx
         return out
 
-    deg_of = dict(basis)
     brackets = {}
     order = {nm: i for i, (nm, _) in enumerate(basis)}
     for nm1, d1 in basis:

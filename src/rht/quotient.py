@@ -123,20 +123,3 @@ class ModelCohomology(DegreewiseRing):
         if not p:
             return {}
         return self.cdga.class_coordinates(self.cdga.poly_degree(p), p)
-
-
-def free_gca_ranks(degrees, upto):
-    """Degreewise dimensions of the free graded-commutative algebra on
-    generators of the given degrees; the monomial-counting oracle."""
-    ranks = [0] * (upto + 1)
-    ranks[0] = 1
-    for d in degrees:
-        new = list(ranks)
-        if d % 2 == 1:
-            for n in range(upto, d - 1, -1):
-                new[n] += ranks[n - d]
-        else:
-            for n in range(d, upto + 1):
-                new[n] += new[n - d]
-        ranks = new
-    return ranks

@@ -6,7 +6,11 @@ pairs ``L.brackets`` (the missing mirror filled by antisymmetry on each
 call), every case up to the truncation is computed, and the quadratic part
 of the cochain differential runs over all ordered pairs of basis elements.
 They are slow and obviously exhaustive; the tests require the library to
-give the same report and the same cochain images.
+give the same report and the same cochain images.  ``ce_images_by_product``
+is ``ce_cochains``' differential as it was assembled before the product of
+two generators was written out, one ``mul_monomials`` call and one halved
+term per table entry; ``ce_cochains`` must give its images term for term,
+in key order.
 
 ``free_lie_brackets`` and ``free_lie_differential_images`` read the bracket
 table and the differential of a ``free_lie`` output the way ``rht.dgl`` did
@@ -15,8 +19,10 @@ basis tensors of the target degree.  ``lc`` and ``tensor_commutator`` are
 the plain sums ``rht.dgl`` used before ``rht.linalg.combine``, kept here so
 the oracle shares no arithmetic with the code it checks.
 ``free_lie_reference`` is ``free_lie`` as it was before it worked on int
-tensors: Fraction tensors from the generators on, the basis tensors
-e / e[lead] and the bracket table read off their commutators.
+tensors and before it spanned layer k by [generator, layer k-1] alone:
+Fraction tensors from the generators on, layer k spanned by every
+[layer i, layer k-i], the basis tensors e / e[lead] and the bracket table
+read off their commutators.
 
 ``reduction_images`` and ``fibration_images`` build the maps that a map of
 X-models induces on A (x) L by hand, as the odd-sphere reduction and
@@ -33,6 +39,7 @@ from fractions import Fraction
 import dense_oracle
 from rht.dgl import Dgl, _independent, _tensor_coordinates
 from rht.gca import CheckReport, FreeGCA, Poly
+from rht.linalg import combine
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -214,6 +221,55 @@ def ce_images(L, N):
                     img = img + term.scale(HALF * tau * c)
         if img:
             images[gen_of[z]] = img
+    return images
+
+
+def ce_images_by_product(L, N):
+    """Generator name -> d(v) of C*(L) truncated at N, assembled as
+    ``rht.cefunctor.ce_cochains`` did before it wrote the product out: the
+    linear part by a scan of d_L for each z, and a ``mul_monomials`` call,
+    a halved Fraction and a one-term dict through ``combine`` for each
+    quadratic term.  Its images, keys in order, are what ce_cochains must
+    give on any input, valid or not."""
+    gens = []
+    gen_of = {}
+    counters = {}
+    for x in L.names:
+        d = L.degree_of[x] + 1
+        if d > N:
+            continue
+        i = counters.get(d, 0)
+        counters[d] = i + 1
+        name = "v%d_%d" % (d, i)
+        gens.append((name, d))
+        gen_of[x] = name
+    carrier = FreeGCA(gens)
+    deg = L.degree_of
+    quadratic = {}
+    for x in L.names:
+        for y, combo in L.table[x].items():
+            for z, c in combo.items():
+                quadratic.setdefault(z, []).append((x, y, c))
+    images = {}
+    for z in L.names:
+        if z not in gen_of or deg[z] + 2 > N:
+            continue
+        terms = []
+        for x in L.names:
+            c = L.differential.get(x, {}).get(z)
+            if c and x in gen_of:
+                terms.append(({((carrier.index[gen_of[x]], 1),): -c}, 1))
+        for x, y, c in quadratic.get(z, ()):
+            if deg[x] + deg[y] != deg[z]:
+                continue
+            s, m = carrier.mul_monomials(((carrier.index[gen_of[x]], 1),),
+                                         ((carrier.index[gen_of[y]], 1),))
+            if s:
+                half = HALF if (s > 0) == (deg[x] % 2 == 1) else -HALF
+                terms.append(({m: half * c}, 1))
+        img = combine(terms)
+        if img:
+            images[gen_of[z]] = Poly(img)
     return images
 
 

@@ -16,6 +16,10 @@ sum in ``rht``.
 inversions of its odd letters, where the library multiplies the letters in
 one at a time through ``mul_monomials``.
 
+``free_gca_ranks`` counts the monomials of a free graded-commutative
+algebra from the generating function, without a basis; ``FreeGCA.dim``
+reads its count table.
+
 ``cdga_map_report`` and ``is_quasi_iso`` check a ``rht.gca.CdgaMorphism``:
 degree preservation and phi d = d phi on the generators, and H(phi) an
 isomorphism up to a degree.  The library checks no map of free CDGAs, so
@@ -146,3 +150,22 @@ def is_quasi_iso(phi, upto):
     (False, first bad degree).  Truncation-relative."""
     return RhoMorphism(phi.source, ModelCohomology(phi.target),
                        phi.images).is_quasi_iso(upto)
+
+
+def free_gca_ranks(degrees, upto):
+    """Degreewise dimensions of the free graded-commutative algebra on
+    generators of the given degrees, degrees 0..upto, counted by the
+    generating function: a factor 1 + x^d per odd generator and
+    1 / (1 - x^d) per even one."""
+    ranks = [0] * (upto + 1)
+    ranks[0] = 1
+    for d in degrees:
+        new = list(ranks)
+        if d % 2 == 1:
+            for n in range(upto, d - 1, -1):
+                new[n] += ranks[n - d]
+        else:
+            for n in range(d, upto + 1):
+                new[n] += new[n - d]
+        ranks = new
+    return ranks

@@ -17,15 +17,17 @@ from rht.gca import Cdga
 from rht.dgl import FiniteCdga, free_lie, Dgl
 from rht.cefunctor import ce_cochains
 from rht.mapmodel import MapSpaceProblem, suspension_model
-from rht.quotient import ModelCohomology, free_gca_ranks
+from rht.quotient import ModelCohomology
 from rht.formality import (formality_pipeline, koszul_formality,
                            regular_sequence_check, bigraded_model,
                            lemma36_scan)
 from rht.workspace import parse_text
-from rht.certificates import replay_certificate_text
+from rht.certificates import replay_certificate_text, serialize_verdict
 
 from bigraded_oracle import barred_bigraded_model
+from gca_oracle import free_gca_ranks
 from test_dgl import oracle_free_lie_dims
+from test_dgl_oracle import lie_reduction_x
 import test_properties as props
 
 F = Fraction
@@ -236,3 +238,21 @@ def test_criterion_6_free_lie_oracle():
     print("\nPASS criterion 6: free Lie dimensions match the tensor oracle "
           "(1, 1, 0 in degrees 3, 6, 9) and C* gives the 4-sphere model "
           "in %.2fs" % budget.elapsed)
+
+
+def test_lie_route_produce_budget():
+    # X = S^3 x S^2 and Y = S^7 v S^7 as the lie_reduction benchmark builds
+    # them, above its size: free_lie at truncation 56 (127 basis elements),
+    # A (x) L with 254, reduced to the 3-sphere; about 0.16 s raw
+    with Budget(3) as budget:
+        L = free_lie([("a1", 6), ("a2", 6)], 56)
+        prob = MapSpaceProblem(lie_reduction_x(F(-5, 6)), 3, y_dgl=L, t="t")
+        verdict = formality_pipeline(prob, 40)
+    assert len(L.names) == 127
+    assert verdict.verdict == "nonformal"
+    assert verdict.certificate.kind == "bar-linearity-obstruction"
+    assert "tensor route: 254 generators" in verdict.notes
+    ok, info = replay_certificate_text(serialize_verdict(verdict))
+    assert ok, info
+    print("\nPASS Lie-route produce at N = 40, truncation 56 in %.2fs"
+          % budget.elapsed)

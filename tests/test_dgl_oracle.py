@@ -5,7 +5,12 @@ two-sided table; ce_cochains reads the quadratic part of d off that table.
 On valid algebras and on corrupted ones (a scaled bracket, an inconsistent
 stored mirror pair, a wrong differential, random sparse tables) both must
 give exactly what the oracle gives: the same brackets, the same
-(ok, kind, message) and the same cochain images.  free_lie and
+(ok, kind, message) and the same cochain images.  ce_cochains writes the
+product of two generators out and halves each monomial's sum once; on every
+such input, wrong-degree terms included, it must give the images of the
+product-per-term assembly term for term, in key order.  free_lie spans
+layer k by [generator, layer k-1] alone and must make only those
+commutators besides the bracket table's.  free_lie and
 free_lie_differential read coordinates from one tagged span per degree; they
 must store the bracket table and differential that one dense solve per
 bracket or image gives, and free_lie on int tensors must store exactly what
@@ -22,10 +27,12 @@ import pytest
 import dgl_oracle as oracle
 from test_mapmodel import split_test_model
 from test_properties import random_dgl, random_odd_finite_model
+import rht.dgl
 from rht.cefunctor import ce_cochains
 from rht.dgl import (Dgl, DglError, FiniteCdga, FiniteCdgaMorphism,
                      fibration_model, free_lie, free_lie_differential,
-                     restrict_dgl, tensor_map_model, tensor_morphism)
+                     restrict_dgl, tensor_commutator, tensor_map_model,
+                     tensor_morphism)
 from rht.gca import Cdga
 from rht.mapmodel import split_odd_generator
 
@@ -49,7 +56,22 @@ def assert_matches_oracle(L):
     res = ce_cochains(L, N)
     ref = Cdga(res.cdga.generators, oracle.ce_images(L, N), N)
     assert res.cdga.differential.images == ref.differential.images
+    for n in (N, N - 2):
+        assert_same_terms_as_the_product_loop(L, n)
     return want.kind
+
+
+def assert_same_terms_as_the_product_loop(L, N):
+    """ce_cochains(L, N) gives the images of the product-per-term assembly
+    term for term: the same monomials in the same key order, the same
+    Fraction coefficients."""
+    got = ce_cochains(L, N).cdga.differential.images
+    want = oracle.ce_images_by_product(L, N)
+    for name, img in got.items():
+        terms = [(m, c, type(c)) for m, c in img.items()]
+        assert terms == [(m, c, type(c)) for m, c in
+                         want.get(name, {}).items()], (name, N)
+    assert set(want) <= set(got)
 
 
 def random_combo(rng, names):
@@ -181,6 +203,43 @@ def test_random_tables_match_the_oracle():
         assert kinds.get(kind, 0) >= 5, kinds
 
 
+def wrong_degree_term(rng, L):
+    """A term of the wrong degree added to a stored bracket or, a third of
+    the time, to d of a basis element."""
+    deg = L.degree_of
+    if L.brackets and rng.random() < 2 / 3:
+        a, b = rng.choice(sorted(L.brackets))
+        others = [z for z in L.names if deg[z] != deg[a] + deg[b]]
+        brackets = dict(L.brackets)
+        brackets[(a, b)] = dict(brackets[(a, b)])
+        brackets[(a, b)].update(random_combo(rng, others))
+        return Dgl(basis_of(L), brackets, L.differential, L.truncation)
+    x = rng.choice(L.names)
+    others = [z for z in L.names if deg[z] != deg[x] - 1]
+    diff = dict(L.differential)
+    diff[x] = dict(diff.get(x, {}))
+    diff[x].update(random_combo(rng, others))
+    return Dgl(basis_of(L), L.brackets, diff, L.truncation)
+
+
+def test_wrong_degree_terms_match_the_oracle():
+    # ce_cochains skips a bracket term of another degree than |x| + |y| and
+    # keeps a differential term of any degree, as the oracle does
+    rng = Random(510)
+    kinds = {}
+    for _ in range(40):
+        bases = [random_dgl(rng), random_table_dgl(rng)]
+        A = random_odd_finite_model(rng)
+        L = random_dgl(rng, min_degree=A.top_degree + 1)
+        if L.truncation - 2 * A.top_degree >= 1:
+            bases.append(tensor_map_model(A, L))
+        for L in bases:
+            kind = assert_matches_oracle(wrong_degree_term(rng, L))
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds.get("bracket-degree", 0) >= 20, kinds
+    assert kinds.get("differential-degree", 0) >= 10, kinds
+
+
 def random_generator_images(rng, L, gens):
     """Random d on some generators: a combination of the basis elements one
     degree lower, or nothing where that degree is empty."""
@@ -238,7 +297,8 @@ def test_free_lie_matches_the_fraction_reference():
     # free_lie works on int tensors; it must store exactly what the Fraction
     # construction stored
     rng = Random(509)
-    inputs = [([("a1", 6), ("a2", 6)], 40)]
+    # Y = S^7 v S^7 at the lie_reduction truncation and above it
+    inputs = [([("a1", 6), ("a2", 6)], 40), ([("a1", 6), ("a2", 6)], 48)]
     for _ in range(40):
         degs = [rng.randint(1, 7) for _ in range(rng.randint(1, 3))]
         gens = [("g%d" % i, d) for i, d in enumerate(degs)]
@@ -255,6 +315,30 @@ def test_free_lie_matches_the_fraction_reference():
             (gens, N)
         assert {t for _, combo in data[1] + data[2] for _, _, t in combo} \
             <= {F}
+
+
+def test_free_lie_spans_by_generator_brackets_only(monkeypatch):
+    # Layer k is spanned by [generator, layer k-1]: at T = 40 on two
+    # degree-6 generators, layer k-1 is the basis of degree 6(k-1), so the
+    # spanning makes two commutators per basis element of degree <= 34, and
+    # the bracket table one per pair a <= b with |a| + |b| <= 40.  Spanning
+    # by every [layer i, layer k-i] made 103 calls, not 64.
+    calls = []
+
+    def counting(e1, d1, e2, d2):
+        calls.append((d1, d2))
+        return tensor_commutator(e1, d1, e2, d2)
+
+    monkeypatch.setattr(rht.dgl, "tensor_commutator", counting)
+    L = free_lie([("a1", 6), ("a2", 6)], 40)
+    deg = [L.degree_of[n] for n in L.names]
+    spanning = 2 * sum(1 for d in deg if d + 6 <= 40)
+    table = sum(1 for i, d in enumerate(deg) for e in deg[i:] if d + e <= 40)
+    assert (spanning, table) == (28, 36)
+    assert len(calls) == spanning + table == 64
+    assert all(d1 == 6 for d1, _ in calls[:spanning])
+    assert _free_lie_data(L) == _free_lie_data(
+        oracle.free_lie_reference([("a1", 6), ("a2", 6)], 40))
 
 
 def lie_reduction_x(c):

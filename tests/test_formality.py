@@ -11,7 +11,7 @@ import rht.mapmodel
 from rht import cli
 from rht.gca import Cdga, FreeGCA, Poly, CdgaMorphism
 from rht.dgl import Dgl, FiniteCdga, free_lie
-from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
+from rht.quotient import QuotientRing, ModelCohomology
 from rht.mapmodel import MapSpaceProblem, suspension_model
 from rht.certificates import (parse_certificate, replay_certificate_text,
                               serialize_verdict)
@@ -23,6 +23,7 @@ from rht.formality import (free_cohomology_check, regular_sequence_check,
                            BigradedModel, FormalityVerdict, RhoMorphism)
 from bigraded_oracle import (bar_linearity_report, bar_obstruction,
                              barred_bigraded_model)
+from gca_oracle import free_gca_ranks
 
 F = Fraction
 DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"

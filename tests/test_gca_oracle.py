@@ -18,8 +18,8 @@ from random import Random
 import pytest
 
 import gca_oracle as oracle
+from gca_oracle import free_gca_ranks
 from rht.gca import Cdga, Derivation, FreeGCA, Poly, TruncationError
-from rht.quotient import free_gca_ranks
 
 F = Fraction
 CASES = 300

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from gca_oracle import free_gca_ranks
 from rht.gca import Cdga, FreeGCA, Poly
-from rht.quotient import QuotientRing, ModelCohomology, free_gca_ranks
+from rht.quotient import QuotientRing, ModelCohomology
 from rht.formality import bigraded_model, regular_sequence_check
 
 F = Fraction

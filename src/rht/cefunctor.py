@@ -23,8 +23,7 @@ HALF = Fraction(1, 2)
 class CeResult:
     """A Sullivan algebra with the dictionary back to the DGL basis."""
 
-    def __init__(self, dgl, cdga, gen_of, basis_of):
-        self.dgl = dgl            # the DGL whose cochains these are
+    def __init__(self, cdga, gen_of, basis_of):
         self.cdga = cdga
         self.gen_of = gen_of      # DGL basis name -> CDGA generator name
         self.basis_of = basis_of  # CDGA generator name -> DGL basis name
@@ -110,5 +109,5 @@ def ce_cochains(L, N):
         if img:
             images[gen_of[z]] = Poly(img)
     cdga = Cdga(gens, images, N)
-    return CeResult(L, cdga, gen_of, basis_of)
+    return CeResult(cdga, gen_of, basis_of)
 

@@ -151,11 +151,16 @@ class FreeGCA:
         """Sort a written product; returns (sign, monomial) or (0, None).
 
         A factor is a generator ref (name or index) or a (ref, exponent)
-        pair.  Every ref is resolved first, so an unknown one raises KeyError
-        even in a word that vanishes; mul_monomials then multiplies the
-        factors in, with the Koszul sign.  An odd letter twice kills the word.
+        pair.  Every ref is resolved, so an unknown one raises KeyError even
+        in a word that vanishes.  The Koszul sign is the parity of the
+        inversions among the odd letters, the exponents of a letter are
+        added, and the letters are sorted once.  An odd letter twice, or
+        with an exponent above 1, kills the word.
         """
-        factors = []
+        odd = self.odd
+        exps = {}
+        odd_seen = []
+        sign = 1
         for w in word:
             ref, e = w if isinstance(w, tuple) else (w, 1)
             if isinstance(ref, str):
@@ -164,34 +169,63 @@ class FreeGCA:
                 ref = self.index[ref]
             elif not 0 <= ref < len(self.names):
                 raise KeyError("generator index %d out of range" % ref)
-            if e:
-                factors.append((ref, e))
-        sign, mono = 1, ()
-        for i, e in factors:
-            if self.odd[i] and e > 1:
-                return 0, None
-            s, mono = self.mul_monomials(mono, ((i, e),))
-            if not s:
-                return 0, None
-            sign *= s
-        return sign, mono
+            if not e or not sign:
+                continue
+            if odd[ref]:
+                if e > 1 or ref in exps:
+                    sign = 0
+                    continue
+                # one inversion per odd letter written before it and above it
+                for j in odd_seen:
+                    if j > ref:
+                        sign = -sign
+                odd_seen.append(ref)
+                exps[ref] = e
+            else:
+                exps[ref] = exps.get(ref, 0) + e
+        if not sign:
+            return 0, None
+        return sign, tuple(sorted(exps.items()))
 
     def mul_monomials(self, m1, m2):
-        """Product of two normalized monomials: (sign, monomial) or (0, None)."""
+        """Product of two normalized monomials: (sign, monomial) or (0, None).
+
+        One merge of the two index-sorted tuples.  The sign is the parity of
+        the crossings: each odd letter of m2 moves left past the odd letters
+        of m1 with a higher index.  An odd letter in both kills the product,
+        and an empty factor returns the other one.
+        """
+        if not m1:
+            return 1, m2
+        if not m2:
+            return 1, m1
         odd = self.odd
-        sign = 1
-        odd1 = [i for i, e in m1 if odd[i]]
-        merged = dict(m1)
-        for i, e in m2:
+        # whether the letters of m1 not merged yet hold an odd number of
+        # odd letters
+        above = False
+        for i, _ in m1:
             if odd[i]:
-                if i in merged:
+                above = not above
+        sign = 1
+        out = []
+        k, n = 0, len(m1)
+        for pair in m2:
+            i = pair[0]
+            while k < n and m1[k][0] < i:
+                if odd[m1[k][0]]:
+                    above = not above
+                out.append(m1[k])
+                k += 1
+            if k < n and m1[k][0] == i:
+                if odd[i]:
                     return 0, None
-                # move this odd letter left past the odd letters of m1 above it
-                crossings = sum(1 for j in odd1 if j > i)
-                if crossings % 2:
+                out.append((i, m1[k][1] + pair[1]))
+                k += 1
+            else:
+                if above and odd[i]:
                     sign = -sign
-            merged[i] = merged.get(i, 0) + e
-        return sign, tuple(sorted(merged.items()))
+                out.append(pair)
+        return sign, tuple(out) + m1[k:]
 
     def multiply(self, p, q):
         # the loop of linalg.combine, written out: one term per pair
@@ -221,7 +255,9 @@ class FreeGCA:
 
     def _counts(self, n):
         """count[gi][r], the number of monomials of degree r in generators gi,
-        gi+1, ... (the last row: in none), built bottom-up to reach r = n."""
+        gi+1, ... (the last row: in none), built bottom-up to reach r = n.
+        Each extension is one pass over the generators, for all the new
+        degrees at once."""
         count = self._count
         have = len(count[-1])
         if have <= n:
@@ -271,33 +307,46 @@ class FreeGCA:
 
     def derive_monomial(self, deriv, m):
         """D(m) of one monomial: one term per exponent pair (i, e), e *
-        sign * m[:k] * D(x_i) * x_i^{e-1} * m[k+1:], since the e positions
-        of an even letter give equal terms and an odd letter has e = 1.
-        Terms are summed in order of first appearance, and a sum that
-        cancels stays as a zero, so that combining these dicts over the
-        monomials of p puts every key of D(p) where a single pass over p
-        first meets it."""
-        # one output term per image term, with no product by 1 and signs
-        # applied by negation
+        sign * m[:k] * D(x_i) * rest with rest = x_i^{e-1} * m[k+1:], since
+        the e positions of an even letter give equal terms and an odd letter
+        has e = 1.  Each term is one product,
+
+            m[:k] * D(x_i) * rest = (-1)^{|D x_i| |rest|} (m / x_i) * D(x_i),
+
+        where m / x_i is m with one x_i taken out, built once per exponent
+        pair, and |D x_i| is read off each image term's own odd letters, so
+        that an image of mixed degree is derived as written.  Terms are
+        summed in order of first appearance, and a sum that cancels stays
+        as a zero, so that combining these dicts over the monomials of p
+        puts every key of D(p) where a single pass over p first meets it."""
         out = {}
+        odd = self.odd
         odd_deriv = deriv.degree % 2
         prefix_deg = 0
+        # whether m[k + 1:] holds an odd number of odd letters
+        rest_odd = False
+        for i, _ in m:
+            if odd[i]:
+                rest_odd = not rest_odd
         for k, (i, e) in enumerate(m):
+            if odd[i]:
+                rest_odd = not rest_odd
             img = deriv.images.get(self.names[i])
             if img:
                 sign = -1 if odd_deriv and prefix_deg % 2 else 1
-                rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
+                quotient = (m[:k] + m[k + 1:] if e == 1
+                            else m[:k] + ((i, e - 1),) + m[k + 1:])
                 # each product is injective: one output term per image term
                 for mi, ci in img.items():
-                    s1, left = self.mul_monomials(m[:k], mi)
-                    if s1:
-                        s, mm = self.mul_monomials(left, rest)
-                        if s:
-                            t = ci if e == 1 else e * ci
-                            if s * s1 != sign:
-                                t = -t
-                            prev = out.get(mm)
-                            out[mm] = t if prev is None else prev + t
+                    s, mm = self.mul_monomials(quotient, mi)
+                    if s:
+                        if rest_odd and sum(odd[j] for j, _ in mi) % 2:
+                            s = -s
+                        t = ci if e == 1 else e * ci
+                        if s != sign:
+                            t = -t
+                        prev = out.get(mm)
+                        out[mm] = t if prev is None else prev + t
             prefix_deg += e * self.degrees[i]
         return out
 
@@ -437,6 +486,18 @@ class Cdga(FreeGCA):
         self._class_basis_cache = {}
         self._dcol_cache = {}
         self._d_of = {}
+
+    def _counts(self, n):
+        """The count table, grown to at least twice the degrees it held but
+        not past truncation + 1, the top degree d_columns reads.  As
+        cohomology and BigradedModel.validate walk n upward, one pass over
+        the generators serves a run of degrees.  The table never reaches
+        past twice the degree asked, so a large truncation read from a file
+        costs nothing until degrees near it are asked."""
+        have = len(self._count[-1])
+        if n >= have:
+            n = max(n, min(2 * have, self.truncation + 1))
+        return super()._counts(n)
 
     def _derived(self, m):
         """(d(m), whether a term of it lies above the truncation), d(m) as

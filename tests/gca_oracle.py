@@ -13,8 +13,18 @@ so a monomial keeps the place where it first appeared, the rule of every
 sum in ``rht``.
 
 ``normalize_word`` takes the Koszul sign of a written product from the
-inversions of its odd letters, where the library multiplies the letters in
-one at a time through ``mul_monomials``.
+inversions of its odd letters by a count over all pairs of them, and adds
+the exponents of each letter in a dict; the library counts each odd letter's
+inversions as it reads the word.
+
+``mul_monomials`` multiplies two monomials through a dict and a sort,
+counting the crossings of each odd letter of the right factor over the odd
+letters of the left one; the library merges the two sorted tuples.
+``derive_monomial`` takes two products per image term, m[:k] * D(x_i) and
+then that by the rest of m, each with its own sign; the library takes one,
+(m / x_i) * D(x_i), and the sign of moving D(x_i) past the rest.  The tests
+require the same signs, monomials and dicts, key order and cancelled zeros
+included.
 
 ``free_gca_ranks`` counts the monomials of a free graded-commutative
 algebra from the generating function, without a basis; ``FreeGCA.dim``
@@ -60,6 +70,46 @@ def normalize_word(algebra, word):
     for i, e in factors:
         exps[i] = exps.get(i, 0) + e
     return sign, tuple(sorted(exps.items()))
+
+
+def mul_monomials(algebra, m1, m2):
+    """Product of two normalized monomials: (sign, monomial) or (0, None)."""
+    odd = algebra.odd
+    sign = 1
+    odd1 = [i for i, e in m1 if odd[i]]
+    merged = dict(m1)
+    for i, e in m2:
+        if odd[i]:
+            if i in merged:
+                return 0, None
+            # move this odd letter left past the odd letters of m1 above it
+            crossings = sum(1 for j in odd1 if j > i)
+            if crossings % 2:
+                sign = -sign
+        merged[i] = merged.get(i, 0) + e
+    return sign, tuple(sorted(merged.items()))
+
+
+def derive_monomial(algebra, deriv, m):
+    """D(m) of one monomial: per exponent pair (i, e) and image term of
+    D(x_i), e * sign * (m[:k] * D(x_i)) * (x_i^{e-1} * m[k+1:]), two
+    products; summed in order of first appearance, cancelled sums kept as
+    zeros."""
+    out = {}
+    prefix_deg = 0
+    for k, (i, e) in enumerate(m):
+        img = deriv.images.get(algebra.names[i])
+        if img:
+            sign = -1 if deriv.degree % 2 and prefix_deg % 2 else 1
+            rest = m[k + 1:] if e == 1 else ((i, e - 1),) + m[k + 1:]
+            for mi, ci in img.items():
+                s1, left = mul_monomials(algebra, m[:k], mi)
+                if s1:
+                    s, mm = mul_monomials(algebra, left, rest)
+                    if s:
+                        out[mm] = out.get(mm, QZERO) + s * s1 * sign * e * ci
+        prefix_deg += e * algebra.degrees[i]
+    return out
 
 
 def degree_basis(algebra, n):

@@ -256,3 +256,25 @@ def test_lie_route_produce_budget():
     assert ok, info
     print("\nPASS Lie-route produce at N = 40, truncation 56 in %.2fs"
           % budget.elapsed)
+
+
+def test_bar_obstruction_replay_budget(tmp_path, capsys):
+    # the barobs_s3 benchmark input at c = -5/6, above its size: replay
+    # parses the bigraded model's d lines, derives d on every monomial up
+    # to the bound and checks d^2 = 0; about 0.06 s raw at N = 40
+    ws_path = tmp_path / "barobs.rht"
+    ws_path.write_text(NONFORMAL_FILE.replace("truncation 24", "truncation 26")
+                       .replace("d y = x1*x2", "d y = -5/6*x1*x2"))
+    cert_path = tmp_path / "barobs_40.cert"
+    code = cli.main(["formality", str(ws_path), "nonformal",
+                     "--max-degree", "40", "--certificate-out",
+                     str(cert_path)])
+    capsys.readouterr()
+    assert code == 3
+    text = cert_path.read_text()
+    assert text.startswith("rht-certificate bar-linearity-obstruction\n")
+    with Budget(2) as budget:
+        ok, info = replay_certificate_text(text)
+    assert ok, info
+    print("\nPASS bar-obstruction certificate at N = 40 replayed in %.2fs"
+          % budget.elapsed)

@@ -2,12 +2,16 @@
 
 degree_basis enters only branches its count table says are nonempty, and
 dim reads that table without enumerating; apply_derivation multiplies each
-image monomial by the prefix and the rest directly.  On seeded generator
+image monomial of D(x_i) by m with one x_i taken out.  On seeded generator
 lists, with degrees asked in shuffled order, they must give what the oracle
 gives: the same bases in the same order, and the same derivation images with
-the same key order.  normalize_word multiplies a written product in one
-letter at a time; it must give the sign and monomial that counting the
-inversions of the odd letters gives, and the same KeyError.  Cdga.d sums
+the same key order.  normalize_word counts the inversions of each odd
+letter as it reads a written product; it must give the sign and monomial
+that counting over all pairs of odd letters gives, and the same KeyError.
+mul_monomials merges two sorted monomials and derive_monomial takes one
+product per image term; they must give what a dict and a sort, and two
+products per image term, give: the same signs and monomials, and the same
+dicts with the same key order and the same cancelled zeros.  Cdga.d sums
 d of each monomial, derived once per algebra; its d, d_columns and check
 must give what the oracle's derivation of the whole polynomial gives.
 """
@@ -138,6 +142,94 @@ def test_normalize_word_matches_the_inversion_count():
         assert outcomes.get(outcome, 0) >= 20, outcomes
 
 
+def random_monomial(rng, alg):
+    """A monomial of a random degree from 1 to 20, or now and then 1."""
+    if rng.random() < 0.1:
+        return ()
+    degrees = [n for n in range(1, 21) if alg.dim(n)]
+    return rng.choice(alg.degree_basis(rng.choice(degrees)))
+
+
+def test_mul_monomials_matches_the_dict_and_sort():
+    rng = Random(20265)
+    seen = {}
+    for _ in range(CASES):
+        alg = random_algebra(rng)
+        for _ in range(10):
+            m1, m2 = random_monomial(rng, alg), random_monomial(rng, alg)
+            want = oracle.mul_monomials(alg, m1, m2)
+            assert alg.mul_monomials(m1, m2) == want, (alg.generators, m1, m2)
+            shared = {i for i, _ in m1} & {i for i, _ in m2}
+            key = want[0] if m1 and m2 else "unit"
+            seen[key] = seen.get(key, 0) + 1
+            if want[0] and shared:
+                seen["exponents added"] = seen.get("exponents added", 0) + 1
+    assert len(seen) == 5 and min(seen.values()) >= 100, seen
+
+
+def random_image(rng, alg, degree, units):
+    """A random polynomial of the given degree or, a third of the time, the
+    sum of one of that degree and one a degree higher: an image that
+    check_degrees would refuse, of both parities at once."""
+    img = random_poly(rng, alg, degree, units)
+    if rng.random() < 1 / 3:
+        img = img + random_poly(rng, alg, degree + 1, units)
+    return img
+
+
+def test_derive_monomial_matches_two_products_per_term():
+    # random derivations of degree -2 to 3, and the suspension S of degree
+    # -p, p odd and even, each generator to its bar plus at times more;
+    # derive_monomial must give the oracle's dict, key order and the zeros
+    # of cancelled sums included
+    rng = Random(20266)
+    seen = {}
+
+    def count(key):
+        seen[key] = seen.get(key, 0) + 1
+
+    for case in range(CASES):
+        units = rng.random() < 0.5
+        if case % 2:
+            p = rng.randint(1, 5)
+            base = [("g%d" % k, p + rng.randint(1, 6))
+                    for k in range(rng.randint(1, 4))]
+            alg = FreeGCA(base + [(g + "_bar", d - p) for g, d in base])
+            images = {}
+            for g, d in base:
+                images[g] = alg.gen(g + "_bar")
+                if rng.random() < 0.3:
+                    images[g] += random_image(rng, alg, d - p, units)
+            D = Derivation(alg, -p, images, check_degrees=False)
+        else:
+            alg = random_algebra(rng)
+            D = Derivation(alg, rng.choice((1, 1, -2, -1, 0, 2, 3)), {},
+                           check_degrees=False)
+            for name, d in alg.generators:
+                if d + D.degree >= 0 and rng.random() < 0.7:
+                    D.images[name] = random_image(rng, alg, d + D.degree,
+                                                  units)
+        for _ in range(8):
+            m = random_monomial(rng, alg)
+            want = oracle.derive_monomial(alg, D, m)
+            got = alg.derive_monomial(D, m)
+            assert list(got.items()) == list(want.items()), \
+                (alg.generators, D.degree, D.images, m)
+            if not want:
+                continue
+            count(("suspension" if case % 2 else "degree", D.degree % 2))
+            if D.degree == 1:
+                count("degree +1")
+            if any(e > 1 for _, e in m):
+                count("exponent above 1")
+            if any(len({alg.monomial_degree(mi) % 2 for mi in img.monomials()})
+                   > 1 for img in D.images.values()):
+                count("image of both parities")
+            if not all(want.values()):
+                count("a sum cancelled")
+    assert len(seen) == 8 and min(seen.values()) >= 10, seen
+
+
 def test_dim_counts_without_enumerating(monkeypatch):
     alg = FreeGCA([("g%d" % k, k % 7 + 1) for k in range(200)])
     # degree 60 has about 1.5e28 monomials: enumerating them would never end
@@ -145,6 +237,20 @@ def test_dim_counts_without_enumerating(monkeypatch):
                         lambda n: pytest.fail("dim enumerated"))
     assert alg.dim(60) == free_gca_ranks(alg.degrees, 60)[60]
     assert alg._basis_cache == {}
+
+
+def test_count_table_grows_to_the_degrees_asked_not_the_truncation():
+    # a truncation read from a workspace or certificate may be huge; the
+    # count table grows with the degrees a computation reads, to at most
+    # twice the highest, and reaches the truncation only when asked near it
+    alg = Cdga([("x", 2), ("y", 3)], {}, 10 ** 9)
+    for n in range(13):
+        assert alg.cohomology(n)[0] == free_gca_ranks((2, 3), n)[n]
+        assert n + 2 <= len(alg._count[-1]) <= 2 * (n + 1) + 1
+    small = Cdga([("x", 2), ("y", 3)], {}, 14)
+    for n in range(14):
+        small.cohomology(n)
+        assert len(small._count[-1]) <= 16
 
 
 class UncachedCdga(Cdga):

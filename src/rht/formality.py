@@ -24,7 +24,7 @@ search into a verdict.
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
+from operator import itemgetter
 
 from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology
@@ -203,6 +203,27 @@ def free_cohomology_check(A, N):
     return sorted(A.gen_degree(name) for name in low)
 
 
+def exponent_key(algebra, N):
+    """(radix, key) for the monomials of degree <= N of an even ring:
+    key(m) = -sum of e * radix^(n - 1 - g) over the pairs (g, e) of m, with
+    n generators and radix = N // (least generator degree) + 1.
+
+    No exponent reaches the radix, so -key(m) is m's exponent vector read
+    as base-radix digits: keys are distinct, ascending keys are
+    degree_basis order within a degree, and key(m * t) = key(m) + key(t),
+    as a product in an even ring adds exponents, with no sign."""
+    radix = N // min(algebra.degrees, default=1) + 1
+    n = len(algebra.degrees)
+    weights = [-radix ** (n - 1 - g) for g in range(n)]
+
+    def key(m):
+        k = 0
+        for g, e in m:
+            k += weights[g] * e
+        return k
+    return radix, key
+
+
 def regular_sequence_check(algebra, seq, N):
     """Is f_1, ..., f_k a regular sequence in the even polynomial ring, up to
     total degree N?  Checks that multiplication by f_i is injective on every
@@ -210,40 +231,38 @@ def regular_sequence_check(algebra, seq, N):
     that its columns are independent; a nonzero f_1 is injective because
     Q[evens] is a domain.  Truncation-relative.
 
-    One span per degree n holds the degree-n part of (f_<i), over the
-    monomial basis.  Q_k = Q[evens]_k/(f_<i)_k has the non-pivot monomials
-    of the degree-k span as its basis, so multiplication by f_i is injective
-    on Q_k exactly when the products f_i * m over those monomials m are
+    One span per degree n holds the degree-n part of (f_<i), its columns
+    the exponent_key keys of the degree-n monomials, which sort in basis
+    order, so each pivot is the monomial it would be over basis positions.
+    Q_k = Q[evens]_k/(f_<i)_k has the non-pivot monomials of the degree-k
+    span as its basis, so multiplication by f_i is injective on Q_k
+    exactly when the products f_i * m over those monomials m are
     independent modulo the degree-(k + |f_i|) span.  The same products
     also span (f_<=i) there: a pivot monomial is a combination of basis
     monomials modulo (f_<i)_k, so f_i times it is one modulo (f_<i).  They
-    are built as integer rows: f_i is scaled once to a primitive integer
-    polynomial, which changes neither the kernel nor injectivity, and in an
-    even ring the product of two monomials adds their exponents, with no
-    sign.  The witness of a failing (i, k) is the first kernel vector of
-    the residues of those rows, read on the basis monomials of Q_k."""
+    are integer rows for add_int: f_i is scaled once to a primitive
+    integer polynomial, positive at its least key, which changes neither
+    the kernel nor injectivity and makes every row primitive, and the
+    column of m * t is key(m) + key(t), valid as |m * t| <= N.  Only the
+    bases of degrees <= N - |f_i| are enumerated.  The witness of a
+    failing (i, k) is the first kernel vector of the residues of those
+    rows, read on the basis monomials of Q_k; only then are keys mapped
+    back to basis positions."""
     if any(d % 2 for d in algebra.degrees):
         raise ValueError("regular sequences live in an even polynomial ring")
     degrees = [algebra.poly_degree(f) for f in seq]  # raises if inhomogeneous
-    spans, exponents = {}, {}
+    _, key = exponent_key(algebra, N)
+    spans, keys = {}, {}
 
     def span(n):
         if n not in spans:
             spans[n] = EchelonSpan(algebra.dim(n))
         return spans[n]
 
-    def vector(m):
-        v = [0] * len(algebra.degrees)
-        for g, e in m:
-            v[g] = e
-        return tuple(v)
-
-    def exponent_vectors(n):
-        """The degree-n basis as exponent vectors, and their positions."""
-        if n not in exponents:
-            vecs = [vector(m) for m in algebra.degree_basis(n)]
-            exponents[n] = vecs, {v: j for j, v in enumerate(vecs)}
-        return exponents[n]
+    def basis_keys(n):
+        if n not in keys:
+            keys[n] = list(map(key, algebra.degree_basis(n)))
+        return keys[n]
 
     for i, (f, df) in enumerate(zip(seq, degrees)):
         if df is None:
@@ -252,24 +271,33 @@ def regular_sequence_check(algebra, seq, N):
         if last and not i:
             break
         den = lcm(*[c.denominator for c in f.terms.values()])
-        ints = [(int(c * den), t) for t, c in f.items()]
+        ints = [(int(c * den), key(t)) for t, c in f.items()]
         g = gcd(*[c for c, _ in ints])
-        terms = [(c // g, vector(t)) for c, t in ints]
+        if min(ints, key=itemgetter(1))[0] < 0:
+            g = -g
+        terms = [(c // g, t) for c, t in ints]
         # f_i's rows enter the spans after its last k, so that every Q_k it
         # is tested on is taken modulo (f_<i), and only if a later
         # relation reads them
         pending = []
         for k in range(0, N - df + 1):
             pivots = set(span(k).pivots)
-            vecs = exponent_vectors(k)[0]
-            free = [j for j in range(len(vecs)) if j not in pivots]
-            pos, target = exponent_vectors(k + df)[1], span(k + df)
-            rows = [{pos[tuple(map(add, vecs[j], t))]: c for c, t in terms}
-                    for j in free]
+            ks = basis_keys(k)
+            free = [j for j, mk in enumerate(ks) if mk not in pivots]
+            target = span(k + df)
+            rows = [{ks[j] + t: c for c, t in terms} for j in free]
             if i:
                 fresh = EchelonSpan(target.dim)
-                if not all(fresh.add_residue(r, target) for r in rows):
-                    ker = kernel_basis([target.residue(r) for r in rows])[0]
+                if not all(fresh.add_int(r, target) for r in rows):
+                    # residue reads basis positions: copy target onto them
+                    pos = {key(m): j for j, m in
+                           enumerate(algebra.degree_basis(k + df))}
+                    base = EchelonSpan(target.dim)
+                    for r in target.rows:
+                        base.add({pos[c]: x for c, x in r.items()})
+                    ker = kernel_basis([
+                        base.residue({pos[c]: x for c, x in r.items()})
+                        for r in rows])[0]
                     basis = algebra.degree_basis(k)
                     bad = Poly({basis[free[j]]: c for j, c in ker.items()})
                     return False, RegularSequenceWitness(i, k, bad)
@@ -277,7 +305,7 @@ def regular_sequence_check(algebra, seq, N):
                 pending.append((target, rows))
         for target, rows in pending:
             for r in rows:
-                target.add(r)
+                target.add_int(r)
     return True, None
 
 

@@ -486,6 +486,8 @@ class Cdga(FreeGCA):
         self._class_basis_cache = {}
         self._dcol_cache = {}
         self._d_of = {}
+        # every image of degree |x| + 1, once check() has found so
+        self._homogeneous = False
 
     def _counts(self, n):
         """The count table, grown to at least twice the degrees it held but
@@ -505,12 +507,19 @@ class Cdga(FreeGCA):
 
         d of each monomial is derived once per algebra and kept, so d,
         d_columns and check share one differentiation.  The flag only says
-        where to test a sum: a term above the truncation may cancel in it."""
+        where to test a sum: a term above the truncation may cancel in it.
+        Once check() has found every image homogeneous of degree |x| + 1,
+        d(m) has degree |m| + 1 and the flag is read off that, with no scan
+        of the images of its own; otherwise each term of d(m) is tested."""
         entry = self._d_of.get(m)
         if entry is None:
             dm = self.derive_monomial(self.differential, m)
-            entry = self._d_of[m] = (dm, any(
-                self.monomial_degree(mm) > self.truncation for mm in dm))
+            if self._homogeneous:
+                above = self.monomial_degree(m) + 1 > self.truncation
+            else:
+                above = any(self.monomial_degree(mm) > self.truncation
+                            for mm in dm)
+            entry = self._d_of[m] = (dm, above)
         return entry
 
     def d(self, p):
@@ -541,6 +550,7 @@ class Cdga(FreeGCA):
             if not good:
                 return CheckReport.violation(
                     "degree", "d(%s) is not homogeneous of degree |%s|+1" % (name, name))
+        self._homogeneous = True
         for name in self.names:
             if name in self.truncated_gens:
                 continue

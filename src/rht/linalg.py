@@ -10,8 +10,9 @@ names are public:
   * ``combine(pairs)``, the sum of c * v over (v, c) pairs, the one way
     sparse vectors are added;
   * ``EchelonSpan``, the one elimination kernel: a growing subspace, with
-    residues modulo the span, its rank, and insertion of the residues of
-    vectors modulo another span;
+    residues modulo the span, its rank, and, through ``add_int``, insertion
+    of integer rows keyed by any ints, as they are or as residues modulo
+    another span;
   * ``kernel_basis(columns)``, the kernel of a matrix given by its columns;
   * ``homology(d_out, d_in, dim)``, representatives of ker / im at one
     degree of a graded complex, and the tagged span that reads classes.
@@ -109,7 +110,8 @@ class EchelonSpan:
     """A subspace of Q^dim, kept as a fully reduced echelon basis.
 
     Vectors passed in are sparse columns ``{index: value}`` with indices in
-    0..dim-1; entries may be ints or Fractions.  Internally each basis row is
+    0..dim-1; entries may be ints or Fractions.  ``add_int`` alone takes
+    integer rows keyed by any ints instead.  Internally each basis row is
     a primitive integer ``{col: int}`` dict keyed by its pivot column (see
     the module docstring).
     """
@@ -190,13 +192,20 @@ class EchelonSpan:
         """Insert vec; returns True if it enlarged the span."""
         return self._insert(self._row(vec)[0])
 
-    def add_residue(self, vec, base):
-        """Insert the residue of vec modulo the span base, of the same dim;
-        returns True if it enlarged this span, that is, if vec is
-        independent of base and this span together.  base is left as it
-        is, so a span filled this way holds residues modulo base alone."""
-        w = base._reduce(self._row(vec)[0])[0]
-        return bool(w) and self._insert(w)
+    def add_int(self, row, base=None):
+        """Insert the integer row, reduced modulo the span base first if
+        one is given; returns True if it enlarged this span, that is, if row
+        is independent of base and this span together.  base is left as it
+        is, so a span filled this way holds residues modulo base alone.
+
+        row is a {key: int} dict of nonzero entries, taken as it is, with
+        no range check or conversion; the span may keep it, so the caller
+        must not change it.  Keys may be any ints, here and in base, the
+        pivot being the least key, so keys in the order of 0..dim-1 give
+        the same spans, pivot for pivot."""
+        if base is not None:
+            row = base._reduce(row)[0]
+        return bool(row) and self._insert(row)
 
     def residue(self, vec):
         """The unique vector of vec + span that is zero at every pivot, as

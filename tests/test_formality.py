@@ -17,6 +17,7 @@ from rht.certificates import (parse_certificate, replay_certificate_text,
                               serialize_verdict)
 from rht.formality import (free_cohomology_check, regular_sequence_check,
                            koszul_formality, koszul_shape, koszul_rho,
+                           koszul_sequence, exponent_key,
                            bigraded_model, lemma36_scan, barred_scan_missing,
                            formality_pipeline,
                            mapping_space_model, FORMAL, NONFORMAL, UNKNOWN,
@@ -119,6 +120,50 @@ def test_regular_sequence_rejects_odd_ring_and_inhomogeneous():
     alg = FreeGCA([("x", 2)])
     with pytest.raises(ValueError):
         regular_sequence_check(alg, [alg.gen("x") + Poly.unit()], 8)
+
+
+def test_exponent_key_is_additive_and_in_basis_order():
+    # on seeded even rings: keys increase strictly along each degree_basis,
+    # key(m * t) = key(m) + key(t) whenever |m| + |t| <= N, and no
+    # exponent of a monomial of degree <= N reaches the radix
+    rng = Random(2026)
+    pairs = 0
+    for _ in range(40):
+        alg = FreeGCA([("x%d" % g, rng.choice([2, 4, 6, 8]))
+                       for g in range(rng.randint(1, 5))])
+        N = rng.randint(0, 40)
+        # keep every pair of monomials few enough to try them all
+        while sum(alg.dim(n) for n in range(N + 1)) > 150:
+            N -= 1
+        radix, key = exponent_key(alg, N)
+        monos = []
+        for n in range(N + 1):
+            keys = [key(m) for m in alg.degree_basis(n)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (alg, n)
+            monos += [(n, m) for m in alg.degree_basis(n)]
+        assert all(e < radix for _, m in monos for _, e in m)
+        for a, m in monos:
+            for b, t in monos:
+                if a + b <= N:
+                    _, mt = alg.mul_monomials(m, t)
+                    assert key(mt) == key(m) + key(t)
+                    pairs += 1
+    assert pairs >= 5000, pairs
+
+
+def test_regularity_enumerates_no_basis_above_n_minus_least_degree():
+    asked = set()
+
+    class Recording(FreeGCA):
+        def degree_basis(self, n):
+            asked.add(n)
+            return super().degree_basis(n)
+
+    even_alg, seq, _ = koszul_sequence(suspension_model(section4_y(), 2))
+    alg = Recording(even_alg.generators)
+    assert regular_sequence_check(alg, seq, 41) == (True, None)
+    least = min(alg.poly_degree(f) for f in seq)
+    assert least == 6 and all(n <= 41 - least for n in asked)
 
 
 # -- koszul ------------------------------------------------------------------

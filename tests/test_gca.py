@@ -164,6 +164,14 @@ def test_truncation_is_flagged():
     alg = section4_target(truncation=8)
     with pytest.raises(TruncationError):
         alg.d(alg.multiply(alg.gen("x1"), alg.gen("y")))
+    # after check() the flag is read off the degree: the same verdicts
+    checked = section4_target(truncation=12)
+    assert checked.check()
+    x1, y = checked.gen("x1"), checked.gen("y")
+    assert checked.d(checked.multiply(x1, y)) == checked.multiply(
+        x1, checked.multiply(x1, checked.gen("x2")))
+    with pytest.raises(TruncationError):
+        checked.d(checked.multiply(checked.multiply(x1, x1), y))
 
 
 def test_check_cdga_ok_on_suspension_algebra():
@@ -181,6 +189,23 @@ def test_check_cdga_degree_violation():
     model = Cdga([("x", 2)], {"x": alg.multiply(alg.gen("x"), alg.gen("x"))}, 10)
     report = model.check()
     assert not report and report.kind == "degree"
+
+
+def test_inhomogeneous_d_is_reported_and_truncated_term_by_term():
+    # d y = x + x^3 mixes degrees 2 and 6: check() names the degree
+    # violation, and d(y) raises at truncation 5 although |y| + 1 = 4
+    gens = [("x", 2), ("y", 3)]
+    alg = FreeGCA(gens)
+    x = alg.gen("x")
+    model = Cdga(gens, {"y": x + alg.power(x, 3)}, 5)
+    report = model.check()
+    assert (report.ok, report.kind, report.message) == (
+        False, "degree", "d(y) is not homogeneous of degree |y|+1")
+    with pytest.raises(TruncationError,
+                       match="^derivation output exceeds truncation 5$"):
+        model.d(model.gen("y"))
+    with pytest.raises(TruncationError):
+        model.d_columns(3)
 
 
 def test_check_cdga_d_squared_violation():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import rht
@@ -156,10 +157,17 @@ def random_vector(rng, dim):
             for c in rng.sample(range(dim), rng.randint(1, min(dim, 4)))}
 
 
+def int_row(vec):
+    """The integer row add_int takes for the sparse vector vec: vec scaled
+    by the lcm of its denominators, zeros dropped."""
+    den = lcm(*[x.denominator for x in vec.values()])
+    return {c: int(x * den) for c, x in vec.items() if x}
+
+
 def test_column_index_tracks_rewritten_rows():
     # every insert that clears its new pivot out of older rows rewrites
     # them; after each one the index must name exactly the rows holding
-    # each non-pivot column, for add and for add_residue alike
+    # each non-pivot column, for add and for add_int modulo a base alike
     rng = Random(4411)
     rewrites = residues = 0
     for _ in range(200):
@@ -172,7 +180,7 @@ def test_column_index_tracks_rewritten_rows():
                 v = random_vector(rng, dim)
                 r = base.residue(v)
                 want = bool(r) and bool(span.residue(r))
-                assert span.add_residue(v, base) == want
+                assert span.add_int(int_row(v), base) == want
                 residues += want
             else:
                 base.add(random_vector(rng, dim))
@@ -183,16 +191,33 @@ def test_column_index_tracks_rewritten_rows():
     assert rewrites >= 200 and residues >= 50, (rewrites, residues)
 
 
-def test_add_residue_keeps_the_base():
+def test_add_int_keeps_the_base():
     base = EchelonSpan(3)
     base.add({0: 1, 1: 1})
     span = EchelonSpan(3)
-    assert span.add_residue({0: 2}, base)
-    assert not span.add_residue({1: 1}, base)
-    assert not span.add_residue({0: 1, 1: 1}, base)
-    assert span.add_residue({2: 5}, base)
+    assert span.add_int({0: 2}, base)
+    assert not span.add_int({1: 1}, base)
+    assert not span.add_int({0: 1, 1: 1}, base)
+    assert span.add_int({2: 5}, base)
     assert span.rows == [{1: F(1)}, {2: F(1)}]
     assert base.rows == [{0: F(1), 1: F(1)}]
+
+
+def test_add_int_takes_any_int_keys_in_key_order():
+    # keys far outside 0..dim-1, negative ones included, pivot at the
+    # least key: the spans of positions renumbered in key order
+    keys = [-10 ** 12, -7, 3, 10 ** 9]
+    rng = Random(26)
+    for _ in range(100):
+        dim = len(keys)
+        by_pos, by_key = EchelonSpan(dim), EchelonSpan(dim)
+        for _ in range(rng.randint(1, 6)):
+            v = int_row(random_vector(rng, dim))
+            if v:
+                assert by_key.add_int({keys[c]: x for c, x in v.items()}) \
+                    == by_pos.add_int(v)
+        assert by_key.rows == [{keys[c]: x for c, x in r.items()}
+                               for r in by_pos.rows]
 
 
 def test_public_names_resolve():

@@ -4,9 +4,9 @@ The library keeps one span per degree for the multiples of f_1..f_{i-1},
 builds f_i times the quotient basis monomials as integer rows and tests
 them modulo that span; the oracle builds a quotient ring per relation and
 multiplication matrices in quotient bases.  On seeded even rings with one
-to three relations, regular or not, and on the section-4 sequence, both
-must give the same (ok, index, degree, element_poly), the witness with the
-same key order.
+to three relations, regular or not, on dense three-relation sequences at
+N = 24-32 and on the section-4 sequence, both must give the same (ok,
+index, degree, element_poly), the witness with the same key order.
 """
 
 from fractions import Fraction
@@ -87,3 +87,38 @@ def test_regularity_matches_oracle_on_section4():
         assert got == (True, None)
         assert outcome(got) == outcome(
             oracle.regular_sequence_check(even_alg, seq, N))
+
+
+def dense_form(rng, alg, degree):
+    """Every monomial of the degree with a random nonzero coefficient."""
+    return Poly({m: F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                 for m in alg.degree_basis(degree)})
+
+
+def test_regularity_matches_oracle_at_scale():
+    # degree-2 generators at N = 24..32, so that exponents reach 12..16 and
+    # keys pack large digits; three dense relations with a non-monomial
+    # f_1, regular, or failing at the last relation above degree 0: f_2 =
+    # a*b and f_3 = a*c with linear forms a, b, c kill b in degree 2
+    rng = Random(2424)
+    seen = {"regular": 0, "fails at the third above degree 0": 0}
+    for case in range(6):
+        alg = FreeGCA([("x%d" % g, 2) for g in range(3)])
+        N = rng.randint(24, 32)
+        f1 = dense_form(rng, alg, 4)
+        if case % 2:
+            a, b, c = (dense_form(rng, alg, 2) for _ in range(3))
+            seq = [f1, alg.multiply(a, b), alg.multiply(a, c)]
+        else:
+            seq = [f1, dense_form(rng, alg, 4), dense_form(rng, alg, 6)]
+        assert len(f1.terms) > 1
+        got = outcome(regular_sequence_check(alg, seq, N))
+        assert got == outcome(oracle.regular_sequence_check(alg, seq, N)), \
+            ([alg.poly_str(f) for f in seq], N)
+        if got[0]:
+            seen["regular"] += 1
+        else:
+            seen["fails at the third above degree 0"] += \
+                got[1] == 2 and got[2] > 0
+    assert seen == {"regular": 3, "fails at the third above degree 0": 3}, \
+        seen

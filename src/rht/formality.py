@@ -5,9 +5,10 @@ Every verdict carries evidence that re-verifies from scratch:
   * FreeCohomologyCert -- d = 0 on every generator up to the bound, so the
     cohomology there is the free algebra itself (Thom route);
   * KoszulCert -- Koszul shape plus a regular sequence of odd differentials,
-    checked up to bound + 1; by the Koszul-complex theorem that is exactly
-    the quasi-isomorphism onto the quotient ring up to bound, so neither
-    produce nor replay computes the model's cohomology;
+    proved regular in every degree from Groebner leading terms, or else
+    checked degreewise up to bound + 1; by the Koszul-complex theorem that
+    is exactly the quasi-isomorphism onto the quotient ring up to bound, so
+    neither produce nor replay computes the model's cohomology;
   * BarObstructionCert -- a structural non-formality witness on a barred
     bigraded model (only for odd sphere dimension: the even case cannot
     conclude and returns nothing).  The barred model is bar-linear by
@@ -24,7 +25,7 @@ search into a verdict.
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter, le, mul, sub
 
 from .gca import Cdga, CdgaMorphism, Poly, CheckReport, FreeGCA
 from .quotient import QuotientRing, ModelCohomology
@@ -35,6 +36,10 @@ from .cefunctor import ce_cochains
 from .dgl import tensor_map_model
 
 QONE = Fraction(1)
+
+# S-pairs the leading-term proof of regularity reduces before it leaves the
+# sequence to the degreewise check
+S_PAIR_CAP = 64
 
 FORMAL = "formal"
 NONFORMAL = "nonformal"
@@ -135,7 +140,10 @@ class RegularSequenceWitness:
 
 class KoszulCert:
     """Koszul shape and odd differentials regular up to bound + 1: both are
-    read off the model, so the model is the whole certificate."""
+    read off the model, so the model is the whole certificate.  A sequence
+    that the leading terms of a Groebner basis prove regular in the whole
+    ring replays at a cost that does not depend on bound; only the
+    degreewise fallback of regular_sequence_check costs what bound says."""
     kind = "koszul-regular-sequence"
 
     def __init__(self, model, bound, shape=None):
@@ -224,12 +232,125 @@ def exponent_key(algebra, N):
     return radix, key
 
 
+def _meets_all(supports, k):
+    """Is there a set of at most k variables that meets every support, a
+    bit mask of variables?  An empty support is met by no set."""
+    if not supports:
+        return True
+    if not k:
+        return False
+    rest = supports[0]
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if _meets_all([s for s in supports if not s & bit], k - 1):
+            return True
+    return False
+
+
+# an exponent vector's reverse: the least reverse is the greatest monomial
+# of a degree in reverse lexicographic order
+_revlex = itemgetter(slice(None, None, -1))
+
+
+def _regular_by_leading_terms(algebra, seq, N):
+    """True when the leading monomials of a partial Groebner basis prove
+    f = seq regular in the whole ring Q[evens]; False when they do not
+    within N, or within S_PAIR_CAP S-pairs, which proves nothing.
+
+    Buchberger's algorithm in Fractions on exponent vectors, in weighted
+    grevlex order (degree by the generator degrees, ties by reverse lex),
+    taking pairs by ascending degree of their lcm and skipping a pair whose
+    leading monomials are coprime.  The f_i are homogeneous, so every
+    S-polynomial is, of its lcm's degree; pairs above N are left alone.
+    Each new leading monomial joins L, the ideal they generate, and the
+    search stops as soon as no set of r - 1 variables meets every one,
+    that is, once ht L = r, the least number of variables that does:
+      * L lies in in(I), so ht L <= ht in(I) = ht I, as Q[evens]/in(I)
+        and Q[evens]/I have one Hilbert function (Cox, Little and O'Shea,
+        Ideals, Varieties, and Algorithms, ch. 9);
+      * ht I <= r by Krull's height theorem, as I = (f) is proper: every
+        f_i is homogeneous of positive degree;
+      * so ht I = r, and homogeneous f_1, ..., f_r with ht (f) = r are a
+        regular sequence of the Cohen-Macaulay ring Q[evens] (Bruns and
+        Herzog, Cohen-Macaulay Rings, 2.1): f_i is injective on every
+        degree of Q[evens]/(f_<i), and the degreewise check would give
+        (True, None) at every N.
+    A nonzero constant would make I the whole ring, outside Krull's
+    theorem, so a constant, like f_i = 0, a sequence of length <= 1 and
+    more relations than variables, is left to the degreewise check."""
+    r, n = len(seq), len(algebra.degrees)
+    # f_i is homogeneous: () among its terms makes it a constant
+    if not 1 < r <= n or not all(f and () not in f.terms for f in seq):
+        return False
+    basis, supports, pairs = [], [], []
+
+    def insert(p):
+        """Adds p, made monic, to the basis; True once ht L = r."""
+        lm = min(p, key=_revlex)
+        c = p[lm]
+        p = {m: x / c for m, x in p.items()}
+        j = len(basis)
+        for i, (other, _) in enumerate(basis):
+            if any(map(min, lm, other)):
+                top = tuple(map(max, lm, other))
+                degree = sum(map(mul, algebra.degrees, top))
+                pairs.append((degree, i, j, top))
+        basis.append((lm, p))
+        supports.append(sum(1 << g for g, x in enumerate(lm) if x))
+        return not _meets_all(supports, r - 1)
+
+    def subtract(h, p, t, c):
+        """h - c * t * p, in place, for a monomial t."""
+        for m, x in p.items():
+            m = tuple(map(add, m, t))
+            y = h.get(m, 0) - c * x
+            if y:
+                h[m] = y
+            else:
+                del h[m]
+        return h
+
+    for f in seq:
+        if insert({tuple(dict(m).get(g, 0) for g in range(n)): c
+                   for m, c in f.items()}):
+            return True
+    done = 0
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        degree, i, j, top = pair
+        done += 1
+        if degree > N or done > S_PAIR_CAP:
+            return False
+        (lm_i, p_i), (lm_j, p_j) = basis[i], basis[j]
+        h = subtract({}, p_i, tuple(map(sub, top, lm_i)), -QONE)
+        subtract(h, p_j, tuple(map(sub, top, lm_j)), QONE)
+        while h:  # top-reduced until no basis leading monomial divides h's
+            lm = min(h, key=_revlex)
+            for other, p in basis:
+                if all(map(le, other, lm)):
+                    subtract(h, p, tuple(map(sub, lm, other)), h[lm])
+                    break
+            else:
+                if insert(h):
+                    return True
+                break
+    return False
+
+
 def regular_sequence_check(algebra, seq, N):
     """Is f_1, ..., f_k a regular sequence in the even polynomial ring, up to
     total degree N?  Checks that multiplication by f_i is injective on every
     degree <= N - |f_i| of the partial quotient Q[evens]/(f_<i), that is,
     that its columns are independent; a nonzero f_1 is injective because
-    Q[evens] is a domain.  Truncation-relative.
+    Q[evens] is a domain.
+
+    First _regular_by_leading_terms tries to prove the sequence regular in
+    the whole ring, which holds at every N; then the answer is (True,
+    None) and nothing is enumerated.  Otherwise the degreewise check below
+    decides, and it alone gives every witness and every "regular only up
+    to N": only that fallback is truncation-relative.
 
     One span per degree n holds the degree-n part of (f_<i), its columns
     the exponent_key keys of the degree-n monomials, which sort in basis
@@ -251,6 +372,8 @@ def regular_sequence_check(algebra, seq, N):
     if any(d % 2 for d in algebra.degrees):
         raise ValueError("regular sequences live in an even polynomial ring")
     degrees = [algebra.poly_degree(f) for f in seq]  # raises if inhomogeneous
+    if _regular_by_leading_terms(algebra, seq, N):
+        return True, None
     _, key = exponent_key(algebra, N)
     spans, keys = {}, {}
 

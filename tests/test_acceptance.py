@@ -130,6 +130,26 @@ def test_section4_replay_budget(tmp_path, capsys):
           % budget.elapsed)
 
 
+def test_section4_replay_at_bound_250_budget(tmp_path, capsys):
+    # the same certificate with bound 250 and truncation 251: the leading
+    # terms of a Groebner basis prove its sequence regular in every degree,
+    # so replay costs what the sequence needs, not what the bound says
+    cert_path = tmp_path / "s4_40.cert"
+    code = cli.main(["reproduce-section4", "--max-degree", "40",
+                     "--certificate-out", str(cert_path)])
+    capsys.readouterr()
+    assert code == 0
+    text = cert_path.read_text()
+    assert "\nbound 40\n" in text and "\ntruncation 41\n" in text
+    text = text.replace("\nbound 40\n", "\nbound 250\n").replace(
+        "\ntruncation 41\n", "\ntruncation 251\n")
+    with Budget(0.5) as budget:
+        ok, info = replay_certificate_text(text)
+    assert ok, info
+    print("\nPASS section-4 certificate at bound 250 replayed in %.2fs"
+          % budget.elapsed)
+
+
 def test_criterion_2_target_cohomology():
     with Budget(10) as budget:
         ws = parse_text(SECTION4_FILE)

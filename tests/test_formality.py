@@ -151,7 +151,11 @@ def test_exponent_key_is_additive_and_in_basis_order():
     assert pairs >= 5000, pairs
 
 
-def test_regularity_enumerates_no_basis_above_n_minus_least_degree():
+def test_regularity_enumerates_no_basis_above_n_minus_least_degree(
+        monkeypatch):
+    # the degreewise check, which the leading-term proof would skip here
+    monkeypatch.setattr(rht.formality, "_regular_by_leading_terms",
+                        lambda *args: False)
     asked = set()
 
     class Recording(FreeGCA):
@@ -163,7 +167,34 @@ def test_regularity_enumerates_no_basis_above_n_minus_least_degree():
     alg = Recording(even_alg.generators)
     assert regular_sequence_check(alg, seq, 41) == (True, None)
     least = min(alg.poly_degree(f) for f in seq)
-    assert least == 6 and all(n <= 41 - least for n in asked)
+    assert least == 6 and max(asked) == 41 - least
+
+
+def test_regular_section4_enumerates_nothing(monkeypatch):
+    # the leading monomials of a Groebner basis prove section 4's sequence
+    # regular in the whole ring, so no degree is enumerated and no span is
+    # built, whatever N
+    calls = {"degree_basis": 0, "EchelonSpan": 0}
+
+    class Recording(FreeGCA):
+        def degree_basis(self, n):
+            calls["degree_basis"] += 1
+            return super().degree_basis(n)
+
+    class RecordingSpan(rht.formality.EchelonSpan):
+        def __init__(self, *args):
+            calls["EchelonSpan"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(rht.formality, "EchelonSpan", RecordingSpan)
+    even_alg, seq, _ = koszul_sequence(suspension_model(section4_y(), 2))
+    alg = Recording(even_alg.generators)
+    for N in (41, 250):
+        assert regular_sequence_check(alg, seq, N) == (True, None)
+    assert calls == {"degree_basis": 0, "EchelonSpan": 0}
+    # the degreewise fallback still runs where the proof needs more than N
+    assert regular_sequence_check(alg, seq, 9) == (True, None)
+    assert calls["degree_basis"] and calls["EchelonSpan"]
 
 
 # -- koszul ------------------------------------------------------------------

@@ -472,8 +472,8 @@ def tensor_commutator(e1, d1, e2, d2):
 def _tensor_coordinates(reps, names_by_degree):
     """coords(deg, e): the combination {name: c} of the degree-deg basis
     elements whose tensors reps[name] sum to the tensor e, or None if e is
-    outside their span.  One tagged span per degree, as in
-    gca.Cdga.class_coordinates: the k-th basis tensor is added with a 1 in
+    outside their span.  One tagged span per degree, as the rht.linalg
+    module docstring describes: the k-th basis tensor is added with a 1 in
     tag column k, and the tag entries of a residue are minus the
     coordinates."""
     spans = {}

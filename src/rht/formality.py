@@ -708,8 +708,8 @@ def bigraded_model(H, N):
         """Representatives of the slot-(n, k) cohomology, as Polys."""
         if k not in reps:
             basis = slot(n, k)
-            vecs = homology(d_columns(n, k), d_columns(n - 1, k + 1),
-                            len(basis))[0] if basis else []
+            vecs = homology(d_columns(n, k),
+                            d_columns(n - 1, k + 1))[0] if basis else []
             reps[k] = [Poly._of({basis[i]: c for i, c in v.items()})
                        for v in vecs]
         return reps[k]

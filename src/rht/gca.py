@@ -483,7 +483,7 @@ class Cdga(FreeGCA):
         # degree violations are reported by check(), not raised here
         self.differential = Derivation(self, 1, imgs, check_degrees=False)
         self._cohomology_cache = {}
-        self._class_basis_cache = {}
+        self._class_readers = {}
         self._dcol_cache = {}
         self._d_of = {}
         # every image of degree |x| + 1, once check() has found so
@@ -606,15 +606,14 @@ class Cdga(FreeGCA):
                 "cohomology in degree %d needs truncation >= %d" % (n, n + 1))
         if n in self._cohomology_cache:
             return self._cohomology_cache[n]
-        # the tagged span reads class coordinates (see class_coordinates)
-        vecs, span = homology(self.d_columns(n),
-                              self.d_columns(n - 1) if n >= 1 else (),
-                              self.dim(n))
+        # the reader of class coordinates is kept for class_coordinates
+        vecs, reader = homology(self.d_columns(n),
+                                self.d_columns(n - 1) if n >= 1 else ())
         basis = self.degree_basis(n)
         reps = [Poly._of({basis[i]: c for i, c in v.items()}) for v in vecs]
         result = (len(reps), reps)
         self._cohomology_cache[n] = result
-        self._class_basis_cache[n] = span
+        self._class_readers[n] = reader
         return result
 
     def class_coordinates(self, n, p):
@@ -632,13 +631,8 @@ class Cdga(FreeGCA):
             raise ValueError("class_coordinates: not a cocycle")
         if not rk:
             return {}
-        dim = self.dim(n)
         pos = {m: i for i, m in enumerate(self.degree_basis(n))}
-        res = self._class_basis_cache[n].residue(
-            {pos[m]: c for m, c in p.items()})
-        if min(res, default=dim) < dim:
-            raise ValueError("class_coordinates: vector not in cocycle span")
-        return {k: -res[dim + k] for k in range(rk) if dim + k in res}
+        return self._class_readers[n]({pos[m]: c for m, c in p.items()})
 
 
 class CdgaMorphism:

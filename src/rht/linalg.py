@@ -14,8 +14,8 @@ names are public:
     of integer rows keyed by any ints, as they are or as residues modulo
     another span;
   * ``kernel_basis(columns)``, the kernel of a matrix given by its columns;
-  * ``homology(d_out, d_in, dim)``, representatives of ker / im at one
-    degree of a graded complex, and the tagged span that reads classes.
+  * ``homology(d_out, d_in)``, representatives of ker / im at one degree
+    of a graded complex, and the reader of a cocycle's class coordinates.
 
 Inside the kernel a row is a sparse ``{column: int}`` dict: an input vector
 is scaled once by the lcm of its denominators and kept primitive (divided by
@@ -42,10 +42,14 @@ them alone rather than every row: after every insert,
 over the stored rows, with no empty sets.  A pivot column is held by its
 own row only, so it never appears as a key.
 
-Coordinates of a vector over independent vectors v_1..v_k are read from a
-tagged span: add each v_j with a 1 appended in an extra column j, take the
-residue of the vector, and negate its tag entries (see ``homology`` and
-``gca.Cdga.class_coordinates``).
+Keys may also run in reverse: a row keyed by minus its column pivots on
+its last entry.  That is how ``kernel_basis`` and ``homology`` each read
+their result off a single elimination.
+
+Coordinates of a vector over independent vectors v_1..v_k can be read from
+a tagged span: add each v_j with a 1 appended in an extra column j, take
+the residue of the vector, and negate its tag entries (see
+``dgl._tensor_coordinates``).
 """
 
 from fractions import Fraction
@@ -238,55 +242,75 @@ def kernel_basis(columns):
     """Basis of {x : sum_j x_j columns[j] = 0}, as sparse Fraction columns
     {j: x_j} in ascending j; each input column is a sparse {row: value} dict.
 
-    The matrix is eliminated row by row, in increasing row index.  The basis
-    is put in reduced row-echelon form, so it is deterministic and has size
-    len(columns) - rank.
+    The matrix is eliminated once, row by row in increasing row index, with
+    its entries keyed by minus their column: the span pivots on the least
+    key, so each reduced row r pivots on its last column p.  A free column f
+    then gives
+
+        e_f - sum over the rows r that hold f of (r[f] / r[p]) e_p,
+
+    and every such p lies right of f, so the vector's least column is f and
+    it is zero at every other free column.  By f, these vectors are the
+    reduced row-echelon basis of the kernel, of size len(columns) - rank;
+    that basis is unique, so it is the one any elimination order gives.
     """
-    ncols = len(columns)
     by_row = {}
     for j, col in enumerate(columns):
         for i, v in col.items():
-            by_row.setdefault(i, {})[j] = v
-    span = EchelonSpan(ncols)
+            by_row.setdefault(i, {})[-j] = v
+    span = EchelonSpan(len(columns))
     for i in sorted(by_row):
-        span._insert(_int_row(by_row[i])[0])
+        span.add_int(_int_row(by_row[i])[0])
     rows, hits = span._rows, span._cols
-    # free column f gives e_f - sum over pivots p of (r_p[f] / lead_p) e_p
-    ker = EchelonSpan(ncols)
-    for f in range(ncols):
-        if f in rows:
+    out = []
+    for f in range(len(columns)):
+        if -f in rows:
             continue
-        ps = hits.get(f, ())
-        scale = lcm(*[rows[p][p] for p in ps])
-        v = {f: scale}
-        for p in ps:
-            v[p] = -rows[p][f] * (scale // rows[p][p])
-        ker._insert(v)
-    return ker.rows
+        v = {f: QONE}
+        # the keys of the rows holding f, descending: their pivots ascending
+        for q in sorted(hits.get(-f, ()), reverse=True):
+            r = rows[q]
+            v[-q] = Fraction(-r[-f], r[q])
+        out.append(v)
+    return out
 
 
-def homology(d_out, d_in, dim):
-    """(representatives, tagged span) of ker d_out / im d_in at one degree
-    of a graded complex, C^n of dimension dim.
+def homology(d_out, d_in):
+    """(representatives, class_coordinates) of ker d_out / im d_in at one
+    degree of a graded complex.
 
     d_out holds the columns of d out of C^n, one per basis element; d_in
-    holds the columns of d into C^n, sparse over its dim indices.  The
-    representatives are the kernel_basis vectors of d_out that are
-    independent of the boundaries and of the representatives chosen before
-    them, so they are canonical.  In the span, column dim + k tags the k-th
-    representative, added as v + e_{dim+k}; boundaries carry no tag.  Every
-    row of the span is then a cocycle followed by the combination of
-    representatives it equals modulo boundaries, so minus the tag entries of
-    a cocycle's residue are its class coordinates.
+    holds the columns of d into C^n, over the same indices, and each must
+    lie in ker d_out (d^2 = 0).  A cocycle x is then sum_i x[f_i] v_i over
+    the kernel_basis vectors v_i of d_out, f_i the pivot of v_i: its kernel
+    coordinates are its entries at the pivots.  The boundaries' coordinates
+    are eliminated with coordinate i keyed k - 1 - i, so each pivot names
+    the last coordinate of some boundary.  v_i is kept exactly when i is no
+    such last coordinate, that is, when v_i is independent of the
+    boundaries and of the v_j before it: the greedy choice in kernel order,
+    so the representatives are canonical.
+
+    class_coordinates(x) gives the class of a cocycle x over the
+    representatives, as a sparse column {k: Fraction}: the kernel
+    coordinates of x modulo the boundaries', which are zero at every pivot
+    and so fall on the representatives alone.
     """
     cocycles = kernel_basis(d_out)
-    span = EchelonSpan(dim + len(cocycles))
+    k = len(cocycles)
+    key = {next(iter(v)): k - 1 - i for i, v in enumerate(cocycles)}
+
+    def kernel_coordinates(x):
+        return {key[c]: a for c, a in x.items() if c in key}
+
+    span = EchelonSpan(k)
     for col in d_in:
         if col:
-            span.add(col)
-    reps = []
-    for v in cocycles:
-        if min(span.residue(v), default=dim) < dim:
-            span.add({**v, dim + len(reps): QONE})
-            reps.append(v)
-    return reps, span
+            span.add(kernel_coordinates(col))
+    # the keys of the representatives, in kernel order
+    kept = [q for q in range(k - 1, -1, -1) if q not in span._rows]
+
+    def class_coordinates(x):
+        res = span.residue(kernel_coordinates(x))
+        return {j: res[q] for j, q in enumerate(kept) if q in res}
+
+    return [cocycles[k - 1 - q] for q in kept], class_coordinates

@@ -84,13 +84,13 @@ class HypothesisReport:
 
 
 def finite_cohomology_rank(A, n):
-    """Rank of H^n of a finite-dimensional model, straight from its tables."""
+    """Rank of H^n of a valid finite-dimensional model (d^2 = 0), straight
+    from its tables."""
     def d_columns(k):
         pos = {z: i for i, z in enumerate(A.basis_in_degree(k + 1))}
         return [{pos[z]: c for z, c in A.d(x).items()}
                 for x in A.basis_in_degree(k)]
-    return len(homology(d_columns(n), d_columns(n - 1),
-                        len(A.basis_in_degree(n)))[0])
+    return len(homology(d_columns(n), d_columns(n - 1))[0])
 
 
 def check_hypotheses(prob):
@@ -116,7 +116,8 @@ def check_hypotheses(prob):
         messages.append("invalid Y model: %s" % y_report.message)
     if prob.m < prob.p + 1:
         messages.append("connectivity m=%d < p+1=%d" % (prob.m, prob.p + 1))
-    if not finite_cohomology_rank(prob.x_model, prob.p):
+    # an invalid X (d^2 != 0, say) has no H^p to read
+    if x_report and not finite_cohomology_rank(prob.x_model, prob.p):
         messages.append("H^%d(X) = 0 at the declared top degree" % prob.p)
     odd = prob.x_model.odd_closed_classes()
     t = prob.t if prob.t is not None else (odd[0] if odd else None)

@@ -73,8 +73,7 @@ def bigraded_model(H, N):
             if not basis:
                 return []
             vecs, _ = homology(d_columns(basis, slot(n + 1, k - 1)),
-                               d_columns(slot(n - 1, k + 1), basis),
-                               len(basis))
+                               d_columns(slot(n - 1, k + 1), basis))
             return [Poly({basis[i]: c for i, c in v.items()}) for v in vecs]
 
         # surjectivity: new lower-0 generators hit a basis of coker(rho*)

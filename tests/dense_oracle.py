@@ -7,9 +7,17 @@ enough to check by eye.  A matrix here is a list of dense rows;
 ``columns`` transposes it into the sparse columns that ``rht`` takes, and
 ``sparse`` turns one dense vector into the sparse shape ``rht`` takes and
 returns.
+
+``two_span_kernel_basis`` and ``tagged_homology`` are the sparse kernel and
+cohomology that ``rht.linalg`` used before it read both off one
+elimination, kept as references for ``kernel_basis`` and ``homology``: the
+kernel reduced again in a second span, and representatives chosen by
+residue tests in a span of the boundaries and tagged cocycles.
 """
 
 from fractions import Fraction
+
+from rht.linalg import EchelonSpan
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -104,3 +112,57 @@ def columns(rows, ncols):
 
 def matvec(rows, x):
     return [sum((a * b for a, b in zip(r, x)), QZERO) for r in rows]
+
+
+def two_span_kernel_basis(columns):
+    """The RREF kernel of the sparse columns, as rht.linalg.kernel_basis
+    gives it: the matrix is eliminated row by row, each free column f gives
+    e_f - sum over the pivots p of r_p[f] e_p, and these vectors are reduced
+    again in a second span."""
+    ncols = len(columns)
+    by_row = {}
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            by_row.setdefault(i, {})[j] = v
+    span = EchelonSpan(ncols)
+    for i in sorted(by_row):
+        span.add(by_row[i])
+    pivots = span.pivots
+    ker = EchelonSpan(ncols)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: QONE}
+        for p, r in zip(pivots, span.rows):
+            if f in r:
+                v[p] = -r[f]
+        ker.add(v)
+    return ker.rows
+
+
+def tagged_homology(d_out, d_in, dim):
+    """(representatives, class_coordinates) of ker d_out / im d_in, as
+    rht.linalg.homology gives them, on a space of dimension dim.
+
+    The representatives are the kernel vectors whose residue modulo the
+    boundaries and the representatives before them is nonzero.  Column
+    dim + k tags the k-th representative, added as v + e_{dim+k}, so minus
+    the tag entries of a cocycle's residue are its class coordinates."""
+    cocycles = two_span_kernel_basis(d_out)
+    span = EchelonSpan(dim + len(cocycles))
+    for col in d_in:
+        if col:
+            span.add(col)
+    reps = []
+    for v in cocycles:
+        if min(span.residue(v), default=dim) < dim:
+            span.add({**v, dim + len(reps): QONE})
+            reps.append(v)
+
+    def class_coordinates(x):
+        res = span.residue(x)
+        if min(res, default=dim) < dim:
+            raise ValueError("not a cocycle")
+        return {k: -res[dim + k] for k in range(len(reps)) if dim + k in res}
+
+    return reps, class_coordinates

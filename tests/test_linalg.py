@@ -220,6 +220,27 @@ def test_add_int_takes_any_int_keys_in_key_order():
                                for r in by_pos.rows]
 
 
+def test_one_elimination_of_d_out_and_a_kernel_wide_span(monkeypatch):
+    # kernel_basis eliminates d_out once, and homology adds one span of the
+    # kernel's width for the boundaries: no second pass over the kernel,
+    # and no span of width dim + number of cocycles
+    widths = []
+
+    class RecordingSpan(EchelonSpan):
+        def __init__(self, dim):
+            widths.append(dim)
+            super().__init__(dim)
+
+    monkeypatch.setattr(linalg, "EchelonSpan", RecordingSpan)
+    # d_out on Q^5 of rank 2, kernel of dimension 3; one boundary in it
+    d_out = [{0: F(1)}, {0: F(1)}, {1: F(2)}, {}, {1: F(-1, 3)}]
+    ker = kernel_basis(d_out)
+    assert len(ker) == 3 and widths == [5]
+    del widths[:]
+    reps, _ = linalg.homology(d_out, [{0: F(1), 1: F(-1)}])
+    assert len(reps) == 2 and widths == [5, 3]
+
+
 def test_public_names_resolve():
     namespace = {}
     exec("from rht import *", namespace)

@@ -5,7 +5,9 @@ with free variables 0, rank, membership), so it must equal the dense
 eliminator's output exactly, not just up to a change of basis.  The oracle
 takes and returns dense rows; ``oracle.columns`` builds the sparse columns
 handed to ``rht``, and ``oracle.sparse`` turns one dense row into the
-sparse shape ``rht`` takes and returns.
+sparse shape ``rht`` takes and returns.  ``kernel_basis`` and ``homology``
+must also equal the two-span kernel and the tagged-span cohomology kept in
+the oracle module: representatives and class coordinates are canonical too.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from random import Random
 import pytest
 
 import dense_oracle as oracle
-from rht.linalg import EchelonSpan, kernel_basis
+from rht.linalg import EchelonSpan, homology, kernel_basis
 
 F = Fraction
 BIG = 2 ** 64
@@ -91,6 +93,72 @@ def test_kernel_basis_matches_oracle(seed):
         assert got == [oracle.sparse(v)
                        for v in oracle.kernel_basis(rows, ncols)]
         assert all(list(v) == sorted(v) for v in got)
+
+
+def _combination(rng, vectors, dim):
+    """A random combination of dense vectors, often with zero weights."""
+    out = [F(0)] * dim
+    for v in vectors:
+        c = _entry(rng, rng.choice(("int", "rat", "big"))) \
+            if rng.random() < 0.6 else F(0)
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def _complexes(seed, count):
+    """(d_out, d_in, dim, cocycles) at one degree of a random complex: d_out
+    any matrix out of Q^dim, d_in boundaries drawn inside its kernel, among
+    them zero columns and repeats, and cocycles drawn from the kernel."""
+    for rows, dim, rng in _cases(seed, count):
+        ker = oracle.kernel_basis(rows, dim)
+        d_in = [oracle.sparse(_combination(rng, ker, dim))
+                for _ in range(rng.randint(0, 6))]
+        if d_in and rng.random() < 0.3:
+            d_in.append(dict(rng.choice(d_in)))
+        cocycles = [oracle.sparse(_combination(rng, ker, dim))
+                    for _ in range(3)] + [oracle.sparse(v) for v in ker]
+        yield oracle.columns(rows, dim), d_in, dim, cocycles
+
+
+def assert_homology_matches_reference(d_out, d_in, dim, cocycles):
+    reps, coords = homology(d_out, d_in)
+    want_reps, want_coords = oracle.tagged_homology(d_out, d_in, dim)
+    assert reps == want_reps
+    assert all(list(v) == sorted(v) for v in reps)
+    for x in cocycles:
+        got = coords(x)
+        assert got == want_coords(x)
+        assert list(got) == sorted(got)
+    return reps, coords
+
+
+@pytest.mark.parametrize("seed", [13, 14, 15])
+def test_homology_matches_tagged_span_reference(seed):
+    for d_out, d_in, dim, cocycles in _complexes(seed, 100):
+        assert kernel_basis(d_out) == oracle.two_span_kernel_basis(d_out)
+        assert_homology_matches_reference(d_out, d_in, dim, cocycles)
+
+
+def test_homology_reference_cases():
+    e = [{0: F(1)}, {1: F(1)}, {2: F(1)}]
+    zero3 = [{}, {}, {}]
+    # a boundary v_2 - v_1 keeps v_1 and drops v_2, whose class is [v_1]
+    reps, coords = assert_homology_matches_reference(
+        zero3, [{0: F(-1), 1: F(1)}], 3, e)
+    assert reps == [e[0], e[2]]
+    assert [coords(v) for v in e] == [{0: F(1)}, {0: F(1)}, {1: F(1)}]
+    # empty d_in: every kernel vector represents a class
+    reps, coords = assert_homology_matches_reference(zero3, [], 3, e)
+    assert reps == e
+    # empty d_out: nothing to represent, and boundaries are empty columns
+    reps, coords = assert_homology_matches_reference([], [{}, {}], 0, [{}])
+    assert reps == [] and coords({}) == {}
+    # zero columns in d_out and in d_in; the kernel of d_out is e_0, e_2
+    d_out = [{}, {0: F(2)}, {}]
+    reps, coords = assert_homology_matches_reference(
+        d_out, [{}, {2: F(3, 5)}, {}], 3, [e[0], e[2]])
+    assert reps == [e[0]]
+    assert coords(e[2]) == {}
 
 
 @pytest.mark.parametrize("seed", [7, 8, 9])

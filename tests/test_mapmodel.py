@@ -66,6 +66,21 @@ def test_check_hypotheses_rejects_invalid_x_model():
         formality_pipeline(prob, 10)
 
 
+def test_check_hypotheses_reads_no_cohomology_of_an_invalid_x():
+    # d a = b and d b = c: d^2 a = c != 0, so X has no H^p and the one
+    # message is the d-squared violation, whatever p
+    X = FiniteCdga([("1", 0), ("a", 1), ("b", 2), ("c", 3)], "1", {},
+                   {"a": {"b": 1}, "b": {"c": 1}})
+    assert X.validate().kind == "d-squared"
+    for p in (1, 2, 3):
+        prob = MapSpaceProblem(X, p, y_dgl=Dgl([("u", 7)], {}, {}, 24))
+        assert check_hypotheses(prob).messages == [
+            "invalid X model: d^2(a) != 0"]
+        with pytest.raises(ValueError, match=r"hypotheses violated: "
+                           r"invalid X model: d\^2\(a\) != 0$"):
+            formality_pipeline(prob, 10)
+
+
 def test_check_hypotheses_rejects_invalid_y_model():
     # [u,v] = w and [v,u] = w break antisymmetry (|u||v| is even); the
     # pipeline builds on L unchecked, so the check happens here or not at all

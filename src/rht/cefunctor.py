@@ -21,12 +21,11 @@ HALF = Fraction(1, 2)
 
 
 class CeResult:
-    """A Sullivan algebra with the dictionary back to the DGL basis."""
+    """The Sullivan algebra C*(L) that ce_cochains builds.  The generator
+    of x is v<|x|+1>_<i>, x the i-th basis element of its degree."""
 
-    def __init__(self, cdga, gen_of, basis_of):
+    def __init__(self, cdga):
         self.cdga = cdga
-        self.gen_of = gen_of      # DGL basis name -> CDGA generator name
-        self.basis_of = basis_of  # CDGA generator name -> DGL basis name
 
 
 def ce_cochains(L, N):
@@ -54,7 +53,6 @@ def ce_cochains(L, N):
         slot[x] = len(gens)
         gens.append((name, d))
         gen_of[x] = name
-    basis_of = {v: x for x, v in gen_of.items()}
     live = [z for z in L.names if deg[z] + 2 <= N]
 
     # linear part, one transpose pass over d_L with x in basis order:
@@ -109,5 +107,5 @@ def ce_cochains(L, N):
         if img:
             images[gen_of[z]] = Poly(img)
     cdga = Cdga(gens, images, N)
-    return CeResult(cdga, gen_of, basis_of)
+    return CeResult(cdga)
 

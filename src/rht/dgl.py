@@ -21,6 +21,7 @@ tensored with L.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from types import MappingProxyType
 
 from .gca import CheckReport, Poly
@@ -36,6 +37,17 @@ class DglError(Exception):
 
 class ConnectivityError(DglError):
     """The tensor model produced an element of degree <= 0."""
+
+
+def _denominator_lcm(combos):
+    return lcm(*{c.denominator for combo in combos for c in combo.values()})
+
+
+def _scaled(combo, scale):
+    """combo times scale as an int combination, for scale a multiple of
+    every denominator in combo."""
+    return {z: c.numerator * (scale // c.denominator)
+            for z, c in combo.items()}
 
 
 class Dgl:
@@ -103,16 +115,12 @@ class Dgl:
     def dims(self):
         return {n: len(v) for n, v in sorted(self.by_degree.items())}
 
-    def _entry(self, a, b):
-        """The table's [a,b] (not a copy), after the name and degree checks."""
+    def bracket(self, a, b):
+        """[a,b] as a linear combination; antisymmetry fills missing mirrors."""
         self._check_names(a, b)
         if self.degree_of[a] + self.degree_of[b] > self.truncation:
             raise DglError("bracket [%s,%s] lies above the truncation" % (a, b))
-        return self.table[a].get(b, EMPTY)
-
-    def bracket(self, a, b):
-        """[a,b] as a linear combination; antisymmetry fills missing mirrors."""
-        return dict(self._entry(a, b))
+        return dict(self.table[a].get(b, EMPTY))
 
     # -- validation -------------------------------------------------------
 
@@ -122,12 +130,20 @@ class Dgl:
         Checks run in a fixed order over the basis order, so the violation
         reported is the first one.  A case whose two sides are both sums over
         zero brackets and zero differentials is 0 = 0 and is skipped.
+
+        The sums run on integer numerators: the two-sided table scaled by D,
+        the lcm of its denominators, and d scaled by E, the lcm of its own.
+        Each identity is homogeneous in the structure constants.
+        Antisymmetry is linear in the table, d^2 is quadratic in d, every
+        Leibniz term is one d times one bracket and Jacobi is quadratic in
+        the table, so both sides of a case are multiplied by the same
+        nonzero factor D, E^2, DE or D^2.  A case holds after scaling
+        exactly when it holds over Q, so the answer and the first violation
+        are those of the same check in Fractions.
         """
         N = self.truncation
         deg = self.degree_of
         names = self.names
-        table = self.table
-        diff = self.differential
         for (a, b), combo in self.brackets.items():
             want = deg[a] + deg[b]
             for z in combo:
@@ -136,7 +152,7 @@ class Dgl:
                         "bracket-degree",
                         "[%s,%s] has a term %s of degree %d, expected %d"
                         % (a, b, z, deg[z], want))
-        for x, combo in diff.items():
+        for x, combo in self.differential.items():
             want = deg[x] - 1
             if want < 1 and combo:
                 return CheckReport.violation(
@@ -147,6 +163,13 @@ class Dgl:
                         "differential-degree",
                         "d(%s) has a term %s of degree %d, expected %d"
                         % (x, z, deg[z], want))
+        # the table holds the stored brackets and their mirrors, so D is
+        # the lcm of the stored brackets' denominators
+        D = _denominator_lcm(self.brackets.values())
+        table = {n: {b: _scaled(combo, D) for b, combo in row.items()}
+                 for n, row in self.table.items()}
+        E = _denominator_lcm(self.differential.values())
+        diff = {x: _scaled(combo, E) for x, combo in self.differential.items()}
         # only a pair with both orientations stored can break antisymmetry
         for a in names:
             for b, combo in table[a].items():
@@ -716,18 +739,27 @@ def tensor_map_model(A, L):
     Degrees <= 0 violate the connectivity hypothesis and raise.  The output
     is truncated at L.truncation - 2*top(A), the largest bound for which all
     brackets are computable from L's table.
+
+    The brackets are read off the nonzero entries: for a(x)l, the entries
+    [l,l'] of L.table's row of l, in basis order, and for each the nonzero
+    products aa' (A.product, unit rule included), in A's basis order.  So
+    the pairs come in basis order, as a loop over all pairs would give them.
+    Each bracket is written in one pass, the sign folded into the product
+    coefficient; a term outside the basis (possible only when a table or
+    product term has the wrong degree) raises DglError.
     """
     p = A.top_degree
     N_out = L.truncation - 2 * p
     if N_out < 1:
         raise DglError("L's truncation is too small for top degree %d" % p)
+    deg_A, deg_L = A.degree_of, L.degree_of
     bad = []
     basis = []
     fact = {}
     name_of = {}
     for x in L.names:
         for a in A.names:
-            deg = L.degree_of[x] - A.degree_of[a]
+            deg = deg_L[x] - deg_A[a]
             if deg <= 0:
                 bad.append((a, x, deg))
             elif deg <= N_out:
@@ -740,41 +772,50 @@ def tensor_map_model(A, L):
             "elements of nonpositive degree: %s"
             % ", ".join("%s(x)%s in degree %d" % t for t in bad))
 
-    def embed(a_combo, x_combo):
-        out = {}
-        for a, va in a_combo.items():
-            for x, vx in x_combo.items():
-                key = (a, x)
-                if key not in name_of:
-                    raise DglError("tensor term %s(x)%s escaped the basis" % (a, x))
-                out[name_of[key]] = va * vx
-        return out
+    def tensor(a, x):
+        nm = name_of.get((a, x))
+        if nm is None:
+            raise DglError("tensor term %s(x)%s escaped the basis" % (a, x))
+        return nm
 
-    brackets = {}
-    order = {nm: i for i, (nm, _) in enumerate(basis)}
-    for nm1, d1 in basis:
-        a, x = fact[nm1]
-        for nm2, d2 in basis:
-            if order[nm2] < order[nm1] or d1 + d2 > N_out:
-                continue
-            a2, x2 = fact[nm2]
-            lie = L.bracket(x, x2)
-            if not lie:
-                continue
+    # the nonzero products aa' of each a, in A's basis order, as term lists
+    # (a'', c) and (a'', -c) for the two signs (-1)^{|a'||l|}
+    products = {a: [] for a in A.names}
+    for a in A.names:
+        for a2 in A.names:
             prod = A.product(a, a2)
-            if not prod:
-                continue
-            sign = (-1) ** (A.degree_of[a2] * L.degree_of[x])
-            combo = combine([(embed(prod, lie), sign)])
-            if combo:
+            if prod:
+                products[a].append((a2, list(prod.items()),
+                                    [(a3, -c) for a3, c in prod.items()]))
+    order = {nm: i for i, (nm, _) in enumerate(basis)}
+    brackets = {}
+    for i, (nm1, d1) in enumerate(basis):
+        a, x = fact[nm1]
+        odd_x = deg_L[x] % 2
+        for x2, lie in L.table[x].items():
+            for a2, plus, minus in products[a]:
+                if d1 + deg_L[x2] - deg_A[a2] > N_out:
+                    continue
+                nm2 = name_of[(a2, x2)]
+                if order[nm2] < i:
+                    continue
+                combo = {}
+                for a3, c in (minus if odd_x and deg_A[a2] % 2 else plus):
+                    if c == 1:
+                        for z, v in lie.items():
+                            combo[tensor(a3, z)] = v
+                    else:
+                        for z, v in lie.items():
+                            combo[tensor(a3, z)] = c * v
                 brackets[(nm1, nm2)] = combo
 
     differential = {}
     for nm, d in basis:
         a, x = fact[nm]
-        img = combine([(embed(A.d(a), {x: QONE}), 1),
-                       (embed({a: QONE}, L.differential.get(x, {})),
-                        (-1) ** A.degree_of[a])])
+        da = {tensor(a2, x): v for a2, v in A.diff.get(a, EMPTY).items()}
+        dx = {tensor(a, z): v
+              for z, v in L.differential.get(x, EMPTY).items()}
+        img = combine([(da, 1), (dx, (-1) ** deg_A[a])])
         if img:
             differential[nm] = img
 

@@ -24,6 +24,15 @@ Fraction tensors from the generators on, layer k spanned by every
 [layer i, layer k-i], the basis tensors e / e[lead] and the bracket table
 read off their commutators.
 
+``tensor_map_model_reference`` is ``tensor_map_model`` as it was before it
+read L's bracket table and A's products directly: a loop over every pair of
+basis elements, each bracket through ``Dgl.bracket``, ``FiniteCdga.product``,
+an embedding into the tensor names and ``combine``.  The library must give
+its brackets and differential term for term, in key order.
+
+``ce_generators`` names the generators of C*(L) as ``ce_cochains`` does, for
+the tests that match them with L's basis.
+
 ``reduction_images`` and ``fibration_images`` build the maps that a map of
 X-models induces on A (x) L by hand, as the odd-sphere reduction and
 ``fibration_model`` did before ``rht.dgl.tensor_morphism``: one loop per map,
@@ -37,7 +46,8 @@ that ``tensor_morphism`` outputs are held to, on the plain sums above.
 from fractions import Fraction
 
 import dense_oracle
-from rht.dgl import Dgl, _independent, _tensor_coordinates
+from rht.dgl import (ConnectivityError, Dgl, DglError, _independent,
+                     _tensor_coordinates)
 from rht.gca import CheckReport, FreeGCA, Poly
 from rht.linalg import combine
 
@@ -182,8 +192,10 @@ def validate(L):
     return CheckReport.good()
 
 
-def ce_images(L, N):
-    """Generator name -> d(v) of C*(L) truncated at N, with no validation."""
+def ce_generators(L, N):
+    """The generators (name, degree) of C*(L) truncated at N, and the map
+    from a basis element x of L to the name of its generator v_x: the
+    i-th element of degree |x| is v<|x|+1>_<i>, for |x| + 1 <= N."""
     gens = []
     gen_of = {}
     counters = {}
@@ -196,6 +208,12 @@ def ce_images(L, N):
         name = "v%d_%d" % (d, i)
         gens.append((name, d))
         gen_of[x] = name
+    return gens, gen_of
+
+
+def ce_images(L, N):
+    """Generator name -> d(v) of C*(L) truncated at N, with no validation."""
+    gens, gen_of = ce_generators(L, N)
     carrier = FreeGCA(gens)
     deg = L.degree_of
     images = {}
@@ -231,18 +249,7 @@ def ce_images_by_product(L, N):
     a halved Fraction and a one-term dict through ``combine`` for each
     quadratic term.  Its images, keys in order, are what ce_cochains must
     give on any input, valid or not."""
-    gens = []
-    gen_of = {}
-    counters = {}
-    for x in L.names:
-        d = L.degree_of[x] + 1
-        if d > N:
-            continue
-        i = counters.get(d, 0)
-        counters[d] = i + 1
-        name = "v%d_%d" % (d, i)
-        gens.append((name, d))
-        gen_of[x] = name
+    gens, gen_of = ce_generators(L, N)
     carrier = FreeGCA(gens)
     deg = L.degree_of
     quadratic = {}
@@ -413,6 +420,77 @@ def _tensor_name(a, x, unit):
 
 def _embed(B, a_combo, x):
     return {_tensor_name(a, x, B.unit): c for a, c in a_combo.items()}
+
+
+def tensor_map_model_reference(A, L):
+    """rht.dgl.tensor_map_model as it was before it read the bracket table
+    and A's products directly: every pair of basis elements in basis order,
+    each through L.bracket, A.product, an embedding of aa' (x) [l,l'] into
+    the basis names and rht.linalg.combine with the sign (-1)^{|a'||l|}."""
+    p = A.top_degree
+    N_out = L.truncation - 2 * p
+    if N_out < 1:
+        raise DglError("L's truncation is too small for top degree %d" % p)
+    bad = []
+    basis = []
+    fact = {}
+    name_of = {}
+    for x in L.names:
+        for a in A.names:
+            deg = L.degree_of[x] - A.degree_of[a]
+            if deg <= 0:
+                bad.append((a, x, deg))
+            elif deg <= N_out:
+                nm = _tensor_name(a, x, A.unit)
+                basis.append((nm, deg))
+                fact[nm] = (a, x)
+                name_of[(a, x)] = nm
+    if bad:
+        raise ConnectivityError(
+            "elements of nonpositive degree: %s"
+            % ", ".join("%s(x)%s in degree %d" % t for t in bad))
+
+    def embed(a_combo, x_combo):
+        out = {}
+        for a, va in a_combo.items():
+            for x, vx in x_combo.items():
+                key = (a, x)
+                if key not in name_of:
+                    raise DglError("tensor term %s(x)%s escaped the basis" % (a, x))
+                out[name_of[key]] = va * vx
+        return out
+
+    brackets = {}
+    order = {nm: i for i, (nm, _) in enumerate(basis)}
+    for nm1, d1 in basis:
+        a, x = fact[nm1]
+        for nm2, d2 in basis:
+            if order[nm2] < order[nm1] or d1 + d2 > N_out:
+                continue
+            a2, x2 = fact[nm2]
+            lie = L.bracket(x, x2)
+            if not lie:
+                continue
+            prod = A.product(a, a2)
+            if not prod:
+                continue
+            sign = (-1) ** (A.degree_of[a2] * L.degree_of[x])
+            combo = combine([(embed(prod, lie), sign)])
+            if combo:
+                brackets[(nm1, nm2)] = combo
+
+    differential = {}
+    for nm, d in basis:
+        a, x = fact[nm]
+        img = combine([(embed(A.d(a), {x: QONE}), 1),
+                       (embed({a: QONE}, L.differential.get(x, {})),
+                        (-1) ** A.degree_of[a])])
+        if img:
+            differential[nm] = img
+
+    M = Dgl(basis, brackets, differential, N_out)
+    M.factorization = (A, L, fact)
+    return M
 
 
 def reduction_images(i, q, M_A, M_T):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import dgl_oracle as oracle
 from rht.cefunctor import ce_cochains
 from rht.dgl import (Dgl, FiniteCdga, free_lie, add_differential,
                      tensor_map_model, fibration_model)
@@ -80,11 +81,17 @@ def test_ce_zero_section_dualizes_to_augmentation():
     # C*(sect): C*(M) -> C*(L) is the transpose of sect, v_y -> the sum
     # of <sect x, y> v_x; generators dual to t(x)l go to zero, duals of
     # 1(x)l go to themselves
+    basis_of_M = {v: y for y, v in
+                  oracle.ce_generators(M, M.truncation + 1)[1].items()}
+    gen_of_L = oracle.ce_generators(sect.source,
+                                    sect.source.truncation + 1)[1]
+    assert sorted(basis_of_M) == sorted(ceM.cdga.names)
+    assert sorted(gen_of_L.values()) == sorted(ceL.cdga.names)
     for vname in ceM.cdga.names:
-        y = ceM.basis_of[vname]
-        img = {ceL.gen_of[x]: sect.images[x][y] for x in ceL.gen_of
+        y = basis_of_M[vname]
+        img = {gen_of_L[x]: sect.images[x][y] for x in gen_of_L
                if y in sect.images[x]}
         if y.startswith("t_"):
             assert not img
         else:
-            assert img == {ceL.gen_of[y]: 1}
+            assert img == {gen_of_L[y]: 1}

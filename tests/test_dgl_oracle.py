@@ -16,9 +16,13 @@ must store the bracket table and differential that one dense solve per
 bracket or image gives, and free_lie on int tensors must store exactly what
 the Fraction construction of free_lie_reference stores.  tensor_morphism
 must give the maps I, Q, proj and sect that the hand-built loops give, and
-be a functor.
+be a functor.  tensor_map_model must give the brackets and differential of
+the loop over all pairs, tensor_map_model_reference, term for term.
+validate scales the table and d by separate lcms of their denominators, so
+DGLs whose table and d have different lcms are held to the oracle too.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
@@ -142,6 +146,61 @@ def random_table_dgl(rng):
             if lower and rng.random() < 0.3:
                 diff[x] = random_combo(rng, lower)
     return Dgl(basis, brackets, diff, N)
+
+
+def rescaled_basis(rng, L):
+    """L in the basis lambda_x x, lambda_x random: [x,y] = sum c z becomes
+    sum (lambda_x lambda_y / lambda_z) c z and d x = sum c z becomes
+    sum (lambda_x / lambda_z) c z, so a DGL stays a DGL, and the table and
+    d get mixed denominators with different lcms."""
+    lam = {x: F(rng.choice((1, 2, 3, F(1, 2), F(1, 3), F(2, 3), F(3, 4),
+                            F(5, 6), F(4, 5))))
+           for x in L.names}
+    brackets = {(x, y): {z: lam[x] * lam[y] / lam[z] * c
+                         for z, c in combo.items()}
+                for (x, y), combo in L.brackets.items()}
+    diff = {x: {z: lam[x] / lam[z] * c for z, c in combo.items()}
+            for x, combo in L.differential.items()}
+    return Dgl(basis_of(L), brackets, diff, L.truncation)
+
+
+def denominator_lcm(combos):
+    return math.lcm(*(c.denominator for combo in combos
+                      for c in combo.values()))
+
+
+def free_lie_with_differential(rng):
+    """The free Lie algebra on g0, g1 and h, |h| = |g0| + |g1| + 1, with
+    d h = [g0,g1]: d is nonzero on every bracket that holds h."""
+    degs = [rng.randint(2, 4) for _ in range(2)]
+    hdeg = sum(degs) + 1
+    L = free_lie([("g0", degs[0]), ("g1", degs[1]), ("h", hdeg)],
+                 hdeg + rng.randint(2, 5))
+    return free_lie_differential(L, {"h": L.bracket("g0", "g1")})
+
+
+def test_table_and_differential_scales_differ_and_match_the_oracle():
+    # validate scales the table by D, the lcm of its denominators, and d by
+    # E, the lcm of d's.  These DGLs have E not dividing D and mixed
+    # denominators in d, so scaling d by D would scale its terms unevenly
+    rng = Random(512)
+    kinds = {}
+    apart = 0
+    for _ in range(150):
+        L = rescaled_basis(rng, free_lie_with_differential(rng))
+        if denominator_lcm(L.brackets.values()) % \
+                denominator_lcm(L.differential.values()) == 0:
+            continue
+        apart += 1
+        assert assert_matches_oracle(L) is None
+        for corrupt in (scaled_bracket, stored_mirror, bad_differential):
+            bad = corrupt(rng, L)
+            if bad is not None:
+                kind = assert_matches_oracle(bad)
+                kinds[kind] = kinds.get(kind, 0) + 1
+    assert apart >= 40
+    for kind in ("jacobi", "antisymmetry", "leibniz", "d-squared", None):
+        assert kinds.get(kind, 0) >= 5, kinds
 
 
 def test_valid_dgls_and_tensor_models_match_the_oracle():
@@ -339,6 +398,71 @@ def test_free_lie_spans_by_generator_brackets_only(monkeypatch):
     assert all(d1 == 6 for d1, _ in calls[:spanning])
     assert _free_lie_data(L) == _free_lie_data(
         oracle.free_lie_reference([("a1", 6), ("a2", 6)], 40))
+
+
+def tensor_model_terms(build, A, L):
+    """The basis, brackets and differential of build(A, L), with key order
+    and coefficient types, or the message of the DglError it raises."""
+    try:
+        M = build(A, L)
+    except DglError as exc:
+        return str(exc)
+    def terms(combos):
+        return [(k, [(z, c, type(c)) for z, c in combo.items()])
+                for k, combo in combos.items()]
+    return basis_of(M), terms(M.brackets), terms(M.differential)
+
+
+def assert_tensor_model_matches_the_pair_loop(A, L):
+    got = tensor_model_terms(tensor_map_model, A, L)
+    assert got == tensor_model_terms(oracle.tensor_map_model_reference, A, L)
+    return got
+
+
+def coupled_x():
+    """Lambda(x2, y3) with dy = x^2, cut above degree 4: an X with a
+    nonzero differential and a top degree small enough that A (x) L holds
+    both y(x)l and d_A y (x) l = xx(x)l."""
+    return FiniteCdga([("1", 0), ("x", 2), ("y", 3), ("xx", 4)], "1",
+                      {("x", "x"): {"xx": 1}}, {"y": {"xx": 1}})
+
+
+def test_tensor_map_model_matches_the_pair_loop():
+    # tensor_map_model reads L's table and A's products directly; it must
+    # give what the loop over all pairs through L.bracket, A.product and
+    # combine gave, term for term.  Y = S^7 v S^7 has only even degrees, so
+    # the sign (-1)^{|a'||l|} needs L with an odd generator as well
+    L = free_lie([("a1", 6), ("a2", 6)], 40)
+    for c in (F(-5, 6), F(8, 9), F(1)):
+        _, brackets, _ = assert_tensor_model_matches_the_pair_loop(
+            lie_reduction_x(c), L)
+        assert len(brackets) == 135
+    assert coupled_x().validate()
+    odd_L = free_lie([("a", 7), ("b", 6)], 34)
+    cases = [(lie_reduction_x(c), odd_L) for c in (F(-5, 6), F(8, 9), F(1))]
+    cases.append((coupled_x(), odd_L))
+    rng = Random(513)
+    for k in range(150):
+        A = coupled_x() if k % 3 == 0 else random_odd_finite_model(rng)
+        L = random_dgl(rng, min_degree=A.top_degree + 1)
+        if L.truncation - 2 * A.top_degree >= 1:
+            cases.append((A, L))
+    seen = dict.fromkeys(("d_A", "d_L", "sign", "escaped"), 0)
+    for A, L in cases:
+        assert_tensor_model_matches_the_pair_loop(A, L)
+        M = tensor_map_model(A, L)
+        fact = M.factorization[2]
+        seen["d_A"] += any(A.diff.get(fact[nm][0]) for nm in M.differential)
+        seen["d_L"] += bool(L.differential)
+        seen["sign"] += any(
+            L.degree_of[fact[nm1][1]] * A.degree_of[fact[nm2][0]] % 2
+            for nm1, nm2 in M.brackets)
+        # a bracket term of the wrong degree lands outside A (x) L's basis,
+        # or inside it where its degree is still in range
+        got = assert_tensor_model_matches_the_pair_loop(
+            A, wrong_degree_term(rng, L))
+        seen["escaped"] += isinstance(got, str) and "escaped" in got
+    assert min(seen.values()) >= 5, seen
 
 
 def lie_reduction_x(c):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgl_oracle import dgl_map_report
+from dgl_oracle import ce_generators, dgl_map_report
 from rht import dgl
 from rht.gca import Cdga, Derivation, Poly
 from rht.dgl import (Dgl, FiniteCdga, free_lie, restrict_dgl,
@@ -220,13 +220,14 @@ def test_ce_of_sphere_tensor_equals_suspension_on_section4():
         big = suspension_model(ceL.cdga, p)
         assert big.truncation == bdeg + 2
         # match generators: dual of 1(x)x <-> v_x, dual of t(x)x <-> bar v_x
+        gen_of_L = ce_generators(L, bdeg + 2)[1]
         rename = {}
-        for vname in ceM.cdga.names:
-            x = ceM.basis_of[vname]
+        for x, vname in ce_generators(M, bdeg + 2)[1].items():
             if x.startswith("t_"):
-                rename[vname] = bar_name(ceL.gen_of[x[2:]])
+                rename[vname] = bar_name(gen_of_L[x[2:]])
             else:
-                rename[vname] = ceL.gen_of[x]
+                rename[vname] = gen_of_L[x]
+        assert sorted(rename) == sorted(ceM.cdga.names)
         assert sorted(rename.values()) == sorted(big.names)
         for vname in ceM.cdga.names:
             img = ceM.cdga.differential.images.get(vname, Poly())

@@ -5,10 +5,10 @@ verify-certificate.  Exit codes: 0 success/Formal, 1 validation error,
 2 Unknown, 3 NonFormal.  RHT_MAX_DEGREE overrides the default bound.
 """
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .gca import Cdga, TruncationError
 from .dgl import DglError
@@ -249,46 +249,75 @@ OPTIONS = {
 }
 
 
-def add_command_arguments(parser, name):
-    """The arguments and handler of subcommand name, added to parser."""
-    _, func, positionals, options = COMMANDS[name]
-    for arg in positionals:
-        parser.add_argument(arg)
-    for opt in options:
-        parser.add_argument(opt, **OPTIONS[opt])
-    parser.set_defaults(func=func)
-
-
 def make_parser():
+    import argparse  # here, since a plain line needs none (see parse_args)
     parser = argparse.ArgumentParser(
         prog="rht",
         description="exact-arithmetic mapping-space models and formality "
                     "certificates")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _, _) in COMMANDS.items():
-        add_command_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, func, positionals, options) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            cmd.add_argument(arg)
+        for opt in options:
+            cmd.add_argument(opt, **OPTIONS[opt])
+        cmd.set_defaults(func=func)
     return parser
+
+
+def read_plain_line(argv):
+    """The namespace make_parser() gives argv, if argv is a plain line.
+
+    A plain line is an exact subcommand name, then in any order its
+    positionals, in number, and exact long options of that subcommand, as
+    '--opt value' or '--opt=value'.  No positional or value starts with
+    '-', and each value converts to the option's type and is one of its
+    choices.  Any other line gives None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, positionals, options = COMMANDS[argv[0]]
+    values = {opt: OPTIONS[opt]["default"] for opt in options}
+    found = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            found.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        if not eq:
+            # an option last on the line has no value: "-" stands in
+            value = next(tokens, "-")
+        if opt not in values or value.startswith("-"):
+            return None
+        # converted, then checked against the choices, as argparse does
+        spec = OPTIONS[opt]
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[opt] = value
+    if len(found) != len(positionals):
+        return None
+    names = dict(zip(positionals, found), command=argv[0], func=func)
+    names.update((opt[2:].replace("-", "_"), value)
+                 for opt, value in values.items())
+    return SimpleNamespace(**names)
 
 
 def parse_args(argv):
     """The arguments of argv, parsed as make_parser() parses them.
 
-    Each argparse parser costs a terminal-size query per argument, so a
-    named subcommand gets a parser of its own, with the prog, usage, help
-    and errors of its subparser in the full one.  The full parser is built
-    for top-level help, for no or an unknown command, and to report the
-    arguments the subcommand leaves over, which it reports with its own
-    usage."""
-    name = argv[0] if argv else None
-    if name not in COMMANDS:
-        return make_parser().parse_args(argv)
-    parser = argparse.ArgumentParser(prog="rht %s" % name)
-    add_command_arguments(parser, name)
-    parser.set_defaults(command=name)
-    args, extra = parser.parse_known_args(argv[1:])
-    if extra:
-        return make_parser().parse_args(argv)
-    return args
+    The first argparse parser in a process costs more than the section-4
+    verdict's own work (imports, translation lookups, a terminal-size query
+    per argument), so a plain line (see read_plain_line) is read straight
+    from COMMANDS and OPTIONS, and argparse is not imported.  make_parser()
+    parses every other line: help, '--', abbreviations, bad values and
+    wrong counts, so usage, help, errors and exit code 2 are argparse's."""
+    args = read_plain_line(argv)
+    return make_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
@@ -331,11 +332,113 @@ def test_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
     assert parse_outcome(capsys, cli.parse_args, argv) == want
 
 
-def test_a_named_subcommand_builds_its_parser_alone(monkeypatch, capsys,
-                                                   ws_file):
+# option values of plain lines, and odd ones: refused by argparse, or with
+# a sign, a non-ASCII digit or a leading "-"
+PLAIN_VALUES = {"--max-degree": ["7", "12", "007", "0"],
+                "--format": ["table", "json"],
+                "--certificate-out": ["o.cert", "a=b", ""]}
+ODD_VALUES = {"--max-degree": ["abc", "+7", "\u0663", "\u00b2", "-1", ""],
+              "--format": ["xml", "", "-", "JSON"],
+              "--certificate-out": ["-", "-o.cert"]}
+ODD_TOKENS = ["", "-", "-1", "--", "--max", "+7", "\u0663", "\u00b2", "-h",
+              "--help", "--bogus", "bogus", "--format="]
+POSITIONALS = ["w.rht", "Y", "p", "", "a b", "x=1", "formality"]
+
+
+def random_argv(rng):
+    """A command line at or near a plain one: a subcommand, then its
+    positionals and options in any order, each option as '--opt v' or
+    '--opt=v' and maybe repeated; now and then a wrong count, an option of
+    another subcommand, an odd value or an option with no value last."""
+    name = rng.choice(list(cli.COMMANDS))
+    _, _, positionals, options = cli.COMMANDS[name]
+    count = len(positionals)
+    if rng.random() < 0.1:
+        count = max(0, count + rng.choice((-1, 1)))
+    groups = [[rng.choice(POSITIONALS)] for _ in range(count)]
+    for _ in range(rng.randint(0, 3)):
+        opt = rng.choice(options if options and rng.random() < 0.95
+                         else list(cli.OPTIONS))
+        values = ODD_VALUES if rng.random() < 0.2 else PLAIN_VALUES
+        value = rng.choice(values[opt])
+        groups.append([opt + "=" + value] if rng.random() < 0.5
+                      else [opt, value])
+    rng.shuffle(groups)
+    argv = [name] + [token for group in groups for token in group]
+    if options and rng.random() < 0.1:
+        argv.append(rng.choice(options))
+    return argv
+
+
+def test_plain_lines_parse_as_the_full_parser_parses_them(capsys,
+                                                         monkeypatch):
+    # seeded lines near plain ones: whichever path parse_args takes, the
+    # outcome is make_parser()'s, and both paths are taken often
+    monkeypatch.setenv("COLUMNS", "80")
+    make_parser = cli.make_parser
+    full = make_parser()
+    built = []
     monkeypatch.setattr(cli, "make_parser",
-                        lambda: pytest.fail("the full parser was built"))
-    assert run_cli(capsys, "parse", ws_file)[0] == 0
+                        lambda: built.append(None) or make_parser())
+    rng = Random(30)
+    lines = 400
+    for i in range(lines):
+        argv = random_argv(rng)
+        if i % 4 == 0:  # each odd token about six times, anywhere
+            argv.insert(rng.randint(0, len(argv)),
+                        ODD_TOKENS[i // 4 % len(ODD_TOKENS)])
+        want = parse_outcome(capsys, full.parse_args, argv)
+        assert parse_outcome(capsys, cli.parse_args, argv) == want, argv
+    assert lines // 4 <= len(built) <= lines - lines // 4
+
+
+def test_a_plain_line_builds_no_parser(monkeypatch):
+    import argparse
+    monkeypatch.setattr(argparse, "ArgumentParser",
+                        lambda *a, **k: pytest.fail("a parser was built"))
+    for argv in [
+            ["parse", "w.rht"],
+            ["cohomology", "w.rht", "Y", "--max-degree", "9", "--format=json"],
+            ["map-model", "--format", "table", "w.rht", "p"],
+            ["formality", "w.rht", "p", "--max-degree=7",
+             "--certificate-out", "o"],
+            ["reproduce-section4", "--certificate-out=o", "--max-degree",
+             "40"],
+            ["verify-certificate", "c.cert"]]:
+        args = cli.parse_args(argv)
+        assert args.command == argv[0]
+        assert args.func is cli.COMMANDS[argv[0]][1]
+
+
+@pytest.mark.parametrize("argv, stream, text", [
+    (["formality", "w.rht", "p", "-h"], "out", "usage: rht formality"),
+    (["formality", "w.rht", "p", "--format", "xml"], "err",
+     "usage: rht formality"),
+])
+def test_help_and_errors_reach_the_full_parser(monkeypatch, capsys, argv,
+                                               stream, text):
+    make_parser = cli.make_parser
+    built = []
+    monkeypatch.setattr(cli, "make_parser",
+                        lambda: built.append(None) or make_parser())
+    with pytest.raises(SystemExit):
+        cli.parse_args(argv)
+    assert built == [None]
+    assert getattr(capsys.readouterr(), stream).startswith(text)
+
+
+def test_a_plain_command_imports_no_argparse(tmp_path):
+    # a fresh interpreter, as the rht command runs: argparse and gettext
+    # stay unloaded
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; from rht import cli; "
+            "code = cli.main(['verify-certificate', 'no.cert']); "
+            "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.stdout == "1 []\n"
+    assert proc.stderr.startswith("cannot read certificate: ")
 
 
 def test_large_exponent_fails_fast(tmp_path):

@@ -30,7 +30,7 @@ import pytest
 
 import dgl_oracle as oracle
 from test_mapmodel import split_test_model
-from test_properties import random_dgl, random_odd_finite_model
+from test_properties import coupled_x, random_dgl, random_odd_finite_model
 import rht.dgl
 from rht.cefunctor import ce_cochains
 from rht.dgl import (Dgl, DglError, FiniteCdga, FiniteCdgaMorphism,
@@ -417,14 +417,6 @@ def assert_tensor_model_matches_the_pair_loop(A, L):
     got = tensor_model_terms(tensor_map_model, A, L)
     assert got == tensor_model_terms(oracle.tensor_map_model_reference, A, L)
     return got
-
-
-def coupled_x():
-    """Lambda(x2, y3) with dy = x^2, cut above degree 4: an X with a
-    nonzero differential and a top degree small enough that A (x) L holds
-    both y(x)l and d_A y (x) l = xx(x)l."""
-    return FiniteCdga([("1", 0), ("x", 2), ("y", 3), ("xx", 4)], "1",
-                      {("x", "x"): {"xx": 1}}, {"y": {"xx": 1}})
 
 
 def test_tensor_map_model_matches_the_pair_loop():

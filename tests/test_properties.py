@@ -47,8 +47,8 @@ def random_odd_finite_model(rng, want_coupled=None):
     """Finite model from an all-odd free CDGA.
 
     With probability ~0.5 (or per want_coupled) the top generator gets a
-    nonzero differential d(t2) = t0 t1, so the tensor construction's
-    coupled case is genuinely exercised."""
+    nonzero differential d(t2) = t0 t1.  Its top degree (15-23) leaves no
+    a(x)l with d_A a != 0 in A (x) L for random_dgl's L; coupled_x does."""
     if want_coupled is None:
         want_coupled = rng.random() < 0.5
     if want_coupled:
@@ -65,6 +65,14 @@ def random_odd_finite_model(rng, want_coupled=None):
     fin = FiniteCdga.from_free_odd(model)
     fin.generator_names = [g for g, _ in gens]
     return fin
+
+
+def coupled_x():
+    """Lambda(x2, y3) with dy = x^2, cut above degree 4: an X with a
+    nonzero differential and a top degree small enough that A (x) L holds
+    both y(x)l and d_A y (x) l = xx(x)l."""
+    return FiniteCdga([("1", 0), ("x", 2), ("y", 3), ("xx", 4)], "1",
+                      {("x", "x"): {"xx": 1}}, {"y": {"xx": 1}})
 
 
 def random_dgl(rng, min_degree=1):
@@ -88,12 +96,14 @@ def random_dgl(rng, min_degree=1):
 
 
 def test_tensor_map_model_always_yields_a_dgl():
-    # Prop 3.1's three formulas produce a DGL: 200 randomized (A, L) pairs
+    # Prop 3.1's three formulas produce a DGL: 200 randomized (A, L) pairs.
+    # The coupled case, an a(x)l in A (x) L with d_A a != 0, needs an X of
+    # small top degree, so every fourth X is coupled_x
     rng = Random(2024)
     produced = 0
-    nonzero_da = 0
+    coupled = 0
     while produced < CASES:
-        A = random_odd_finite_model(rng)
+        A = coupled_x() if produced % 4 == 0 else random_odd_finite_model(rng)
         assert A.validate()
         L = random_dgl(rng, min_degree=A.top_degree + 1)
         if L.truncation - 2 * A.top_degree < 1:
@@ -105,9 +115,9 @@ def test_tensor_map_model_always_yields_a_dgl():
         report = M.validate()
         assert report, (report, A.names, L.names)
         produced += 1
-        if A.diff:
-            nonzero_da += 1
-    assert nonzero_da > 20  # the coupled case is genuinely exercised
+        fact = M.factorization[2]
+        coupled += any(A.diff.get(fact[nm][0]) for nm in M.names)
+    assert coupled >= 40, coupled
 
 
 def test_ce_cochains_squares_to_zero():
